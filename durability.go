@@ -13,20 +13,19 @@ package graphtinker
 // recovery = load snapshot + replay ops [n, NextLSN), and no op is ever
 // applied twice — records straddling n are sliced, not re-applied.
 //
-// Two durable paths share this file's plumbing: DurableStream (sharded
-// raw-throughput ingestion over a Parallel store) here, and the session
-// batch path in session_durability.go.
+// The directory itself — open, recover, checkpoint install, GC — is owned
+// by internal/wal.Dir. This file is one of its three clients, DurableStream
+// (sharded raw-throughput ingestion over a Parallel store); the session
+// batch path in session_durability.go and replication followers are the
+// other two.
 
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"graphtinker/internal/core"
 	"graphtinker/internal/ingest"
 	"graphtinker/internal/wal"
 )
@@ -85,84 +84,9 @@ type RecoveryInfo struct {
 	ReplayedOps uint64 `json:"replayed_ops"`
 }
 
-const snapSuffix = ".gts"
-
-func snapName(lsn uint64) string { return fmt.Sprintf("snap-%016x%s", lsn, snapSuffix) }
-
-// walDir returns the log subdirectory of a durability directory.
-func walDir(dir string) string { return filepath.Join(dir, "wal") }
-
-// installSnapshot durably writes a checkpoint file: temp + fsync + rename
-// + directory fsync, then returns the manifest validation pair.
-func installSnapshot(dir, name string, write func(f *os.File) error) (crc uint32, size int64, err error) {
-	tmp, err := os.CreateTemp(dir, ".snap-*")
-	if err != nil {
-		return 0, 0, fmt.Errorf("graphtinker: checkpoint: %w", err)
-	}
-	tmpName := tmp.Name()
-	fail := func(e error) (uint32, int64, error) {
-		_ = tmp.Close() // already failing with e; close error is cleanup noise
-		os.Remove(tmpName)
-		return 0, 0, fmt.Errorf("graphtinker: checkpoint: %w", e)
-	}
-	if err := write(tmp); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return 0, 0, fmt.Errorf("graphtinker: checkpoint: %w", err)
-	}
-	path := filepath.Join(dir, name)
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return 0, 0, fmt.Errorf("graphtinker: checkpoint: %w", err)
-	}
-	// The directory fsync is what makes the rename durable; a failure here
-	// means the snapshot may vanish on crash, so it must fail the
-	// checkpoint rather than report success. An unopenable directory is
-	// tolerated (some filesystems refuse O_RDONLY on dirs) — the rename
-	// itself still succeeded.
-	if d, err := os.Open(dir); err == nil {
-		serr := d.Sync()
-		_ = d.Close() // read-only handle; Sync above carried the durability
-		if serr != nil {
-			return 0, 0, fmt.Errorf("graphtinker: checkpoint: sync dir: %w", serr)
-		}
-	}
-	return wal.FileCRC(path)
-}
-
-// removeStaleSnapshots deletes every snap-*.gts except keep. A failed
-// remove is not a correctness problem (the manifest names the live
-// snapshot), but silently eating it hides stuck GC — disk filling with
-// dead checkpoints — so failures are counted on the WAL recorder where
-// operators already look.
-func removeStaleSnapshots(dir, keep string, rec *WALRecorder) {
-	matches, _ := filepath.Glob(filepath.Join(dir, "snap-*"+snapSuffix))
-	for _, m := range matches {
-		if filepath.Base(m) == keep {
-			continue
-		}
-		if err := os.Remove(m); err != nil && !errors.Is(err, os.ErrNotExist) {
-			if rec != nil {
-				rec.SnapshotGCFailures.Inc()
-			}
-		}
-	}
-}
-
-// openSnapshot validates a manifest's snapshot file (size + CRC32-C) and
-// opens it for reading. Shared with replication followers via
-// wal.OpenManifestSnapshot.
-func openSnapshot(dir string, m wal.Manifest) (*os.File, error) {
-	f, err := wal.OpenManifestSnapshot(dir, m)
-	if err != nil {
-		return nil, fmt.Errorf("graphtinker: recover: %w", err)
-	}
-	return f, nil
+// walOptions is the log configuration these options select.
+func (o DurabilityOptions) walOptions() wal.Options {
+	return wal.Options{SegmentBytes: o.SegmentBytes, SyncInterval: o.SyncInterval, Recorder: o.Recorder}
 }
 
 // DurableStreamOptions configures OpenDurableStream.
@@ -183,9 +107,8 @@ type DurableStreamOptions struct {
 // snapshot, and reopening the same directory recovers exactly the logged
 // prefix of the stream. Safe for concurrent producers.
 type DurableStream struct {
-	dir   string
+	dir   *wal.Dir
 	store *Parallel
-	log   *wal.Log
 	pipe  *StreamPipeline
 	opts  DurableStreamOptions
 	info  RecoveryInfo
@@ -195,8 +118,7 @@ type DurableStream struct {
 	// exactly bounds the snapshot's contents.
 	ckptMu    sync.RWMutex
 	sinceCkpt atomic.Uint64
-	lastCkpt  uint64
-	epoch     uint64 // replication term from the manifest; preserved by checkpoints
+	epoch     uint64 // replication term from the manifest that recovered the stream
 	ckptErr   error  // outcome of the most recent checkpoint attempt
 	closed    bool
 }
@@ -213,106 +135,33 @@ func OpenDurableStream(cfg Config, dir string, opts DurableStreamOptions) (*Dura
 	if opts.Pipeline.WAL != nil {
 		return nil, fmt.Errorf("graphtinker: durable stream: Pipeline.WAL is managed internally; leave it nil")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("graphtinker: durable stream: %w", err)
-	}
 
-	m, haveManifest, err := wal.LoadManifest(dir)
-	if err != nil {
-		return nil, err
-	}
 	var store *Parallel
-	var info RecoveryInfo
-	switch {
-	case haveManifest && m.Snapshot != "":
-		f, err := openSnapshot(dir, m)
-		if err != nil {
-			return nil, err
-		}
-		store, err = core.ReadParallelSnapshot(f, nil)
-		_ = f.Close() // read-only; the snapshot decode error is the signal
-		if err != nil {
-			return nil, fmt.Errorf("graphtinker: recover: %w", err)
-		}
-		info = RecoveryInfo{Recovered: true, SnapshotOps: m.LastLSN}
-	case haveManifest:
-		// A manifest without a snapshot: an epoch-only manifest from a
-		// promoted follower (or an adopted term) that never checkpointed.
-		// All state lives in the WAL.
-		shards := m.Shards
-		if shards <= 0 {
-			shards = opts.Shards
-		}
-		store, err = NewParallel(cfg, shards)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		store, err = NewParallel(cfg, opts.Shards)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	log, err := wal.Open(walDir(dir), wal.Options{
-		SegmentBytes: opts.Durability.SegmentBytes,
-		SyncInterval: opts.Durability.SyncInterval,
-		Recorder:     opts.Durability.Recorder,
-		InitialLSN:   m.LastLSN,
-	})
+	d, info, err := wal.OpenDir(dir, opts.Durability.walOptions(), wal.RefuseCoveredLog,
+		wal.ParallelLoader(cfg, opts.Shards, &store))
 	if err != nil {
-		store.Close()
+		if store != nil {
+			store.Close()
+		}
 		return nil, err
-	}
-	if next := log.NextLSN(); next < m.LastLSN {
-		_ = log.Close() // abandoning open; the recovery error below is the signal
-		store.Close()
-		return nil, fmt.Errorf("graphtinker: recover: wal ends at LSN %d but manifest snapshot covers %d (log lost behind checkpoint)", next, m.LastLSN)
-	}
-	replayed, err := replayInto(walDir(dir), m.LastLSN, opts.Durability.Recorder, store)
-	if err != nil {
-		_ = log.Close()
-		store.Close()
-		return nil, err
-	}
-	info.ReplayedOps = replayed
-	if replayed > 0 {
-		info.Recovered = true
 	}
 
 	popts := opts.Pipeline
-	popts.WAL = log
+	popts.WAL = d.Log()
 	pipe, err := NewStreamPipeline(store, popts)
 	if err != nil {
-		_ = log.Close()
+		_ = d.Close() // abandoning open; the pipeline error is the signal
 		store.Close()
 		return nil, err
 	}
 	return &DurableStream{
-		dir:      dir,
-		store:    store,
-		log:      log,
-		pipe:     pipe,
-		opts:     opts,
-		info:     info,
-		epoch:    m.Epoch,
-		lastCkpt: m.LastLSN,
+		dir:   d,
+		store: store,
+		pipe:  pipe,
+		opts:  opts,
+		info:  RecoveryInfo(info),
+		epoch: d.Epoch(),
 	}, nil
-}
-
-// replayInto applies the WAL tail from fromLSN onward to a sharded store
-// through the pipelined replay path: decode on one goroutine, per-shard
-// application fanned out on workers, partition scratch reused across the
-// whole tail. Returns how many ops were applied.
-func replayInto(dir string, fromLSN uint64, rec *WALRecorder, store *Parallel) (uint64, error) {
-	next, err := wal.ReplayInto(dir, fromLSN, rec, store)
-	if err != nil {
-		return 0, err
-	}
-	if next < fromLSN {
-		return 0, nil
-	}
-	return next - fromLSN, nil
 }
 
 // Recovery reports what opening the directory restored.
@@ -324,7 +173,7 @@ func (d *DurableStream) Store() *Parallel { return d.store }
 
 // NextLSN is the durable stream position: the number of ops the WAL has
 // accepted so far.
-func (d *DurableStream) NextLSN() uint64 { return d.log.NextLSN() }
+func (d *DurableStream) NextLSN() uint64 { return d.dir.Log().NextLSN() }
 
 // Epoch is the stream's replication term, from the manifest that
 // recovered it (0 for a directory that was never part of a promotion).
@@ -384,7 +233,8 @@ func (d *DurableStream) Checkpoint() error {
 	if d.closed {
 		return ErrStreamClosed
 	}
-	//gtlint:ignore lockhold ckptMu exists to serialize checkpoints; holding it across the drain+fsync+install sequence is its whole job
+	// ckptMu exists to serialize checkpoints; holding it across the
+	// drain+fsync+install sequence is its whole job.
 	err := d.checkpointNowLocked()
 	d.ckptErr = err
 	return err
@@ -394,32 +244,9 @@ func (d *DurableStream) checkpointNowLocked() error {
 	if err := d.pipe.FlushSync(); err != nil {
 		return err
 	}
-	return d.checkpointAtLocked(d.log.NextLSN())
-}
-
-func (d *DurableStream) checkpointAtLocked(lsn uint64) error {
-	name := snapName(lsn)
-	crc, size, err := installSnapshot(d.dir, name, func(f *os.File) error {
-		return d.store.WriteSnapshot(f)
-	})
-	if err != nil {
+	if err := d.dir.Checkpoint(d.NextLSN(), d.store.WriteSnapshot); err != nil {
 		return err
 	}
-	if err := wal.WriteManifest(d.dir, wal.Manifest{
-		Snapshot:      name,
-		LastLSN:       lsn,
-		SnapshotCRC:   crc,
-		SnapshotBytes: size,
-		Shards:        d.store.NumShards(),
-		Epoch:         d.epoch,
-	}); err != nil {
-		return err
-	}
-	if _, err := d.log.Prune(lsn); err != nil && !errors.Is(err, wal.ErrClosed) {
-		return err
-	}
-	removeStaleSnapshots(d.dir, name, d.opts.Durability.Recorder)
-	d.lastCkpt = lsn
 	d.sinceCkpt.Store(0)
 	return nil
 }
@@ -435,7 +262,7 @@ func (d *DurableStream) Close() (StreamTotals, error) {
 	}
 	d.closed = true
 	tot, err := d.pipe.Close()
-	if cerr := d.log.Close(); err == nil && cerr != nil {
+	if cerr := d.dir.Close(); err == nil && cerr != nil {
 		err = cerr
 	}
 	d.store.Close()
@@ -454,7 +281,7 @@ func (d *DurableStream) Crash() {
 	}
 	d.closed = true
 	d.pipe.Abort()
-	d.log.Crash()
+	d.dir.Crash()
 	// The store is in-memory only; stopping its batch workers loses
 	// nothing a real crash would keep.
 	d.store.Close()

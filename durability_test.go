@@ -11,12 +11,16 @@ package graphtinker_test
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
+	"sort"
 	"testing"
 	"time"
 
 	graphtinker "graphtinker"
 	"graphtinker/internal/faultinject"
 	"graphtinker/internal/testutil"
+	"graphtinker/internal/wal"
 )
 
 // genStream builds a deterministic mixed insert/delete op stream.
@@ -427,6 +431,70 @@ func TestSessionRecoverKillAtFailpoints(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+func TestSessionRecoverFailureLeavesSessionFresh(t *testing.T) {
+	// A Recover that fails partway (here: the snapshot loads, then the WAL
+	// turns out to be missing a middle segment) must not leave the session
+	// holding the half-recovered graph: the same session must still be
+	// fresh enough to Recover a good directory.
+	build := func(dir string) []graphtinker.Update {
+		batches, flat := sessionBatches(40, 50, 0xbad)
+		s, err := graphtinker.NewSession(graphtinker.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.EnableDurability(dir, graphtinker.DurabilityOptions{SyncInterval: -1, SegmentBytes: 1 << 12}); err != nil {
+			t.Fatal(err)
+		}
+		for i, b := range batches {
+			if out := s.ApplyBatch(b); out.DurabilityErr != nil {
+				t.Fatal(out.DurabilityErr)
+			}
+			if i == 4 {
+				if err := s.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := s.CloseDurability(); err != nil {
+			t.Fatal(err)
+		}
+		return flat
+	}
+	bad, good := t.TempDir(), t.TempDir()
+	build(bad)
+	flat := build(good)
+	segs, err := filepath.Glob(filepath.Join(bad, "wal", "*.wal"))
+	if err != nil || len(segs) < 3 {
+		t.Fatalf("want >= 3 WAL segments past the checkpoint, got %v (err %v)", segs, err)
+	}
+	sort.Strings(segs)
+	if err := os.Remove(segs[len(segs)/2]); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := graphtinker.NewSession(graphtinker.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Recover(bad); !errors.Is(err, wal.ErrCorrupt) {
+		t.Fatalf("Recover over a log with a missing middle segment = %v, want ErrCorrupt", err)
+	}
+	if n := s.Graph().NumEdges(); n != 0 {
+		t.Fatalf("failed Recover left %d edges in the session's graph", n)
+	}
+	info, err := s.Recover(good)
+	if err != nil {
+		t.Fatalf("Recover of a good directory after a failed one: %v", err)
+	}
+	if n := info.SnapshotOps + info.ReplayedOps; n != uint64(len(flat)) {
+		t.Fatalf("recovered %d ops, want %d", n, len(flat))
+	}
+	testutil.CheckAgainstRef(t, s.Graph(), oracleOver(flat))
+	if err := s.CloseDurability(); err != nil {
+		t.Fatal(err)
 	}
 }
 

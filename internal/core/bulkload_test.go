@@ -13,6 +13,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -166,12 +168,14 @@ func TestBulkLoadCorruptSectionCRC(t *testing.T) {
 }
 
 func TestParallelSnapshotV1Compat(t *testing.T) {
+	// testdata/parallel_v1.gts is the v1 dump of exactly this store,
+	// written once by the last build that still carried a v1 writer.
 	p, _ := buildParallelForSnapshot(t, 4)
-	var buf bytes.Buffer
-	if err := p.WriteSnapshotV1(&buf); err != nil {
+	v1, err := os.ReadFile(filepath.Join("testdata", "parallel_v1.gts"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadParallelSnapshot(bytes.NewReader(buf.Bytes()), nil)
+	got, err := ReadParallelSnapshot(bytes.NewReader(v1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

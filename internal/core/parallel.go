@@ -82,6 +82,25 @@ func DeleteOp(src, dst uint64) EdgeOp {
 	return EdgeOp{Edge: Edge{Src: src, Dst: dst}, Del: true}
 }
 
+// ApplyOps applies an ordered op sequence to one instance, returning how
+// many inserts were new and how many deletes hit a live edge. It is the
+// one op-apply loop: both seqlock replicas, WAL replay into a session's
+// graph and every sharded sink end up here.
+//
+//gtlint:noretain ops
+func (gt *GraphTinker) ApplyOps(ops []EdgeOp) (inserted, deleted int) {
+	for _, op := range ops {
+		if op.Del {
+			if gt.DeleteEdge(op.Src, op.Dst) {
+				deleted++
+			}
+		} else if gt.InsertEdge(op.Src, op.Dst, op.Weight) {
+			inserted++
+		}
+	}
+	return inserted, deleted
+}
+
 // NewParallel builds p independent instances sharing one configuration.
 func NewParallel(cfg Config, p int) (*Parallel, error) {
 	if p <= 0 {
@@ -250,7 +269,9 @@ func (p *Parallel) InsertEdge(src, dst uint64, w float32) bool {
 	i := p.shardOf(src)
 	p.wmu[i].Lock()
 	defer p.wmu[i].Unlock()
-	return p.sc[i].insertLocked(src, dst, w)
+	op := [1]EdgeOp{InsertOp(src, dst, w)}
+	inserted, _ := p.sc[i].applyOpsLocked(op[:])
+	return inserted == 1
 }
 
 // DeleteEdge routes a single deletion to its shard.
@@ -258,7 +279,9 @@ func (p *Parallel) DeleteEdge(src, dst uint64) bool {
 	i := p.shardOf(src)
 	p.wmu[i].Lock()
 	defer p.wmu[i].Unlock()
-	return p.sc[i].deleteLocked(src, dst)
+	op := [1]EdgeOp{DeleteOp(src, dst)}
+	_, deleted := p.sc[i].applyOpsLocked(op[:])
+	return deleted == 1
 }
 
 // FindEdge routes a lookup to its shard. Lock-free: the lookup runs on a

@@ -291,66 +291,6 @@ func encodeV2Section(g *GraphTinker, sec v2Section) ([]byte, error) {
 	return buf, nil
 }
 
-// WriteSnapshotV1 serializes the store in the legacy v1 flat-edge-stream
-// format. Kept so compatibility tests (and operators downgrading a
-// binary) can still produce v1 files; ReadParallelSnapshot reads both.
-func (p *Parallel) WriteSnapshotV1(w io.Writer) error {
-	pinned := make([]*GraphTinker, len(p.sc))
-	for i := range p.sc {
-		sc := &p.sc[i]
-		g, idx := sc.pinRead()
-		defer sc.unpin(idx)
-		pinned[i] = g
-	}
-
-	bw := bufio.NewWriter(w)
-	le := binary.LittleEndian
-	var head [10]byte
-	le.PutUint32(head[0:], parallelSnapshotMagic)
-	le.PutUint16(head[4:], parallelSnapshotVersionV1)
-	le.PutUint32(head[6:], uint32(len(p.sc)))
-	if _, err := bw.Write(head[:]); err != nil {
-		return fmt.Errorf("core: parallel snapshot header: %w", err)
-	}
-
-	cfg := p.cfg
-	cfgFields := []uint64{
-		uint64(cfg.PageWidth), uint64(cfg.SubblockSize), uint64(cfg.WorkblockSize),
-		boolU64(cfg.EnableSGH), boolU64(cfg.EnableCAL),
-		uint64(cfg.CALGroupSize), uint64(cfg.CALBlockSize),
-		uint64(cfg.DeleteMode), cfg.HashSeed,
-	}
-	var buf [8]byte
-	for _, f := range cfgFields {
-		le.PutUint64(buf[:], f)
-		if _, err := bw.Write(buf[:]); err != nil {
-			return fmt.Errorf("core: parallel snapshot config: %w", err)
-		}
-	}
-
-	var rec [20]byte
-	for i, s := range pinned {
-		le.PutUint64(buf[:], s.NumEdges())
-		_, err := bw.Write(buf[:])
-		if err == nil {
-			s.ForEachEdge(func(src, dst uint64, weight float32) bool {
-				le.PutUint64(rec[0:], src)
-				le.PutUint64(rec[8:], dst)
-				le.PutUint32(rec[16:], floatBits(weight))
-				if _, werr := bw.Write(rec[:]); werr != nil {
-					err = werr
-					return false
-				}
-				return true
-			})
-		}
-		if err != nil {
-			return fmt.Errorf("core: parallel snapshot shard %d: %w", i, err)
-		}
-	}
-	return bw.Flush()
-}
-
 // ReadParallelSnapshot reconstructs a sharded store from a snapshot
 // produced by Parallel.WriteSnapshot (either format version). The stored
 // configuration is used unless override is non-nil. v2 snapshots load in

@@ -186,54 +186,18 @@ func (sc *shardCtl) applyBatchLocked(edges []Edge, del bool) int {
 	return n
 }
 
-// applyOpsLocked runs one ordered op sequence through both replicas and
-// returns the first apply's counts. Caller holds the shard's writer mutex.
-// The ops slice is the pipeline's recycled sub-batch: read-only, per-call.
+// applyOpsLocked runs one ordered op sequence through both replicas —
+// shadow first (recorded), then published catch-up (silent) — and returns
+// the first apply's counts. Caller holds the shard's writer mutex. The ops
+// slice is the pipeline's recycled sub-batch: read-only, per-call.
 //
 //gtlint:noretain ops
 func (sc *shardCtl) applyOpsLocked(ops []EdgeOp) (inserted, deleted int) {
-	shadow := sc.shadowLocked()
-	for _, op := range ops {
-		if op.Del {
-			if shadow.DeleteEdge(op.Src, op.Dst) {
-				deleted++
-			}
-		} else if shadow.InsertEdge(op.Src, op.Dst, op.Weight) {
-			inserted++
-		}
-	}
+	inserted, deleted = sc.shadowLocked().ApplyOps(ops)
 	stale, idx := sc.publishLocked()
-	for _, op := range ops {
-		if op.Del {
-			stale.DeleteEdge(op.Src, op.Dst)
-		} else {
-			stale.InsertEdge(op.Src, op.Dst, op.Weight)
-		}
-	}
+	stale.ApplyOps(ops)
 	sc.restoreLocked(idx)
 	return inserted, deleted
-}
-
-// insertLocked routes one insertion through both replicas. Caller holds
-// the shard's writer mutex.
-func (sc *shardCtl) insertLocked(src, dst uint64, w float32) bool {
-	shadow := sc.shadowLocked()
-	isNew := shadow.InsertEdge(src, dst, w)
-	stale, idx := sc.publishLocked()
-	stale.InsertEdge(src, dst, w)
-	sc.restoreLocked(idx)
-	return isNew
-}
-
-// deleteLocked routes one deletion through both replicas. Caller holds
-// the shard's writer mutex.
-func (sc *shardCtl) deleteLocked(src, dst uint64) bool {
-	shadow := sc.shadowLocked()
-	removed := shadow.DeleteEdge(src, dst)
-	stale, idx := sc.publishLocked()
-	stale.DeleteEdge(src, dst)
-	sc.restoreLocked(idx)
-	return removed
 }
 
 // bulkReplicas exposes both replicas for the recovery bulk loader

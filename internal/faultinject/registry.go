@@ -22,6 +22,7 @@ var registry = map[string]string{
 	"repl/snapshot":      "internal/replication", // follower dies mid-snapshot bootstrap install
 	"wal/append":         "internal/wal",         // record write error before bytes reach the buffer
 	"wal/append-partial": "internal/wal",         // torn write: truncated record hits the segment
+	"wal/dir-install":    "internal/wal",         // snapshot install dies after the snapshot rename (1st hit) or after the manifest (2nd hit)
 	"wal/fsync":          "internal/wal",         // fsync failure during group commit
 	"wal/rotate":         "internal/wal",         // segment rotation failure mid-roll
 }

@@ -24,11 +24,8 @@ package replication
 import (
 	"errors"
 	"fmt"
-	"hash"
-	"hash/crc32"
 	"net"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -90,14 +87,11 @@ type FollowerOptions struct {
 	// Shards is the store width for a fresh directory (default 4); a
 	// snapshot bootstrap adopts the primary's width instead.
 	Shards int
-	// SegmentBytes / SyncInterval tune the follower's own WAL exactly as
-	// in DurabilityOptions.
-	SegmentBytes int64
-	SyncInterval time.Duration
+	// WAL configures the follower's own log (InitialLSN is managed by the
+	// durability directory).
+	WAL wal.Options
 	// Recorder, when non-nil, receives apply-side replication telemetry.
 	Recorder *Recorder
-	// WALRecorder, when non-nil, receives the follower WAL's telemetry.
-	WALRecorder *wal.Recorder
 }
 
 // FollowerRecovery reports what opening a follower directory restored.
@@ -112,15 +106,12 @@ type FollowerRecovery struct {
 // Queries (Store, AppliedLSN, WaitForLSN) are safe concurrently with Run;
 // Run itself is single-flight.
 type Follower struct {
-	dir  string
-	cfg  core.Config
-	opts FollowerOptions
+	dir  *wal.Dir // its Log() is swapped by a bootstrap; only the stream goroutine (or its joiner) touches it
 	rec  *Recorder
 	info FollowerRecovery
 
 	storeMu sync.RWMutex // a snapshot bootstrap swaps the store
 	store   *core.Parallel
-	log     *wal.Log
 
 	// applyParts is the per-record partition scratch; only the stream's
 	// single-flight apply path (applyRecord via runStream) touches it.
@@ -142,122 +133,40 @@ type Follower struct {
 }
 
 // OpenFollower opens (or creates) a follower durability directory,
-// recovering prior state exactly like OpenDurableStream: validated
-// snapshot, then idempotent WAL-tail replay. The follower serves reads
-// immediately; call Run (or Dial via the facade) to attach a primary.
+// recovering prior state exactly like OpenDurableStream — validated
+// snapshot, then idempotent WAL-tail replay — except that a log the
+// snapshot wholly covers (a crash between a bootstrap's manifest install
+// and its log reset) is discarded rather than refused. The follower serves
+// reads immediately; call Run (or Dial via the facade) to attach a primary.
 func OpenFollower(cfg core.Config, dir string, opts FollowerOptions) (*Follower, error) {
 	if opts.Shards <= 0 {
 		opts.Shards = 4
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("replication: follower: %w", err)
-	}
-	// A process killed mid-bootstrap leaves a .bootstrap-* temp behind;
-	// it is never referenced by a manifest, so sweep it here.
-	if stale, err := filepath.Glob(filepath.Join(dir, ".bootstrap-*")); err == nil {
-		for _, s := range stale {
-			os.Remove(s)
-		}
-	}
-	m, haveManifest, err := wal.LoadManifest(dir)
-	if err != nil {
-		return nil, err
-	}
 	var store *core.Parallel
-	var info FollowerRecovery
-	if haveManifest && m.Snapshot != "" {
-		f, err := wal.OpenManifestSnapshot(dir, m)
-		if err != nil {
-			return nil, err
-		}
-		store, err = core.ReadParallelSnapshot(f, nil)
-		_ = f.Close() // read-only; the snapshot decode error is the signal
-		if err != nil {
-			return nil, fmt.Errorf("replication: follower: %w", err)
-		}
-		info = FollowerRecovery{Recovered: true, SnapshotOps: m.LastLSN}
-	} else {
-		store, err = core.NewParallel(cfg, opts.Shards)
-		if err != nil {
-			return nil, err
-		}
-	}
-	info.Epoch = m.Epoch
-
-	wdir := filepath.Join(dir, "wal")
-	log, err := wal.Open(wdir, wal.Options{
-		SegmentBytes: opts.SegmentBytes,
-		SyncInterval: opts.SyncInterval,
-		Recorder:     opts.WALRecorder,
-		InitialLSN:   m.LastLSN,
-	})
+	d, info, err := wal.OpenDir(dir, opts.WAL, wal.DiscardCoveredLog, wal.ParallelLoader(cfg, opts.Shards, &store))
 	if err != nil {
-		store.Close()
+		if store != nil {
+			store.Close()
+		}
 		return nil, err
 	}
-	if log.NextLSN() < m.LastLSN {
-		// A crash between a bootstrap's manifest install and its WAL wipe
-		// leaves the pre-bootstrap log behind. Every op in it is below the
-		// snapshot's LSN — wholly covered — so discarding it is safe, and
-		// required: replay must start at the snapshot's position.
-		if err := log.Close(); err != nil {
-			store.Close()
-			return nil, err
-		}
-		if err := os.RemoveAll(wdir); err != nil {
-			store.Close()
-			return nil, fmt.Errorf("replication: follower: reset stale wal: %w", err)
-		}
-		log, err = wal.Open(wdir, wal.Options{
-			SegmentBytes: opts.SegmentBytes,
-			SyncInterval: opts.SyncInterval,
-			Recorder:     opts.WALRecorder,
-			InitialLSN:   m.LastLSN,
-		})
-		if err != nil {
-			store.Close()
-			return nil, err
-		}
-	}
-	replayed, err := replayTail(wdir, m.LastLSN, opts.WALRecorder, store)
-	if err != nil {
-		_ = log.Close() // abandoning open; the replay error is the signal
-		store.Close()
-		return nil, err
-	}
-	info.ReplayedOps = replayed
-	if replayed > 0 {
-		info.Recovered = true
-	}
-
+	epoch := d.Epoch()
 	f := &Follower{
-		dir:    dir,
-		cfg:    cfg,
-		opts:   opts,
-		rec:    opts.Recorder,
-		info:   info,
+		dir: d,
+		rec: opts.Recorder,
+		info: FollowerRecovery{
+			Recovered:   info.Recovered,
+			SnapshotOps: info.SnapshotOps,
+			ReplayedOps: info.ReplayedOps,
+			Epoch:       epoch,
+		},
 		store:  store,
-		log:    log,
-		epoch:  m.Epoch,
+		epoch:  epoch,
 		notify: make(chan struct{}),
 	}
-	f.applied.Store(log.NextLSN())
+	f.applied.Store(d.Log().NextLSN())
 	f.state.Store(int32(StateIdle))
 	return f, nil
-}
-
-// replayTail applies the WAL tail from fromLSN onward to a sharded store
-// through the pipelined replay path (decode overlapped with per-shard
-// application, partition scratch reused across the tail).
-func replayTail(dir string, fromLSN uint64, rec *wal.Recorder, store *core.Parallel) (uint64, error) {
-	next, err := wal.ReplayInto(dir, fromLSN, rec, store)
-	if err != nil {
-		return 0, err
-	}
-	if next < fromLSN {
-		return 0, nil
-	}
-	return next - fromLSN, nil
 }
 
 // applyToStore partitions one record's ops by shard and applies each part.
@@ -418,7 +327,7 @@ func (f *Follower) runStream(fc *frameConn) error {
 	if err := fc.send(frameHello, encodeHello(helloMsg{
 		version: protocolVersion,
 		epoch:   f.Epoch(),
-		haveLSN: f.log.NextLSN(),
+		haveLSN: f.dir.Log().NextLSN(),
 	})); err != nil {
 		return err
 	}
@@ -453,7 +362,7 @@ func (f *Follower) runStream(fc *frameConn) error {
 			if err := f.checkEpoch(fc, start.epoch); err != nil {
 				return err
 			}
-			if have := f.log.NextLSN(); start.fromLSN != have {
+			if have := f.dir.Log().NextLSN(); start.fromLSN != have {
 				return fmt.Errorf("replication: follower at LSN %d but stream starts at %d", have, start.fromLSN)
 			}
 			f.observePrimary(start.durable)
@@ -513,15 +422,7 @@ func (f *Follower) checkEpoch(fc *frameConn, peer uint64) error {
 // persistEpoch durably adopts a newer term before applying anything from
 // it, so a crashed-and-recovered follower still refuses the old primary.
 func (f *Follower) persistEpoch(epoch uint64) error {
-	m, ok, err := wal.LoadManifest(f.dir)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		m = wal.Manifest{Shards: f.Store().NumShards()}
-	}
-	m.Epoch = epoch
-	if err := wal.WriteManifest(f.dir, m); err != nil {
+	if err := f.dir.SetEpoch(epoch); err != nil {
 		return err
 	}
 	f.mu.Lock()
@@ -534,7 +435,7 @@ func (f *Follower) persistEpoch(epoch uint64) error {
 // Re-delivery after a reconnect is dropped by the continuity check; a gap
 // means the stream is broken (never skip — that silently loses ops).
 func (f *Follower) applyRecord(firstLSN uint64, ops []core.EdgeOp) error {
-	next := f.log.NextLSN()
+	next := f.dir.Log().NextLSN()
 	end := firstLSN + uint64(len(ops))
 	if end <= next {
 		if f.rec != nil {
@@ -548,7 +449,7 @@ func (f *Follower) applyRecord(firstLSN uint64, ops []core.EdgeOp) error {
 	if firstLSN < next {
 		ops = ops[next-firstLSN:] // partial re-delivery: apply only the unseen tail
 	}
-	if _, err := f.log.Append(ops); err != nil {
+	if _, err := f.dir.Log().Append(ops); err != nil {
 		f.markDegraded()
 		return err
 	}
@@ -568,104 +469,49 @@ func (f *Follower) applyRecord(firstLSN uint64, ops []core.EdgeOp) error {
 	return nil
 }
 
-// installSnapshot runs the bootstrap: stream chunks to a temp file,
-// validate, durably install snapshot + manifest, reset the WAL at the
-// snapshot's LSN, and swap the in-memory store. Install order is
-// snapshot → manifest → WAL reset; OpenFollower's stale-WAL branch covers
-// a crash between the last two.
+// installSnapshot runs the bootstrap: stream the primary's chunks into
+// the directory's snapshot install (which validates nothing itself — the
+// header's size and CRC are checked here, before the install commits),
+// then swap the in-memory store for the installed snapshot. The install
+// order and what each crash window recovers to are wal.Dir's.
 func (f *Follower) installSnapshot(fc *frameConn, hdr snapHeaderMsg) error {
-	tmp, err := os.CreateTemp(f.dir, ".bootstrap-*")
-	if err != nil {
-		return fmt.Errorf("replication: follower: bootstrap: %w", err)
-	}
-	tmpName := tmp.Name()
-	cleanup := func(e error) error {
-		_ = tmp.Close() // already failing with e; close error is cleanup noise
-		os.Remove(tmpName)
-		return e
-	}
-	h := crc32.New(castagnoli)
-	var got int64
-	for {
-		ft, payload, err := fc.recv()
-		if err != nil {
-			return cleanup(err)
+	err := f.dir.InstallSnapshot(hdr.lastLSN, int(hdr.shards), func(w *wal.SnapshotWriter) error {
+		for {
+			ft, payload, err := fc.recv()
+			if err != nil {
+				return err
+			}
+			if ft == frameSnapDone {
+				break
+			}
+			if ft == frameError {
+				return peerError(payload)
+			}
+			if ft != frameSnapChunk {
+				return fmt.Errorf("%w: frame type %d inside snapshot bootstrap", ErrBadFrame, ft)
+			}
+			if _, err := w.Write(payload); err != nil {
+				return err
+			}
 		}
-		if ft == frameSnapDone {
-			break
+		if crc, size := w.Sum(); size != hdr.size || crc != hdr.crc {
+			return fmt.Errorf("bootstrap snapshot fails validation: got %d bytes crc %08x, header says %d bytes crc %08x",
+				size, crc, hdr.size, hdr.crc)
 		}
-		if ft == frameError {
-			return cleanup(peerError(payload))
-		}
-		if ft != frameSnapChunk {
-			return cleanup(fmt.Errorf("%w: frame type %d inside snapshot bootstrap", ErrBadFrame, ft))
-		}
-		if _, err := tmp.Write(payload); err != nil {
-			return cleanup(fmt.Errorf("replication: follower: bootstrap: %w", err))
-		}
-		mustWrite(h, payload)
-		got += int64(len(payload))
-	}
-	if got != hdr.size || h.Sum32() != hdr.crc {
-		return cleanup(fmt.Errorf("replication: follower: bootstrap snapshot fails validation: got %d bytes crc %08x, header says %d bytes crc %08x",
-			got, h.Sum32(), hdr.size, hdr.crc))
-	}
-	// The failpoint covers the install sequence: a kill anywhere below
-	// must leave the directory recoverable to either the old or the new
-	// state, never a torn mix.
-	if err := faultinject.Inject("repl/snapshot"); err != nil {
-		return cleanup(fmt.Errorf("replication: follower: bootstrap: %w", err))
-	}
-	if err := tmp.Sync(); err != nil {
-		return cleanup(fmt.Errorf("replication: follower: bootstrap: %w", err))
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("replication: follower: bootstrap: %w", err)
-	}
-	name := fmt.Sprintf("snap-%016x.gts", hdr.lastLSN)
-	if err := os.Rename(tmpName, filepath.Join(f.dir, name)); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("replication: follower: bootstrap: %w", err)
-	}
-	if err := wal.WriteManifest(f.dir, wal.Manifest{
-		Snapshot:      name,
-		LastLSN:       hdr.lastLSN,
-		SnapshotCRC:   hdr.crc,
-		SnapshotBytes: hdr.size,
-		Shards:        int(hdr.shards),
-		Epoch:         f.Epoch(),
-	}); err != nil {
-		return err
-	}
-
-	// Reset the WAL at the snapshot's LSN: everything in the old log is
-	// below it, hence covered.
-	wdir := filepath.Join(f.dir, "wal")
-	if err := f.log.Close(); err != nil {
-		return err
-	}
-	if err := os.RemoveAll(wdir); err != nil {
-		return fmt.Errorf("replication: follower: bootstrap: reset wal: %w", err)
-	}
-	nlog, err := wal.Open(wdir, wal.Options{
-		SegmentBytes: f.opts.SegmentBytes,
-		SyncInterval: f.opts.SyncInterval,
-		Recorder:     f.opts.WALRecorder,
-		InitialLSN:   hdr.lastLSN,
+		// The failpoint covers the install sequence: a kill anywhere below
+		// must leave the directory recoverable to either the old or the new
+		// state, never a torn mix.
+		return faultinject.Inject("repl/snapshot")
 	})
 	if err != nil {
-		return err
-	}
-	f.log = nlog
-
-	// Swap the in-memory store for the bootstrapped one.
-	sf, err := os.Open(filepath.Join(f.dir, name))
-	if err != nil {
 		return fmt.Errorf("replication: follower: bootstrap: %w", err)
 	}
-	nstore, err := core.ReadParallelSnapshot(sf, nil)
-	_ = sf.Close() // read-only; the decode error is the signal
+
+	var nstore *core.Parallel
+	err = f.dir.LoadSnapshot(func(snap *os.File) (err error) {
+		nstore, err = core.ReadParallelSnapshot(snap, nil)
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("replication: follower: bootstrap: %w", err)
 	}
@@ -763,7 +609,7 @@ func (f *Follower) Promote() (uint64, error) {
 	f.runWG.Wait()
 	f.state.Store(int32(StateSealed))
 
-	if err := f.log.Sync(); err != nil {
+	if err := f.dir.Log().Sync(); err != nil {
 		return 0, err
 	}
 	// A kill here — after the seal, before the manifest lands — must
@@ -771,16 +617,8 @@ func (f *Follower) Promote() (uint64, error) {
 	if err := faultinject.Inject("repl/promote"); err != nil {
 		return 0, fmt.Errorf("replication: promote: %w", err)
 	}
-	m, ok, err := wal.LoadManifest(f.dir)
-	if err != nil {
-		return 0, err
-	}
-	if !ok {
-		m = wal.Manifest{Shards: f.Store().NumShards()}
-	}
 	newEpoch := f.Epoch() + 1
-	m.Epoch = newEpoch
-	if err := wal.WriteManifest(f.dir, m); err != nil {
+	if err := f.dir.SetEpoch(newEpoch); err != nil {
 		return 0, err
 	}
 
@@ -788,7 +626,7 @@ func (f *Follower) Promote() (uint64, error) {
 	f.epoch = newEpoch
 	f.closed = true
 	f.mu.Unlock()
-	err = f.log.Close()
+	err := f.dir.Close()
 	f.Store().Close()
 	return newEpoch, err
 }
@@ -811,7 +649,7 @@ func (f *Follower) Close() error {
 	}
 	f.runWG.Wait()
 	f.state.Store(int32(StateSealed))
-	err := f.log.Close()
+	err := f.dir.Close()
 	f.Store().Close()
 	return err
 }
@@ -835,7 +673,7 @@ func (f *Follower) Crash() {
 	}
 	f.runWG.Wait()
 	f.state.Store(int32(StateSealed))
-	f.log.Crash()
+	f.dir.Crash()
 	f.Store().Close()
 }
 
@@ -843,6 +681,3 @@ func leUint64(b []byte) uint64 {
 	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
 		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
-
-// mustWrite feeds a hash; hash.Hash writes never fail.
-func mustWrite(h hash.Hash, p []byte) { _, _ = h.Write(p) }

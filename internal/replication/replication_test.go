@@ -148,7 +148,7 @@ func (h *primaryHarness) connect(f *Follower) <-chan error {
 func openTestFollower(t *testing.T, dir string, rec *Recorder) *Follower {
 	t.Helper()
 	f, err := OpenFollower(core.DefaultConfig(), dir, FollowerOptions{
-		Shards: 4, SyncInterval: -1, SegmentBytes: 1 << 14, Recorder: rec,
+		Shards: 4, WAL: wal.Options{SyncInterval: -1, SegmentBytes: 1 << 14}, Recorder: rec,
 	})
 	if err != nil {
 		t.Fatal(err)

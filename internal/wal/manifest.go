@@ -86,9 +86,9 @@ func LoadManifest(dir string) (m Manifest, ok bool, err error) {
 }
 
 // OpenManifestSnapshot validates a manifest's snapshot file (size +
-// CRC32-C against the recorded pair) and opens it for reading — the
-// shared recovery entry point for durable streams, sessions, and
-// replication followers.
+// CRC32-C against the recorded pair) and opens it for reading: recovery
+// through Dir.LoadSnapshot, and a replication primary serving the
+// snapshot of a directory some other handle owns.
 func OpenManifestSnapshot(dir string, m Manifest) (*os.File, error) {
 	path := filepath.Join(dir, m.Snapshot)
 	crc, size, err := FileCRC(path)

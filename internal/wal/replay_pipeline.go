@@ -20,14 +20,24 @@ import (
 	"graphtinker/internal/core"
 )
 
-// ReplayTarget is a shard-partitioned sink for pipelined replay.
-// core.Parallel satisfies it directly; single-instance stores adapt with
-// a one-shard facade. ApplyShard must tolerate concurrent calls for
-// DIFFERENT shards (never the same shard), and must not retain ops — the
-// slice is the pipeline's recycled partition scratch.
+// ReplayTarget is the sharded write surface: the three-method sink that
+// pipelined replay fans out to and that ingest.Pipeline drains into
+// (ingest.Target is an alias of this type, so the contract is declared
+// once). core.Parallel satisfies it directly; single-instance stores adapt
+// with a one-shard facade.
 type ReplayTarget interface {
+	// NumShards reports how many independent write domains exist.
 	NumShards() int
+	// ShardOf routes a source vertex to its write domain.
 	ShardOf(src uint64) int
+	// ApplyShard applies an ordered op sequence to one shard, returning
+	// how many inserts were new and how many deletes hit a live edge. It
+	// must tolerate concurrent calls for DIFFERENT shards (never the same
+	// shard). The ops slice is valid only for the duration of the call —
+	// it is the caller's recycled partition scratch or sub-batch buffer —
+	// so implementations must copy anything they keep.
+	//
+	//gtlint:noretain ops
 	ApplyShard(shard int, ops []core.EdgeOp) (inserted, deleted int)
 }
 
@@ -40,8 +50,8 @@ const replayDispatchOps = 4096
 // ReplayInto streams the log's ops at or beyond fromLSN into target,
 // partitioned by shard and applied by per-shard workers concurrently with
 // the decode. It returns the LSN after the last replayed op, exactly like
-// Replay, and is what Session.Recover, OpenDurableStream, and the
-// replication follower's catch-up all ride.
+// Replay. OpenDir is its one production caller, which is how every
+// recovery — stream reopen, Session.Recover, follower catch-up — rides it.
 func ReplayInto(dir string, fromLSN uint64, rec *Recorder, target ReplayTarget) (uint64, error) {
 	n := target.NumShards()
 	if n <= 1 {

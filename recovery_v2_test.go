@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	graphtinker "graphtinker"
-	"graphtinker/internal/core"
 	"graphtinker/internal/faultinject"
 	"graphtinker/internal/testutil"
 	"graphtinker/internal/wal"
@@ -76,35 +75,40 @@ func TestDurableStreamCheckpointWritesV2(t *testing.T) {
 	testutil.CheckAgainstRef(t, re.Store(), oracleOver(ops))
 }
 
+// v1FixtureOps regenerates the 5000-op stream whose final state
+// internal/core/testdata/parallel_v1.gts snapshots (the recipe of
+// internal/core's buildParallelForSnapshot, which wrote the fixture).
+func v1FixtureOps() []graphtinker.Update {
+	r := testutil.Rand{S: 99}
+	ops := make([]graphtinker.Update, 0, 5000)
+	for i := 0; i < 5000; i++ {
+		src, dst := r.Next()%700, r.Next()%700
+		if r.Next()%6 == 0 {
+			ops = append(ops, graphtinker.DeleteUpdate(src, dst))
+		} else {
+			ops = append(ops, graphtinker.InsertUpdate(src, dst, float32(r.Next()%100)/10))
+		}
+	}
+	return ops
+}
+
 func TestDurableStreamUpgradesV1Snapshot(t *testing.T) {
 	// Hand-build a durability directory the way a pre-v2 build would have
 	// left it: a v1-format checkpoint bound by the manifest, no WAL tail.
+	// The checkpoint bytes are internal/core/testdata/parallel_v1.gts, the
+	// v1 dump of v1FixtureOps on 4 shards, written once by the last build
+	// that still carried a v1 writer.
 	dir := t.TempDir()
-	ops := genStream(7000, 0xd1d)
+	ops := append(v1FixtureOps(), genStream(2000, 0xd1d)...)
 	cfg := graphtinker.DefaultConfig()
-	p, err := core.NewParallel(cfg, 4)
+	v1, err := os.ReadFile(filepath.Join("internal", "core", "testdata", "parallel_v1.gts"))
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, op := range ops[:5000] {
-		if op.Del {
-			p.DeleteEdge(op.Src, op.Dst)
-		} else {
-			p.InsertEdge(op.Src, op.Dst, op.Weight)
-		}
 	}
 	name := fmt.Sprintf("snap-%016x.gts", 5000)
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
+	if err := os.WriteFile(filepath.Join(dir, name), v1, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.WriteSnapshotV1(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	p.Close()
 	crc, size, err := wal.FileCRC(filepath.Join(dir, name))
 	if err != nil {
 		t.Fatal(err)

@@ -73,7 +73,7 @@ func OpenReplicatedStream(cfg Config, dir string, opts ReplicatedStreamOptions) 
 	if err != nil {
 		return nil, err
 	}
-	p := replication.NewPrimary(dir, ds.log, replication.PrimaryOptions{
+	p := replication.NewPrimary(dir, ds.dir.Log(), replication.PrimaryOptions{
 		Epoch:             ds.epoch,
 		HeartbeatInterval: opts.HeartbeatInterval,
 		Recorder:          opts.Recorder,
@@ -155,11 +155,9 @@ type ReplicaFollower struct {
 // recovers its replica state. Attach a primary with Dial or Run.
 func OpenFollower(cfg Config, dir string, opts FollowerHandleOptions) (*ReplicaFollower, error) {
 	f, err := replication.OpenFollower(cfg, dir, replication.FollowerOptions{
-		Shards:       opts.Shards,
-		SegmentBytes: opts.Durability.SegmentBytes,
-		SyncInterval: opts.Durability.SyncInterval,
-		Recorder:     opts.Recorder,
-		WALRecorder:  opts.Durability.Recorder,
+		Shards:   opts.Shards,
+		WAL:      opts.Durability.walOptions(),
+		Recorder: opts.Recorder,
 	})
 	if err != nil {
 		return nil, err

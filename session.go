@@ -177,7 +177,6 @@ type BatchOutcome struct {
 func (s *Session) ApplyBatch(b Batch) BatchOutcome {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	//gtlint:ignore lockhold auto-checkpoint snapshots under s.mu by design: the single-writer lock is what keeps the snapshot consistent
 	return s.applyBatchLocked(b)
 }
 

@@ -5,9 +5,10 @@ package graphtinker
 // applyBatchLocked applies them) to a WAL before touching the graph, so a
 // batch is acknowledged only once the log covers it. Recover rebuilds a
 // session from the directory: manifest-validated snapshot, then an
-// idempotent replay of the WAL tail. The directory layout and manifest are
-// shared with DurableStream (see durability.go); a session's manifest
-// records Shards = 1.
+// idempotent replay of the WAL tail. The directory itself is a wal.Dir,
+// the same one DurableStream and replication followers use; the session
+// supplies its single graph behind a one-shard replay target, so its
+// manifest records Shards = 1.
 
 import (
 	"fmt"
@@ -20,14 +21,11 @@ import (
 // sessionDurability is the durable state attached to a session. All access
 // is under the session mutex.
 type sessionDurability struct {
-	dir  string
-	log  *wal.Log
+	dir  *wal.Dir
 	opts DurabilityOptions
 
-	lastCkpt  uint64
 	sinceCkpt uint64
-	epoch     uint64 // replication term from the manifest; preserved by checkpoints
-	failed    bool   // a WAL write failed; further batches are refused
+	failed    bool // a WAL write failed; further batches are refused
 	info      RecoveryInfo
 }
 
@@ -40,18 +38,31 @@ type sessionReplayTarget struct {
 func (t sessionReplayTarget) NumShards() int     { return 1 }
 func (t sessionReplayTarget) ShardOf(uint64) int { return 0 }
 func (t sessionReplayTarget) ApplyShard(_ int, ops []core.EdgeOp) (inserted, deleted int) {
-	for _, op := range ops {
-		if op.Del {
-			if t.g.DeleteEdge(op.Src, op.Dst) {
-				deleted++
+	return t.g.ApplyOps(ops)
+}
+
+// openSessionDir opens dir as a session durability directory and recovers
+// whatever it holds into a new graph — never the live one, so a failed
+// open leaves the session exactly as it was.
+func (s *Session) openSessionDir(dir string, opts DurabilityOptions) (*sessionDurability, *Graph, error) {
+	var g *Graph
+	d, info, err := wal.OpenDir(dir, opts.walOptions(), wal.RefuseCoveredLog,
+		func(_ wal.Manifest, snap *os.File) (wal.ReplayTarget, error) {
+			var err error
+			if snap != nil {
+				g, err = core.ReadSnapshot(snap, nil)
+			} else {
+				g, err = core.New(s.graph.Config())
 			}
-		} else {
-			if t.g.InsertEdge(op.Src, op.Dst, op.Weight) {
-				inserted++
+			if err != nil {
+				return nil, fmt.Errorf("graphtinker: recover: %w", err)
 			}
-		}
+			return sessionReplayTarget{g}, nil
+		})
+	if err != nil {
+		return nil, nil, err
 	}
-	return inserted, deleted
+	return &sessionDurability{dir: d, opts: opts, info: RecoveryInfo(info)}, g, nil
 }
 
 // appendBatch logs one batch's ops in application order. The first append
@@ -73,7 +84,7 @@ func (d *sessionDurability) appendBatch(b Batch) error {
 	for _, e := range b.Delete {
 		ops = append(ops, core.DeleteOp(e.Src, e.Dst))
 	}
-	if _, err := d.log.Append(ops); err != nil {
+	if _, err := d.dir.Log().Append(ops); err != nil {
 		d.failed = true
 		return fmt.Errorf("graphtinker: durable session: batch not applied: %w", err)
 	}
@@ -86,7 +97,7 @@ func (d *sessionDurability) appendBatch(b Batch) error {
 // recovery state (use Recover for that), and the session must not have
 // applied unlogged batches. A session whose graph already has edges (built
 // before enabling) is checkpointed immediately, so that prior state is
-// covered too. Returns the session's WAL for telemetry inspection.
+// covered too.
 func (s *Session) EnableDurability(dir string, opts DurabilityOptions) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -96,33 +107,20 @@ func (s *Session) EnableDurability(dir string, opts DurabilityOptions) error {
 	if s.batches > 0 {
 		return fmt.Errorf("graphtinker: session has already applied %d unlogged batches; enable durability before applying, or Recover into a fresh session", s.batches)
 	}
-	if _, ok, err := wal.LoadManifest(dir); err != nil {
-		return err
-	} else if ok {
-		return fmt.Errorf("graphtinker: %s already holds recovery state; use Session.Recover", dir)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("graphtinker: durable session: %w", err)
-	}
-	log, err := wal.Open(walDir(dir), wal.Options{
-		SegmentBytes: opts.SegmentBytes,
-		SyncInterval: opts.SyncInterval,
-		Recorder:     opts.Recorder,
-	})
+	d, _, err := s.openSessionDir(dir, opts)
 	if err != nil {
 		return err
 	}
-	if next := log.NextLSN(); next > 0 {
-		_ = log.Close() // abandoning open; the misuse error below is the signal
-		return fmt.Errorf("graphtinker: %s already holds %d logged ops; use Session.Recover", dir, next)
+	if next := d.dir.Log().NextLSN(); d.info.Recovered || next > 0 {
+		_ = d.dir.Close() // abandoning open; the misuse error below is the signal
+		return fmt.Errorf("graphtinker: %s already holds recovery state (%d logged ops); use Session.Recover", dir, next)
 	}
-	s.dur = &sessionDurability{dir: dir, log: log, opts: opts}
+	s.dur = d
 	if s.graph.NumEdges() > 0 {
 		// Pre-existing edges are not in the log; bake them into an
 		// immediate LSN-0 checkpoint so recovery starts from them.
-		//gtlint:ignore lockhold checkpoint snapshots under s.mu by design: the single-writer lock is what keeps the snapshot consistent
 		if err := s.checkpointLocked(); err != nil {
-			_ = log.Close()
+			_ = d.dir.Close() // abandoning enable; the checkpoint error is the signal
 			s.dur = nil
 			return err
 		}
@@ -155,58 +153,15 @@ func (s *Session) RecoverWithOptions(dir string, opts DurabilityOptions) (Recove
 	if len(s.engines) > 0 {
 		return RecoveryInfo{}, fmt.Errorf("graphtinker: Recover requires no attached programs (attach after recovery)")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return RecoveryInfo{}, fmt.Errorf("graphtinker: recover: %w", err)
-	}
-
-	m, haveManifest, err := wal.LoadManifest(dir)
+	d, g, err := s.openSessionDir(dir, opts)
 	if err != nil {
 		return RecoveryInfo{}, err
 	}
-	var info RecoveryInfo
-	if haveManifest && m.Snapshot != "" {
-		f, err := openSnapshot(dir, m)
-		if err != nil {
-			return RecoveryInfo{}, err
-		}
-		g, err := core.ReadSnapshot(f, nil)
-		_ = f.Close() // read-only; the snapshot decode error is the signal
-		if err != nil {
-			return RecoveryInfo{}, fmt.Errorf("graphtinker: recover: %w", err)
-		}
-		s.graph = g
-		if s.rec != nil {
-			s.graph.Instrument(s.rec)
-		}
-		info = RecoveryInfo{Recovered: true, SnapshotOps: m.LastLSN}
+	if s.rec != nil {
+		g.Instrument(s.rec)
 	}
-
-	log, err := wal.Open(walDir(dir), wal.Options{
-		SegmentBytes: opts.SegmentBytes,
-		SyncInterval: opts.SyncInterval,
-		Recorder:     opts.Recorder,
-	})
-	if err != nil {
-		return RecoveryInfo{}, err
-	}
-	if next := log.NextLSN(); next < m.LastLSN {
-		_ = log.Close() // abandoning open; the recovery error below is the signal
-		return RecoveryInfo{}, fmt.Errorf("graphtinker: recover: wal ends at LSN %d but manifest snapshot covers %d (log lost behind checkpoint)", next, m.LastLSN)
-	}
-	// Replay the tail in LSN order; records straddling the snapshot
-	// boundary arrive pre-sliced, so nothing applies twice. A session's
-	// graph is one shard, so ReplayInto applies inline on the decoder.
-	replayed, err := wal.ReplayInto(walDir(dir), m.LastLSN, opts.Recorder, sessionReplayTarget{s.graph})
-	if err != nil {
-		_ = log.Close()
-		return RecoveryInfo{}, err
-	}
-	if replayed > m.LastLSN {
-		info.ReplayedOps = replayed - m.LastLSN
-		info.Recovered = true
-	}
-	s.dur = &sessionDurability{dir: dir, log: log, opts: opts, lastCkpt: m.LastLSN, epoch: m.Epoch, info: info}
-	return info, nil
+	s.graph, s.dur = g, d
+	return d.info, nil
 }
 
 // Checkpoint fsyncs the log and atomically installs a snapshot + manifest
@@ -217,7 +172,6 @@ func (s *Session) Checkpoint() error {
 	if s.dur == nil {
 		return fmt.Errorf("graphtinker: session durability not enabled")
 	}
-	//gtlint:ignore lockhold checkpoint snapshots under s.mu by design: the single-writer lock is what keeps the snapshot consistent
 	return s.checkpointLocked()
 }
 
@@ -229,32 +183,13 @@ func (s *Session) checkpointLocked() error {
 		// permanent.
 		return ErrDurabilityDegraded
 	}
-	if err := d.log.Sync(); err != nil {
+	log := d.dir.Log()
+	if err := log.Sync(); err != nil {
 		return fmt.Errorf("graphtinker: checkpoint: %w", err)
 	}
-	lsn := d.log.NextLSN()
-	name := snapName(lsn)
-	crc, size, err := installSnapshot(d.dir, name, func(f *os.File) error {
-		return s.graph.WriteSnapshot(f)
-	})
-	if err != nil {
+	if err := d.dir.Checkpoint(log.NextLSN(), s.graph.WriteSnapshot); err != nil {
 		return err
 	}
-	if err := wal.WriteManifest(d.dir, wal.Manifest{
-		Snapshot:      name,
-		LastLSN:       lsn,
-		SnapshotCRC:   crc,
-		SnapshotBytes: size,
-		Shards:        1,
-		Epoch:         d.epoch,
-	}); err != nil {
-		return err
-	}
-	if _, err := d.log.Prune(lsn); err != nil {
-		return err
-	}
-	removeStaleSnapshots(d.dir, name, d.opts.Recorder)
-	d.lastCkpt = lsn
 	d.sinceCkpt = 0
 	return nil
 }
@@ -278,7 +213,7 @@ func (s *Session) CloseDurability() error {
 	if s.dur == nil {
 		return nil
 	}
-	err := s.dur.log.Close()
+	err := s.dur.dir.Close()
 	s.dur = nil
 	return err
 }
@@ -292,6 +227,6 @@ func (s *Session) CrashDurability() {
 	if s.dur == nil {
 		return
 	}
-	s.dur.log.Crash()
+	s.dur.dir.Crash()
 	s.dur = nil
 }
