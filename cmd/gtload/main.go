@@ -362,7 +362,8 @@ func loadSharded(cfg core.Config, batches [][]rmat.Edge, label string, shards in
 		float64(st.CellsInspected)/float64(st.Inserts+st.Updates+1))
 	fmt.Printf("blocks allocated:    %d\n", st.BlocksAllocated)
 	for s, ss := range p.ShardStats() {
-		fmt.Printf("  shard %2d: %10d inserts, %8d blocks\n", s, ss.Inserts, ss.BlocksAllocated)
+		fmt.Printf("  shard %2d: %10d inserts, %8d blocks, %d replica(s) (%d shadow builds, %d drops)\n",
+			s, ss.Inserts, ss.BlocksAllocated, ss.Replicas, ss.ShadowBuilds, ss.ShadowDrops)
 	}
 	if stream {
 		snap := irec.Snapshot()

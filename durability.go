@@ -200,7 +200,7 @@ func (d *DurableStream) PushBatch(ops []Update) error {
 	}
 	if every := d.opts.Durability.SnapshotEvery; every > 0 {
 		if d.sinceCkpt.Add(uint64(len(ops))) >= every {
-			_ = d.Checkpoint() // outcome recorded; see LastCheckpointErr
+			_ = d.checkpoint(every) // outcome recorded; see LastCheckpointErr
 		}
 	}
 	return nil
@@ -227,11 +227,23 @@ func (d *DurableStream) Flush() error { return d.pipe.FlushSync() }
 // redundant. A degraded pipeline refuses to checkpoint: baking a partial
 // state into a snapshot (and pruning the log that could repair it) would
 // turn a transient loss into a permanent one.
-func (d *DurableStream) Checkpoint() error {
+func (d *DurableStream) Checkpoint() error { return d.checkpoint(0) }
+
+// checkpoint runs a checkpoint unless fewer than atLeast ops have been
+// admitted since the last one. Checkpoint passes 0: unconditional. The
+// auto path passes SnapshotEvery, re-checked here under ckptMu: of several
+// producers that crossed the threshold together, the ones that queued
+// behind the first one's checkpoint find the count reset and return,
+// where they used to write a second full snapshot of the same state with
+// admission closed.
+func (d *DurableStream) checkpoint(atLeast uint64) error {
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
 	if d.closed {
 		return ErrStreamClosed
+	}
+	if d.sinceCkpt.Load() < atLeast {
+		return nil
 	}
 	// ckptMu exists to serialize checkpoints; holding it across the
 	// drain+fsync+install sequence is its whole job.

@@ -165,3 +165,60 @@ func checkStoreAgainst(t *testing.T, ds *graphtinker.DurableStream, prefix []gra
 		}
 	}
 }
+
+// TestAutoCheckpointOncePerThreshold pins the auto-checkpoint re-check:
+// eight producers push 800 ops across a 500-op SnapshotEvery. Their
+// pushes serialize inside the pipeline (slowed here so that they are all
+// in flight together), so three of them cross the threshold after the
+// producer that crossed it first and queue behind its checkpoint. The
+// queued ones must find the period restarted and return; they used to
+// write one more full snapshot each, admission closed throughout. At most
+// 300 ops arrive after the one checkpoint, so exactly one is right.
+func TestAutoCheckpointOncePerThreshold(t *testing.T) {
+	const producers, batch = 8, 100
+	dir := t.TempDir()
+	opts := graphtinker.DurableStreamOptions{
+		Shards:     2,
+		Pipeline:   graphtinker.StreamPipelineOptions{MaxBatch: batch, FlushInterval: -1},
+		Durability: graphtinker.DurabilityOptions{SyncInterval: -1, SnapshotEvery: 5 * batch},
+	}
+	ds, err := graphtinker.OpenDurableStream(graphtinker.DefaultConfig(), dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Crash()
+
+	defer faultinject.Reset()
+	// Each push fills the pipeline's batch and appends it to the WAL under
+	// the pipeline's lock; the delay queues the other producers behind it,
+	// already past admission. wal/dir-install fires twice per checkpoint.
+	for name, spec := range map[string]string{"wal/append": "delay(5ms)", "wal/dir-install": "delay(1ms)"} {
+		if err := faultinject.Set(name, spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := make(chan struct{})
+	errs := make(chan error, producers)
+	for k := 0; k < producers; k++ {
+		go func(ops []graphtinker.Update) {
+			<-start
+			errs <- ds.PushBatch(ops)
+		}(genStream(batch, uint64(70+k)))
+	}
+	close(start)
+	for k := 0; k < producers; k++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ds.LastCheckpointErr(); err != nil {
+		t.Fatal(err)
+	}
+	if got := faultinject.Fired("wal/dir-install"); got != 2 {
+		t.Fatalf("%d snapshot installs for one crossed threshold, want 1", got/2)
+	}
+	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.gts"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshots on disk: %v (%v), want one", snaps, err)
+	}
+}

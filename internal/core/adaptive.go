@@ -19,13 +19,15 @@ package core
 // forced Repr pins every vertex to one format and never migrates.
 //
 // Migration runs inside the mutation that crossed the threshold, which
-// under the Parallel wrapper means inside the writer's shadow-replica apply:
-// readers pinned to the published replica never observe a half-migrated
-// vertex, and the catch-up replay performs the identical migration on the
-// stale replica (all migration triggers are deterministic functions of the
-// op stream). Steady-state flapping is allocation-free: the slice keeps its
-// entry buffer across promotions, the cuckoo table keeps its slot buffer
-// across demotions, and freed edgeblocks return to the arena free list.
+// under the Parallel wrapper means inside a write no reader can see (an
+// in-place apply with the version odd, or the shadow-replica apply — see
+// seqlock.go): readers never observe a half-migrated vertex. A shard's two
+// replicas receive the same ops but need not migrate at the same one — a
+// clone starts each vertex in the format its degree selects, which inside a
+// hysteresis band may not be the source's. Steady-state flapping is
+// allocation-free: the slice keeps its entry buffer across promotions, the
+// cuckoo table keeps its slot buffer across demotions, and freed edgeblocks
+// return to the arena free list.
 type adaptiveContainer struct {
 	kind   reprKind
 	slice  sliceContainer

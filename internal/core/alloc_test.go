@@ -42,9 +42,6 @@ func pinAllocs(t *testing.T, name string, want float64, fn func()) {
 
 func TestReadPathAllocFree(t *testing.T) {
 	g, edges := allocGraph(t)
-	p, _ := allocParallel(t)
-	defer p.Close()
-
 	probe := edges[:64]
 	pinAllocs(t, "GraphTinker.FindEdge", 0, func() {
 		for _, e := range probe {
@@ -61,32 +58,68 @@ func TestReadPathAllocFree(t *testing.T) {
 			g.ForEachOutEdge(e.Src, func(dst uint64, w float32) bool { return true })
 		}
 	})
-	pinAllocs(t, "Parallel.FindEdge", 0, func() {
-		for _, e := range probe {
-			p.FindEdge(e.Src, e.Dst)
+	// The sharded read path, in both seqlock modes.
+	p, _ := allocParallel(t)
+	defer p.Close()
+	for _, mode := range []string{"SINGLE", "DUAL"} {
+		if mode == "DUAL" {
+			promoteAll(p)
 		}
-	})
-	pinAllocs(t, "Parallel.OutDegree", 0, func() {
-		for _, e := range probe {
-			p.OutDegree(e.Src)
+		if want, got := map[string]int{"SINGLE": 4, "DUAL": 8}[mode], p.Stats().Replicas; got != want {
+			t.Fatalf("%s: %d replicas over 4 shards, want %d", mode, got, want)
 		}
-	})
-	pinAllocs(t, "Parallel.ForEachOutEdge", 0, func() {
-		for _, e := range probe {
-			p.ForEachOutEdge(e.Src, func(dst uint64, w float32) bool { return true })
-		}
-	})
+		pinAllocs(t, mode+" Parallel.FindEdge", 0, func() {
+			for _, e := range probe {
+				p.FindEdge(e.Src, e.Dst)
+			}
+		})
+		pinAllocs(t, mode+" Parallel.OutDegree", 0, func() {
+			for _, e := range probe {
+				p.OutDegree(e.Src)
+			}
+		})
+		pinAllocs(t, mode+" Parallel.ForEachOutEdge", 0, func() {
+			for _, e := range probe {
+				p.ForEachOutEdge(e.Src, func(dst uint64, w float32) bool { return true })
+			}
+		})
+	}
 }
 
 // TestParallelInsertBatchSteadyAllocFree pins the sharded batch-update
 // path at zero steady-state allocations: after the first batch sizes the
 // scratch buffers and starts the workers, re-applying a batch must not
 // allocate (partition scratch, worker fan-out and results are all reused).
+//
+// Both seqlock modes are pinned. A DUAL shard goes back to SINGLE once its
+// writer has applied as many ops as it holds edges with no reader entering,
+// so the DUAL run reads every shard between batches — which is also what
+// keeps a shard DUAL in production.
 func TestParallelInsertBatchSteadyAllocFree(t *testing.T) {
 	p, edges := allocParallel(t)
 	defer p.Close()
 	p.InsertBatch(edges) // warm the scratch high-water mark
-	pinAllocs(t, "Parallel.InsertBatch steady", 0, func() {
+	pinAllocs(t, "SINGLE Parallel.InsertBatch steady", 0, func() {
 		p.InsertBatch(edges)
 	})
+	if st := p.Stats(); st.Replicas != 4 || st.ShadowBuilds != 0 {
+		t.Fatalf("unobserved batches left SINGLE mode: %+v", st)
+	}
+
+	promoteAll(p)
+	var probe [4]uint64
+	for s := range probe {
+		probe[s] = sourceOn(p, s)
+	}
+	readAndBatch := func() {
+		for _, src := range probe {
+			p.OutDegree(src)
+		}
+		p.InsertBatch(edges)
+	}
+	readAndBatch() // warm: the clones have now applied the batch too
+	pinAllocs(t, "DUAL Parallel.InsertBatch steady", 0, readAndBatch)
+	if st := p.Stats(); st.Replicas != 8 || st.ShadowDrops != 0 {
+		t.Fatalf("batches beside a reader left DUAL mode: %+v", st)
+	}
 }

@@ -1,16 +1,16 @@
 package core
 
-// Pre-publication bulk loading for the v2 parallel snapshot format.
+// Bulk construction of an unpublished replica: snapshot recovery for the
+// v2 parallel format, and the seqlock's SINGLE -> DUAL promotion.
 //
-// The seqlock write protocol (shadow apply → publish → drain → catch-up)
-// exists to protect concurrent readers; it costs every op two applies and
-// a version flip. During recovery there are no readers or writers — the
-// store has not been returned to its creator yet — so the loader may
-// build BOTH replicas of a shard directly, with identical inputs, and
-// skip the protocol entirely. That is the replica-construction invariant:
-// bulkInsertRun is only legal on a never-published store, and once
-// ReadParallelSnapshot returns, every later mutation goes back through
-// the seqlock protocol.
+// The seqlock write protocol (seqlock.go) exists to protect concurrent
+// readers. A replica nobody can reach yet needs none of it: during recovery
+// the store has not been returned to its creator, and a promotion's clone
+// is not installed in its shard until it is complete. That is the
+// replica-construction invariant: bulkInsertRun is only legal on a
+// never-published instance, and once the instance is reachable every later
+// mutation goes through the seqlock protocol. Recovery builds each shard's
+// one replica and leaves the shard in SINGLE mode.
 //
 // Edges still go through the containers' real Insert path (not the
 // migration-only bulkAdd paths), so the CAL mirror, its owner
@@ -28,8 +28,8 @@ import (
 	"graphtinker/internal/faultinject"
 )
 
-// bulkLoadSection decodes one shard's section into both of the shard's
-// replicas. Caller guarantees the store is not yet published and that the
+// bulkLoadSection decodes one shard's section into the shard's replica.
+// Caller guarantees the store is not yet published and that the
 // section's sources route to this shard under the store's partition.
 func (p *Parallel) bulkLoadSection(ra io.ReaderAt, shard int, sec v2Section) error {
 	// The failpoint models a crash or fault mid-parallel-load: recovery
@@ -42,17 +42,13 @@ func (p *Parallel) bulkLoadSection(ra io.ReaderAt, shard int, sec v2Section) err
 	if err != nil {
 		return err
 	}
-	insts := p.sc[shard].bulkReplicas()
-	for _, g := range insts {
-		g.reserveVertices(int(sec.sources))
-	}
+	g := p.sc[shard].quiescedInstance()
+	g.reserveVertices(int(sec.sources))
 	return decodeV2Runs(buf, shard, sec, func(src uint64, run []Edge) error {
 		if owner := p.shardOf(src); owner != shard {
 			return fmt.Errorf("core: parallel snapshot shard %d section contains source %d owned by shard %d (section at byte offset %d)", shard, src, owner, sec.off)
 		}
-		for _, g := range insts {
-			g.bulkInsertRun(src, run)
-		}
+		g.bulkInsertRun(src, run)
 		return nil
 	})
 }
@@ -78,6 +74,35 @@ func (gt *GraphTinker) bulkInsertRun(src uint64, run []Edge) {
 		} else {
 			gt.stats.updates.Add(1)
 		}
+	}
+}
+
+// cloneInto bulk-builds dst, an empty unpublished instance of the same
+// configuration, as a logical copy of gt: the same live edges, weights and
+// raw id space, one per-source run at a time. It only reads gt, so readers
+// may keep using gt meanwhile. The copy is not structural: a source whose
+// edges were all deleted gets no dense id in dst, a vertex inside a
+// migration hysteresis band may land in the other format, and tombstones
+// and overflow depth do not carry over — so iteration order may differ
+// between the two.
+func (gt *GraphTinker) cloneInto(dst *GraphTinker) {
+	dst.reserveVertices(gt.NonEmptySources())
+	var src uint64
+	var run []Edge
+	collect := func(dst uint64, w float32) bool {
+		run = append(run, Edge{Src: src, Dst: dst, Weight: w})
+		return true
+	}
+	for d := range gt.cont {
+		if gt.cont[d].kind == reprNone || gt.props.degree[d] == 0 {
+			continue
+		}
+		src, run = gt.rawOf(uint32(d)), run[:0]
+		gt.cont[d].Iterate(collect)
+		dst.bulkInsertRun(src, run)
+	}
+	if gt.sawAny {
+		dst.observe(gt.maxRawID)
 	}
 }
 

@@ -1,10 +1,10 @@
 package core
 
 // Differential recovery suite for the v2 parallel snapshot's bulk-load
-// path: the bulk loader (both seqlock replicas built directly, containers
+// path: the bulk loader (each shard's replica built directly, containers
 // pre-sized and format-chosen from section degrees) must be edge-for-edge
 // identical to the op-by-op sequential oracle under every representation,
-// invariant-clean in BOTH replicas, and every corruption of the section
+// invariant-clean in every live replica, and every corruption of the section
 // table or a section body must be rejected with an exact byte-offset
 // error before any partial state escapes.
 
@@ -88,20 +88,39 @@ func TestBulkLoadMatchesSequentialOracle(t *testing.T) {
 				if a, b := bulk.Shard(i).NumEdges(), oracle.Shard(i).NumEdges(); a != b {
 					t.Fatalf("shard %d: bulk %d edges, oracle %d", i, a, b)
 				}
-				// The bulk loader built both seqlock replicas directly;
-				// each must independently pass the invariant sweep.
-				for r, g := range bulk.sc[i].bulkReplicas() {
-					if probs := g.CheckInvariants(); len(probs) > 0 {
-						t.Fatalf("shard %d replica %d invariants: %v", i, r, probs)
-					}
+				// The bulk loader built the shard's replica directly — one
+				// of them, leaving the shard in SINGLE mode; every live
+				// replica must pass the invariant sweep.
+				live := liveReplicas(&bulk.sc[i])
+				if len(live) != 1 || bulk.ShardStats()[i].Replicas != 1 {
+					t.Fatalf("shard %d holds %d replicas after bulk load (ShardStats says %d), want 1",
+						i, len(live), bulk.ShardStats()[i].Replicas)
 				}
+				checkReplicas(t, bulk)
 			}
-			// The loaded store must keep working as a live store: a write
-			// after bulk load exercises the normal publish path on the
-			// replicas the loader built.
+			// The loaded store must keep working as a live store: writable
+			// in place on the replica the loader built...
 			bulk.InsertEdge(1000, 9999, 1)
 			if _, ok := bulk.FindEdge(1000, 9999); !ok {
 				t.Fatal("store not writable after bulk load")
+			}
+			// ...and promotable: a write that finds the bulk-built replica
+			// pinned clones it, and the clone holds the same edges.
+			hub := bulk.ShardOf(1000)
+			writeUnderPins(t, bulk, []int{hub}, func() { bulk.InsertEdge(1000, 9998, 1) })
+			if st := bulk.ShardStats()[hub]; st.Replicas != 2 || st.ShadowBuilds != 1 {
+				t.Fatalf("shard %d after a pinned write: %d replicas, %d builds, want 2 and 1", hub, st.Replicas, st.ShadowBuilds)
+			}
+			checkReplicas(t, bulk)
+			bulk.InsertEdge(1000, 9997, 1) // flips readers onto the other replica
+			for _, dst := range []uint64{9997, 9998, 9999} {
+				if _, ok := bulk.FindEdge(1000, dst); !ok {
+					t.Fatalf("edge (1000,%d) missing after promotion", dst)
+				}
+			}
+			want[[2]uint64{1000, 9997}], want[[2]uint64{1000, 9998}], want[[2]uint64{1000, 9999}] = 1, 1, 1
+			if have := edgesOf(bulk); len(have) != len(want) {
+				t.Fatalf("promoted store holds %d edges, want %d", len(have), len(want))
 			}
 		})
 	}

@@ -33,12 +33,12 @@ type GraphTinker struct {
 	maxRawID uint64 // highest raw vertex id observed (src or dst), +1 = id space
 	sawAny   bool
 
-	// statsStore is the instance's owned counters. stats is the recording
-	// target the operation paths increment through; it normally points at
-	// statsStore, but the Parallel wrapper's seqlock retargets it to a
-	// scratch sink while replaying a batch onto a stale replica, so each
-	// logical operation is counted exactly once across the replica pair
-	// (see seqlock.go). Stats/ResetStats always address statsStore.
+	// stats is the recording target the operation paths increment through
+	// and Stats/ResetStats address. A lone instance points it at its own
+	// statsStore; the Parallel wrapper's seqlock points a shard's replicas
+	// at the shard's counters, and at a scratch sink while a replica replays
+	// a batch or is being cloned, so each logical operation is counted
+	// exactly once per shard (see seqlock.go).
 	statsStore statsCounters
 	stats      *statsCounters
 
@@ -196,10 +196,10 @@ func (gt *GraphTinker) SetVertexValue(src uint64, v float64) bool {
 // are atomics, so snapshots taken while another goroutine mutates the
 // instance (e.g. mid-batch on a sibling shard, or concurrent FindEdge
 // readers) are race-clean.
-func (gt *GraphTinker) Stats() Stats { return gt.statsStore.snapshot() }
+func (gt *GraphTinker) Stats() Stats { return gt.stats.snapshot() }
 
 // ResetStats clears the operation counters (batch-scoped measurements).
-func (gt *GraphTinker) ResetStats() { gt.statsStore.reset() }
+func (gt *GraphTinker) ResetStats() { gt.stats.reset() }
 
 // Instrument attaches an update-path recorder: every InsertEdge, DeleteEdge
 // and FindEdge afterwards records its wall latency and probe distance

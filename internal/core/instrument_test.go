@@ -97,8 +97,16 @@ func TestParallelSharedRecorder(t *testing.T) {
 // while operations are in flight). The recorder must observe exactly the
 // instrumented batches' operations — no samples from detached windows, and
 // no double counting from the seqlock's catch-up replay applying each batch
-// to the second replica.
+// to the second replica. It runs once on a store nobody overlaps (SINGLE
+// shards throughout) and once re-promoting every shard after each attach
+// and detach, so clones are built both with and without a recorder to
+// inherit and the small shards' demotions fall in between.
 func TestInstrumentAttachDetachCycles(t *testing.T) {
+	t.Run("single", func(t *testing.T) { instrumentCycles(t, func(*Parallel) {}) })
+	t.Run("dual", func(t *testing.T) { instrumentCycles(t, promoteAll) })
+}
+
+func instrumentCycles(t *testing.T, afterInstrument func(*Parallel)) {
 	p, err := NewParallel(testConfig(t), 2)
 	if err != nil {
 		t.Fatal(err)
@@ -118,6 +126,7 @@ func TestInstrumentAttachDetachCycles(t *testing.T) {
 	}
 	for cycle := 0; cycle < 40; cycle++ {
 		p.Instrument(rec)
+		afterInstrument(p)
 		in := batch(25)
 		p.InsertBatch(in)
 		wantInserts += uint64(len(in))
@@ -128,6 +137,7 @@ func TestInstrumentAttachDetachCycles(t *testing.T) {
 		p.DeleteBatch(in[:10])
 		wantDeletes += 10
 		p.Instrument(nil)
+		afterInstrument(p)
 		// Detached window: none of this may be sampled.
 		p.InsertBatch(batch(25))
 		p.FindEdge(0, 0)

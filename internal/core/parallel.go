@@ -14,54 +14,55 @@ import (
 // pure function of its source id, no two workers ever touch the same
 // instance.
 //
-// Concurrency contract: readers are lock-free. Each shard carries a
-// seqlock — an atomic version counter plus a double-buffered replica pair
-// (see seqlock.go) — and every query (FindEdge, OutDegree, ForEachOutEdge,
+// Concurrency contract: readers take no lock. Each shard carries a
+// contention-adaptive seqlock — an atomic version counter over one replica,
+// or over a double-buffered pair once a reader has overlapped a writer (see
+// seqlock.go) — and every query (FindEdge, OutDegree, ForEachOutEdge,
 // ForEachEdge, ForEachShardEdge, NumEdges, MaxVertexID, AnalyzeProbes)
-// snapshots the version, reads a pinned replica without taking any lock,
-// and retries only on a torn observation. Readers therefore never block on
-// a batch apply: a query issued mid-batch sees the shard's last published
-// state. Mutators (InsertBatch, DeleteBatch, InsertEdge, DeleteEdge,
-// ApplyShard) keep mutual exclusion per shard via a writer mutex; they
-// write the off replica, publish it by bumping the version, and reconverge
-// the stale replica after the reader grace period. Iteration callbacks may
-// query this Parallel re-entrantly (pins nest), but must not mutate it: a
-// writer waits for the caller's own pin to drain and would deadlock.
-// Direct Shard(i) access bypasses the version protocol entirely and is
-// only safe when the caller has quiesced all writers.
+// snapshots the version, reads a pinned replica, and retries only on a torn
+// observation. A query never sees a half-applied batch. On a shard whose
+// readers and writers have not met, a query that lands inside a batch apply
+// waits for that apply — once: the overlap makes the shard keep a second
+// replica, and from then on a query issued mid-batch sees the shard's last
+// published state without waiting. Mutators (InsertBatch, DeleteBatch,
+// ApplyOps, InsertEdge, DeleteEdge, ApplyShard) keep mutual exclusion per
+// shard via a writer mutex; they apply in place while nobody reads, and
+// otherwise write the off replica, publish it by bumping the version, and
+// reconverge the stale replica after the reader grace period. Iteration
+// callbacks may query this Parallel re-entrantly (pins nest), but must not
+// mutate it: a writer waits for the caller's own pin to drain and would
+// deadlock. Direct Shard(i) access bypasses the version protocol entirely
+// and is only safe when the caller has quiesced all writers.
 //
-// Batch lifecycle: the first InsertBatch/DeleteBatch lazily starts the
-// per-shard workers, and the staging buffers they are fed from are reused
-// across calls, so the steady-state batch path allocates nothing. Call
-// Close when done with a batch-updated Parallel to stop the workers; a
-// Parallel that only ever sees single-edge ops, ApplyShard, or queries
-// never starts them. Batch calls are serialized with each other (their
-// shard fan-out still runs in parallel); after Close they degrade to an
-// inline sequential apply, so late callers stay correct.
+// Batch lifecycle: the first batch call that touches more than one shard
+// lazily starts the per-shard workers, and the staging buffers they are fed
+// from are reused across calls, so the steady-state batch path allocates
+// nothing. Call Close when done with a batch-updated Parallel to stop the
+// workers; a Parallel that only ever sees single-edge ops, ApplyShard, or
+// queries never starts them. Batch calls are serialized with each other
+// (their shard fan-out still runs in parallel); after Close they degrade to
+// an inline sequential apply, so late callers stay correct.
 type Parallel struct {
 	cfg  Config
-	sc   []shardCtl   // per-shard seqlock state: version, replica pair, pins
+	sc   []shardCtl   // per-shard seqlock state: version, replicas, pins, mode
 	wmu  []sync.Mutex // per-shard writer mutual exclusion
 	seed uint64
 
 	// batchMu serializes the batch staging path: parts, results and
-	// batchWG below are reused across InsertBatch/DeleteBatch calls, and
-	// worker startup/shutdown is decided under the same lock.
+	// batchWG below are reused across InsertBatch/DeleteBatch/ApplyOps
+	// calls, and worker startup/shutdown is decided under the same lock.
 	batchMu  sync.Mutex
-	parts    [][]Edge // per-shard staging, capacity reused across batches
-	results  []int    // slot i written only by worker i, read after batchWG.Wait
+	parts    [][]EdgeOp // per-shard staging, capacity reused across batches
+	results  []opCounts // slot i written only by worker i, read after batchWG.Wait
 	batchWG  sync.WaitGroup
-	work     []chan shardWork // nil until the first batch and again after Close
+	work     []chan []EdgeOp // one ordered sub-batch per send; nil until the first fan-out and again after Close
 	closed   bool
 	workerWG sync.WaitGroup
 }
 
-// shardWork is one fan-out unit handed to a persistent shard worker: an
-// ordered sub-batch plus the operation to apply it with.
-type shardWork struct {
-	edges []Edge
-	del   bool
-}
+// opCounts is what applying an op sequence changed: inserts that were new,
+// deletes that hit a live edge.
+type opCounts struct{ inserted, deleted int }
 
 // EdgeOp is one ordered mutation in a streamed update sequence: an insert
 // (or weight update) when Del is false, a deletion when Del is true.
@@ -84,7 +85,7 @@ func DeleteOp(src, dst uint64) EdgeOp {
 
 // ApplyOps applies an ordered op sequence to one instance, returning how
 // many inserts were new and how many deletes hit a live edge. It is the
-// one op-apply loop: both seqlock replicas, WAL replay into a session's
+// one op-apply loop: every seqlock replica, WAL replay into a session's
 // graph and every sharded sink end up here.
 //
 //gtlint:noretain ops
@@ -126,8 +127,8 @@ func (p *Parallel) Shards() int { return len(p.sc) }
 
 // Shard exposes the active replica of instance i. Mutating it directly
 // bypasses the partitioning invariant and the seqlock, and even reading it
-// is only safe when the caller has quiesced all writers (otherwise the
-// replica may be reconverging under a concurrent batch).
+// is only safe when the caller has quiesced all writers (otherwise a
+// concurrent batch may be applying to it in place).
 func (p *Parallel) Shard(i int) *GraphTinker { return p.sc[i].quiescedInstance() }
 
 // shardOf routes a source vertex to its instance.
@@ -150,21 +151,16 @@ func (p *Parallel) ApplyShard(shard int, ops []EdgeOp) (inserted, deleted int) {
 	return p.sc[shard].applyOpsLocked(ops)
 }
 
-// stageLocked partitions a batch into the reusable per-shard staging
-// buffers in one pass — each edge's shard is hashed exactly once, and the
-// buffers keep their high-water capacity, so steady-state staging is both
-// single-pass and allocation-free. Caller holds p.batchMu.
-func (p *Parallel) stageLocked(edges []Edge) {
+// resetPartsLocked empties the reusable per-shard staging buffers. They
+// keep their high-water capacity, so steady-state staging is allocation-
+// free. Caller holds p.batchMu.
+func (p *Parallel) resetPartsLocked() {
 	if p.parts == nil {
-		p.parts = make([][]Edge, len(p.sc))
-		p.results = make([]int, len(p.sc))
+		p.parts = make([][]EdgeOp, len(p.sc))
+		p.results = make([]opCounts, len(p.sc))
 	}
 	for i := range p.parts {
 		p.parts[i] = p.parts[i][:0]
-	}
-	for i := range edges {
-		s := p.shardOf(edges[i].Src)
-		p.parts[s] = append(p.parts[s], edges[i])
 	}
 }
 
@@ -172,9 +168,9 @@ func (p *Parallel) stageLocked(edges []Edge) {
 // channels have capacity 1 so dispatch never waits for a worker wakeup.
 // Caller holds p.batchMu.
 func (p *Parallel) startWorkersLocked() {
-	p.work = make([]chan shardWork, len(p.sc))
+	p.work = make([]chan []EdgeOp, len(p.sc))
 	for i := range p.work {
-		p.work[i] = make(chan shardWork, 1)
+		p.work[i] = make(chan []EdgeOp, 1)
 	}
 	p.workerWG.Add(len(p.work))
 	for i := range p.work {
@@ -186,66 +182,95 @@ func (p *Parallel) startWorkersLocked() {
 // under the shard's writer mutex until its channel closes. results[i] is
 // its private slot — the WaitGroup Done/Wait pair orders the write against
 // the dispatcher's read.
-func (p *Parallel) runWorker(i int, ch <-chan shardWork) {
+func (p *Parallel) runWorker(i int, ch <-chan []EdgeOp) {
 	defer p.workerWG.Done()
-	for w := range ch {
-		p.wmu[i].Lock()
-		n := p.sc[i].applyBatchLocked(w.edges, w.del)
-		p.wmu[i].Unlock()
-		p.results[i] = n
+	for ops := range ch {
+		ins, del := p.ApplyShard(i, ops)
+		p.results[i] = opCounts{ins, del}
 		p.batchWG.Done()
 	}
 }
 
-// runBatch stages one batch and fans it out to the shard workers, starting
-// them on first use. Batches are serialized on p.batchMu (their staging
-// state is shared); the per-shard applies still run concurrently. After
-// Close the fan-out degrades to an inline sequential apply.
-func (p *Parallel) runBatch(edges []Edge, del bool) int {
-	p.batchMu.Lock()
-	defer p.batchMu.Unlock()
-	p.stageLocked(edges)
-	if p.work == nil && !p.closed {
+// applyPartsLocked applies the staged per-shard sub-batches and sums what
+// they changed. Two or more non-empty shards fan out to the persistent
+// shard workers (started on first need) and apply concurrently; a single
+// one applies inline, as does everything after Close. Caller holds
+// p.batchMu.
+func (p *Parallel) applyPartsLocked() (total opCounts) {
+	busy := 0
+	for _, part := range p.parts {
+		if len(part) > 0 {
+			busy++
+		}
+	}
+	if busy > 1 && p.work == nil && !p.closed {
 		p.startWorkersLocked()
 	}
-	total := 0
-	if p.work == nil {
+	if busy <= 1 || p.work == nil {
 		for i, part := range p.parts {
-			if len(part) == 0 {
-				continue
-			}
-			p.wmu[i].Lock()
-			total += p.sc[i].applyBatchLocked(part, del)
-			p.wmu[i].Unlock()
+			ins, del := p.ApplyShard(i, part)
+			total.inserted += ins
+			total.deleted += del
 		}
 		return total
 	}
-	dispatched := 0
 	for i, part := range p.parts {
-		p.results[i] = 0
+		p.results[i] = opCounts{}
 		if len(part) == 0 {
 			continue
 		}
 		p.batchWG.Add(1)
-		p.work[i] <- shardWork{edges: part, del: del}
-		dispatched++
+		p.work[i] <- part
 	}
-	if dispatched > 0 {
-		p.batchWG.Wait()
-	}
+	p.batchWG.Wait()
 	for _, r := range p.results {
-		total += r
+		total.inserted += r.inserted
+		total.deleted += r.deleted
 	}
 	return total
 }
 
+// runBatch stages one unordered batch — each edge's shard is hashed exactly
+// once — and applies it. Batches are serialized on p.batchMu (their staging
+// state is shared); the per-shard applies still run concurrently.
+func (p *Parallel) runBatch(edges []Edge, del bool) opCounts {
+	p.batchMu.Lock()
+	defer p.batchMu.Unlock()
+	p.resetPartsLocked()
+	for i := range edges {
+		s := p.shardOf(edges[i].Src)
+		p.parts[s] = append(p.parts[s], EdgeOp{Edge: edges[i], Del: del})
+	}
+	return p.applyPartsLocked()
+}
+
 // InsertBatch loads a batch across all instances concurrently and returns
 // how many edges were new.
-func (p *Parallel) InsertBatch(edges []Edge) int { return p.runBatch(edges, false) }
+func (p *Parallel) InsertBatch(edges []Edge) int { return p.runBatch(edges, false).inserted }
 
 // DeleteBatch removes a batch across all instances concurrently and returns
 // how many edges were present.
-func (p *Parallel) DeleteBatch(edges []Edge) int { return p.runBatch(edges, true) }
+func (p *Parallel) DeleteBatch(edges []Edge) int { return p.runBatch(edges, true).deleted }
+
+// ApplyOps applies an ordered op sequence across all instances
+// concurrently, returning how many inserts were new and how many deletes
+// hit a live edge. Order is preserved per shard, hence per (Src, Dst) pair,
+// which is all a sequential replay's outcome depends on. It is the batch
+// entry for callers that hold a mixed stream and no partition of their own
+// (a replication follower applying shipped records).
+//
+//gtlint:noretain ops
+func (p *Parallel) ApplyOps(ops []EdgeOp) (inserted, deleted int) {
+	p.batchMu.Lock()
+	defer p.batchMu.Unlock()
+	p.resetPartsLocked()
+	for i := range ops {
+		s := p.shardOf(ops[i].Src)
+		p.parts[s] = append(p.parts[s], ops[i])
+	}
+	total := p.applyPartsLocked()
+	return total.inserted, total.deleted
+}
 
 // Close stops the persistent batch workers (if they ever started) and
 // waits for them to exit. Idempotent and safe to call concurrently with
@@ -284,8 +309,9 @@ func (p *Parallel) DeleteEdge(src, dst uint64) bool {
 	return deleted == 1
 }
 
-// FindEdge routes a lookup to its shard. Lock-free: the lookup runs on a
-// version-pinned replica and never waits on writers.
+// FindEdge routes a lookup to its shard. It takes no lock: the lookup runs
+// on a version-pinned replica (see the type comment for the one wait a
+// first overlap with a writer can cost).
 func (p *Parallel) FindEdge(src, dst uint64) (float32, bool) {
 	sc := &p.sc[p.shardOf(src)]
 	g, idx := sc.pinRead()
@@ -293,7 +319,7 @@ func (p *Parallel) FindEdge(src, dst uint64) (float32, bool) {
 	return g.FindEdge(src, dst)
 }
 
-// OutDegree routes a degree query to its shard (lock-free, see FindEdge).
+// OutDegree routes a degree query to its shard (no lock, see FindEdge).
 func (p *Parallel) OutDegree(src uint64) uint32 {
 	sc := &p.sc[p.shardOf(src)]
 	g, idx := sc.pinRead()
@@ -395,8 +421,8 @@ func (p *Parallel) ForEachShardEdge(shard int, fn func(src, dst uint64, w float3
 // in flight (the snapshot may straddle in-flight operations, but every
 // field is individually consistent). No locks are taken: Stats stays
 // wait-free so telemetry never stalls behind a long shard scan. Each
-// logical operation is counted exactly once across a shard's replica pair
-// (see seqlock.go).
+// logical operation is counted exactly once per shard, however many
+// replicas the shard holds or has held (see seqlock.go).
 func (p *Parallel) Stats() Stats {
 	var total Stats
 	for i := range p.sc {
@@ -406,7 +432,8 @@ func (p *Parallel) Stats() Stats {
 }
 
 // ShardStats snapshots each shard's counters individually — the per-shard
-// telemetry surface. Like Stats it is safe to call mid-batch.
+// telemetry surface, including which seqlock mode the shard is in
+// (Replicas is 1 or 2). Like Stats it is safe to call mid-batch.
 func (p *Parallel) ShardStats() []Stats {
 	out := make([]Stats, len(p.sc))
 	for i := range p.sc {
@@ -417,9 +444,9 @@ func (p *Parallel) ShardStats() []Stats {
 
 // Instrument attaches one shared update-path recorder to every shard, so a
 // single set of latency/probe histograms covers the whole sharded store.
-// Both replicas of each shard get the same recorder; catch-up replays
-// detach it while they run, so each logical operation is sampled exactly
-// once. A nil rec detaches. Do not attach or detach while a batch is in
+// Every replica of a shard, present or built later, gets the same
+// recorder; catch-up replays detach it while they run, so each logical
+// operation is sampled exactly once. A nil rec detaches. Do not attach or detach while a batch is in
 // flight.
 func (p *Parallel) Instrument(rec *metrics.UpdateRecorder) {
 	for i := range p.sc {
@@ -429,7 +456,7 @@ func (p *Parallel) Instrument(rec *metrics.UpdateRecorder) {
 	}
 }
 
-// ResetStats clears the counters of every shard (both replicas).
+// ResetStats clears the counters of every shard.
 func (p *Parallel) ResetStats() {
 	for i := range p.sc {
 		p.wmu[i].Lock()

@@ -6,9 +6,10 @@ package core
 // replica up front (see seqlock.go) and only then starts dumping, so the
 // snapshot is a cross-shard cut — every shard section reflects a state
 // published no later than the fence, and no section contains a
-// half-applied batch. Batches that publish while the dump streams land
-// entirely after the fence (their writers stall at the reader grace
-// period until the fence is released). For a checkpoint tied to an exact
+// half-applied batch. Batches that arrive while the dump streams land
+// entirely after the fence: a writer that finds its shard fenced builds
+// the shard's second replica, publishes there, and stalls at the reader
+// grace period until the fence is released. For a checkpoint tied to an exact
 // stream position (the durability layer's requirement), the caller still
 // quiesces writers first — e.g. by flushing the ingestion pipeline — and
 // ties the snapshot to a WAL offset in the manifest.
@@ -49,8 +50,8 @@ package core
 //
 // Decoding dispatches on the version. v2 from a random-access source
 // (io.ReaderAt + io.Seeker, e.g. *os.File) is fully parallel: footer →
-// table → per-section CRC check and bulk load into both seqlock replicas
-// of the owning shard (see bulkload.go), with no per-op publish/drain.
+// table → per-section CRC check and bulk load into the owning shard's
+// replica (see bulkload.go), with no per-op version protocol.
 // A non-seekable stream is slurped into memory first and decoded the same
 // way, so there is exactly one v2 decode path.
 
@@ -294,8 +295,8 @@ func encodeV2Section(g *GraphTinker, sec v2Section) ([]byte, error) {
 // ReadParallelSnapshot reconstructs a sharded store from a snapshot
 // produced by Parallel.WriteSnapshot (either format version). The stored
 // configuration is used unless override is non-nil. v2 snapshots load in
-// parallel — per-shard sections decode concurrently, bulk-building both
-// seqlock replicas before the store is published — whenever the edges
+// parallel — per-shard sections decode concurrently, bulk-building each
+// shard's replica before the store is published — whenever the edges
 // route to their recorded shards (override nil, or an override keeping
 // the stored HashSeed). An override that changes the partition falls back
 // to re-routing every edge through InsertEdge. Truncated or corrupt input
@@ -356,8 +357,8 @@ func snapshotRandomAccess(r io.Reader) (io.ReaderAt, int64, error) {
 }
 
 // readParallelSnapshotV2 decodes a v2 snapshot: footer, then the
-// CRC-checked section table, then the per-shard sections — concurrently
-// into both replicas when the partition allows, sequentially through
+// CRC-checked section table, then the per-shard sections — concurrently,
+// one bulk-built replica per shard, when the partition allows, sequentially through
 // InsertEdge otherwise.
 func readParallelSnapshotV2(ra io.ReaderAt, size int64, override *Config, sequential bool) (*Parallel, error) {
 	le := binary.LittleEndian
@@ -442,7 +443,7 @@ func readParallelSnapshotV2(ra io.ReaderAt, size int64, override *Config, sequen
 		return nil, fmt.Errorf("core: parallel snapshot config invalid: %w", err)
 	}
 	// The bulk loader builds each section's edges straight into the owning
-	// shard's replicas, so it requires the file's partition: an override
+	// shard's replica, so it requires the file's partition: an override
 	// that changes HashSeed re-routes edges and must take the op-by-op
 	// path instead.
 	if sequential || (override != nil && override.HashSeed != storedSeed) {
@@ -535,8 +536,8 @@ func readV2Sequential(ra io.ReaderAt, p *Parallel, secs []v2Section) error {
 	return nil
 }
 
-// bulkLoadSections decodes every section concurrently, each into both
-// replicas of its owning shard via the pre-publication bulk loader (see
+// bulkLoadSections decodes every section concurrently, each into its
+// owning shard's replica via the pre-publication bulk loader (see
 // bulkload.go). Concurrency is bounded so a wide store does not read its
 // whole snapshot into memory at once.
 func (p *Parallel) bulkLoadSections(ra io.ReaderAt, secs []v2Section) error {
@@ -559,14 +560,12 @@ func (p *Parallel) bulkLoadSections(ra io.ReaderAt, secs []v2Section) error {
 		}
 	}
 	// The bulk path skips the seqlock protocol, so verify its outcome the
-	// way ReadSnapshot guards the single-instance format: every replica
-	// must hold exactly the edge count the table promised (duplicate
+	// way ReadSnapshot guards the single-instance format: every shard must
+	// hold exactly the edge count the table promised (duplicate
 	// destinations inside a run would silently collapse).
 	for i := range secs {
-		for _, g := range p.sc[i].bulkReplicas() {
-			if got := g.NumEdges(); got != secs[i].edges {
-				return fmt.Errorf("core: parallel snapshot shard %d bulk load produced %d edges, section table says %d (duplicate records?)", i, got, secs[i].edges)
-			}
+		if got := p.sc[i].quiescedInstance().NumEdges(); got != secs[i].edges {
+			return fmt.Errorf("core: parallel snapshot shard %d bulk load produced %d edges, section table says %d (duplicate records?)", i, got, secs[i].edges)
 		}
 	}
 	return nil

@@ -14,8 +14,11 @@ import (
 )
 
 // TestShardCtlPublishFlipsActive exercises the version protocol on one
-// shardCtl directly: publishing moves readers to the shadow replica, the
-// version stays even between publications, and both replicas reconverge.
+// shardCtl directly. A fresh shard is SINGLE: a write applies in place and
+// leaves readers on the same replica index. Once promoted it is DUAL:
+// publishing moves readers to the shadow replica, the version is even
+// between writes, both replicas reconverge, and a held pin stalls only the
+// catch-up replay onto the pinned replica.
 func TestShardCtlPublishFlipsActive(t *testing.T) {
 	var sc shardCtl
 	sc.init(testConfig(t))
@@ -27,8 +30,19 @@ func TestShardCtlPublishFlipsActive(t *testing.T) {
 	sc.unpin(idx0)
 
 	before := sc.activeIdx()
-	if n := sc.applyBatchLocked([]Edge{{1, 2, 1}, {1, 3, 1}}, false); n != 2 {
-		t.Fatalf("applyBatchLocked inserted %d, want 2", n)
+	if n, _ := sc.applyOpsLocked([]EdgeOp{InsertOp(1, 2, 1), InsertOp(1, 3, 1)}); n != 2 {
+		t.Fatalf("applyOpsLocked inserted %d, want 2", n)
+	}
+	if after := sc.activeIdx(); after != before || sc.inst[before^1] != nil || sc.statsSnapshot().Replicas != 1 {
+		t.Fatalf("unobserved write left SINGLE mode: active %d -> %d, shadow %v", before, after, sc.inst[before^1])
+	}
+	if s := sc.seq.Load(); s&1 != 0 {
+		t.Fatalf("version left odd (%d) after an in-place apply", s)
+	}
+
+	sc.promoteLocked()
+	if n, _ := sc.applyOpsLocked([]EdgeOp{InsertOp(1, 4, 1)}); n != 1 {
+		t.Fatalf("applyOpsLocked inserted %d, want 1", n)
 	}
 	if after := sc.activeIdx(); after == before {
 		t.Fatalf("publish did not flip the active replica (still %d)", after)
@@ -37,8 +51,8 @@ func TestShardCtlPublishFlipsActive(t *testing.T) {
 		t.Fatalf("version left odd (%d) after publish", s)
 	}
 	for i := 0; i < 2; i++ {
-		if n := sc.inst[i].NumEdges(); n != 2 {
-			t.Fatalf("replica %d holds %d edges after reconvergence, want 2", i, n)
+		if n := sc.inst[i].NumEdges(); n != 3 {
+			t.Fatalf("replica %d holds %d edges after reconvergence, want 3", i, n)
 		}
 	}
 
@@ -48,13 +62,13 @@ func TestShardCtlPublishFlipsActive(t *testing.T) {
 	released := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
-		sc.applyBatchLocked([]Edge{{2, 3, 1}}, false)
+		sc.applyOpsLocked([]EdgeOp{InsertOp(2, 3, 1)})
 		close(done)
 	}()
 	// The writer applies to the shadow and publishes immediately — only the
 	// catch-up replay onto our pinned replica must wait.
 	time.Sleep(10 * time.Millisecond)
-	if n := g.NumEdges(); n != 2 {
+	if n := g.NumEdges(); n != 3 {
 		t.Fatalf("pinned replica mutated under a held pin: %d edges", n)
 	}
 	go func() {
@@ -277,9 +291,12 @@ func FuzzSeqlockInterleave(f *testing.F) {
 // every vertex across both promote boundaries and back down while readers
 // snapshot Stats concurrently. The replica-summed Promotions/Demotions must
 // (a) never go backwards mid-churn and (b) at quiescence equal exactly the
-// counts of a serial instance fed the same op stream — each migration runs
-// on both replicas of a shard (shadow apply plus catch-up replay) but must
-// be counted once.
+// counts of a serial instance fed the same op stream — in DUAL mode each
+// migration runs on both replicas of a shard (shadow apply plus catch-up
+// replay) but must be counted once, and the clone a promotion builds must
+// be counted zero times. The first round runs with nobody reading (SINGLE,
+// one apply), the second is promoted under held pins, the rest run beside
+// readers.
 func TestParallelStatsExactlyOnceAcrossMigrations(t *testing.T) {
 	cfg := tinyThresholds(testConfig(t))
 	cfg.Repr = ReprAdaptive // migrations are the subject regardless of GT_REPR
@@ -302,6 +319,18 @@ func TestParallelStatsExactlyOnceAcrossMigrations(t *testing.T) {
 			down = append(down, Edge{v, d, 0})
 		}
 	}
+
+	const rounds = 5
+	p.InsertBatch(up)
+	p.DeleteBatch(down)
+	if st := p.Stats(); st.ShadowBuilds != 0 || st.Replicas != 2 {
+		t.Fatalf("unobserved round left SINGLE mode: %d builds, %d replicas over 2 shards", st.ShadowBuilds, st.Replicas)
+	}
+	writeUnderPins(t, p, []int{0, 1}, func() { p.InsertBatch(up) })
+	if st := p.Stats(); st.ShadowBuilds != 2 || st.Replicas != 4 {
+		t.Fatalf("pinned round: %d builds, %d replicas over 2 shards, want 2 and 4", st.ShadowBuilds, st.Replicas)
+	}
+	p.DeleteBatch(down)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -328,15 +357,16 @@ func TestParallelStatsExactlyOnceAcrossMigrations(t *testing.T) {
 			}
 		}(k)
 	}
-	const rounds = 3
-	for round := 0; round < rounds; round++ {
+	for round := 2; round < rounds; round++ {
 		p.InsertBatch(up)
 		p.DeleteBatch(down)
-		serial.InsertBatch(up)
-		serial.DeleteBatch(down)
 	}
 	close(stop)
 	wg.Wait()
+	for round := 0; round < rounds; round++ {
+		serial.InsertBatch(up)
+		serial.DeleteBatch(down)
+	}
 
 	ps, ss := p.Stats(), serial.Stats()
 	if ps.Promotions != ss.Promotions || ps.Demotions != ss.Demotions {

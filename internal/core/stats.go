@@ -34,6 +34,15 @@ type Stats struct {
 	// CAL mirror.
 	CALAppends uint64 `json:"cal_appends"`
 	CALPatches uint64 `json:"cal_patches"` // weight patches + owner re-points + invalidations
+
+	// Seqlock mode machine of a Parallel's shards (see seqlock.go); all
+	// zero for a lone GraphTinker. A shard builds a second replica when a
+	// reader overlaps a writer and drops it once readers have stayed away;
+	// Replicas is how many it holds now (1 or 2 in ShardStats, their sum
+	// in Parallel.Stats).
+	ShadowBuilds uint64 `json:"shadow_builds"`
+	ShadowDrops  uint64 `json:"shadow_drops"`
+	Replicas     int    `json:"replicas"`
 }
 
 // Add accumulates other into s (used by the sharded Parallel wrapper).
@@ -56,6 +65,9 @@ func (s *Stats) Add(other Stats) {
 	s.Demotions += other.Demotions
 	s.CALAppends += other.CALAppends
 	s.CALPatches += other.CALPatches
+	s.ShadowBuilds += other.ShadowBuilds
+	s.ShadowDrops += other.ShadowDrops
+	s.Replicas += other.Replicas
 }
 
 // statsCounters is the atomic backing store for Stats. Mutation paths run
@@ -64,10 +76,11 @@ func (s *Stats) Add(other Stats) {
 // counters are atomics so that (a) FindEdge — a logically read-only
 // operation that still counts probe work — is safe to call from
 // concurrent readers, and (b) Stats snapshots taken mid-batch by observer
-// goroutines stay clean under the race detector. Under the seqlock each
-// replica owns a statsCounters (statsStore) while recording through a
-// retargetable pointer, so the catch-up replay of a batch can be silenced
-// into a scratch sink — see seqlock.go for the exactly-once accounting.
+// goroutines stay clean under the race detector. An instance records
+// through a retargetable pointer: a lone GraphTinker points it at its own
+// statsStore, a seqlock replica at its shard's counters — or at a scratch
+// sink while it replays a batch or is being cloned; see seqlock.go for the
+// exactly-once accounting.
 type statsCounters struct {
 	inserts, updates, deletes, finds        atomic.Uint64
 	cellsInspected, workblocksRetrieved     atomic.Uint64
@@ -76,6 +89,7 @@ type statsCounters struct {
 	blocksAllocated, blocksFreed            atomic.Uint64
 	compactionMoves, calAppends, calPatches atomic.Uint64
 	promotions, demotions                   atomic.Uint64
+	shadowBuilds, shadowDrops               atomic.Uint64
 }
 
 // observeGeneration raises maxGeneration to gen if it is deeper than any
@@ -110,6 +124,8 @@ func (s *statsCounters) snapshot() Stats {
 		Demotions:           s.demotions.Load(),
 		CALAppends:          s.calAppends.Load(),
 		CALPatches:          s.calPatches.Load(),
+		ShadowBuilds:        s.shadowBuilds.Load(),
+		ShadowDrops:         s.shadowDrops.Load(),
 	}
 }
 
@@ -131,6 +147,8 @@ func (s *statsCounters) reset() {
 	s.demotions.Store(0)
 	s.calAppends.Store(0)
 	s.calPatches.Store(0)
+	s.shadowBuilds.Store(0)
+	s.shadowDrops.Store(0)
 }
 
 // MemoryFootprint is a coarse accounting of resident bytes per component.

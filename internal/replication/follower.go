@@ -113,10 +113,6 @@ type Follower struct {
 	storeMu sync.RWMutex // a snapshot bootstrap swaps the store
 	store   *core.Parallel
 
-	// applyParts is the per-record partition scratch; only the stream's
-	// single-flight apply path (applyRecord via runStream) touches it.
-	applyParts [][]core.EdgeOp
-
 	applied    atomic.Uint64 // LSN after the last op applied to the store
 	primaryLSN atomic.Uint64 // primary's durable frontier as of the last frame
 	state      atomic.Int32
@@ -167,31 +163,6 @@ func OpenFollower(cfg core.Config, dir string, opts FollowerOptions) (*Follower,
 	f.applied.Store(d.Log().NextLSN())
 	f.state.Store(int32(StateIdle))
 	return f, nil
-}
-
-// applyToStore partitions one record's ops by shard and applies each part.
-// The partition scratch lives on the Follower and is reused across records
-// (applyRecord is single-flight from runStream); a snapshot bootstrap can
-// swap the store for one with a different width, so the scratch is re-made
-// whenever the shard count changes.
-func (f *Follower) applyToStore(store *core.Parallel, ops []core.EdgeOp) {
-	n := store.NumShards()
-	if len(f.applyParts) != n {
-		f.applyParts = make([][]core.EdgeOp, n)
-	}
-	parts := f.applyParts
-	for i := range parts {
-		parts[i] = parts[i][:0]
-	}
-	for _, op := range ops {
-		s := store.ShardOf(op.Src)
-		parts[s] = append(parts[s], op)
-	}
-	for s, part := range parts {
-		if len(part) > 0 {
-			store.ApplyShard(s, part)
-		}
-	}
 }
 
 // Recovery reports what opening the directory restored.
@@ -460,7 +431,7 @@ func (f *Follower) applyRecord(firstLSN uint64, ops []core.EdgeOp) error {
 		f.markDegraded()
 		return fmt.Errorf("replication: follower apply: %w", err)
 	}
-	f.applyToStore(f.Store(), ops)
+	f.Store().ApplyOps(ops)
 	if f.rec != nil {
 		f.rec.RecordsApplied.Inc()
 		f.rec.OpsApplied.Add(uint64(len(ops)))
