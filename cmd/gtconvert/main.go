@@ -6,6 +6,11 @@
 //	gtconvert -in graph.snap -out graph.txt            # snapshot -> text
 //	gtconvert -in graph.txt -stats                     # parse + summarize
 //	gtconvert -in mm.mtx -base 1 -symmetrize -out g.snap
+//	gtconvert -in old.snap -out new.snap               # upgrade a snapshot
+//
+// Snapshots are read in any format ever written (a sharded store's
+// shards merge into one graph) and written in the current one, so a
+// snapshot-to-snapshot run is the one-shot upgrade of an old file.
 //
 // Formats are inferred from file extensions (.snap = snapshot, anything
 // else = text edge list) and overridable with -infmt/-outfmt.

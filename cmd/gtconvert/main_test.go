@@ -87,3 +87,34 @@ func TestLoadSaveErrors(t *testing.T) {
 		t.Fatalf("bogus output format accepted")
 	}
 }
+
+// TestUpgradeLegacySnapshots is the one-shot upgrade: a snapshot-to-
+// snapshot run reads either legacy fixture and writes the current format.
+func TestUpgradeLegacySnapshots(t *testing.T) {
+	for _, fixture := range []string{"graph_gtk1.gts", "parallel_v1.gts"} {
+		t.Run(fixture, func(t *testing.T) {
+			old, err := load(filepath.Join("..", "..", "internal", "core", "testdata", fixture), "snap", 0, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := filepath.Join(t.TempDir(), "new.snap")
+			if err := save(old, out, "snap"); err != nil {
+				t.Fatal(err)
+			}
+			raw, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(raw[:4]) != "SPTG" || raw[4] != 2 { // "GTPS" little-endian, version 2
+				t.Fatalf("upgraded file starts %q v%d, want GTPS v2", raw[:4], raw[4])
+			}
+			upgraded, err := load(out, "snap", 0, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if upgraded.NumEdges() != old.NumEdges() || old.NumEdges() == 0 {
+				t.Fatalf("upgrade kept %d of %d edges", upgraded.NumEdges(), old.NumEdges())
+			}
+		})
+	}
+}

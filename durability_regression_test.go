@@ -1,12 +1,15 @@
 package graphtinker_test
 
 // Regression tests for durability-layer edge cases: stuck snapshot GC
-// must be visible to operators, and Crash racing an in-flight Checkpoint
-// must leave the directory recoverable with no leaked handles or temp
-// files.
+// must be visible to operators, Crash racing an in-flight Checkpoint must
+// leave the directory recoverable with no leaked handles or temp files,
+// and a session directory from before the one snapshot format must
+// recover and upgrade.
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,6 +18,8 @@ import (
 
 	graphtinker "graphtinker"
 	"graphtinker/internal/faultinject"
+	"graphtinker/internal/testutil"
+	"graphtinker/internal/wal"
 )
 
 // TestSnapshotGCFailureCounted pins the removeStaleSnapshots fix: a
@@ -221,4 +226,85 @@ func TestAutoCheckpointOncePerThreshold(t *testing.T) {
 	if err != nil || len(snaps) != 1 {
 		t.Fatalf("snapshots on disk: %v (%v), want one", snaps, err)
 	}
+}
+
+func TestSessionRecoverUpgradesGTK1Snapshot(t *testing.T) {
+	// Hand-build a session directory the way a build that still wrote GTK1
+	// would have left it: a lone-graph checkpoint bound by the manifest, no
+	// WAL tail. The checkpoint bytes are internal/core/testdata/
+	// graph_gtk1.gts, the GTK1 dump of v1FixtureOps on one graph.
+	dir := t.TempDir()
+	gtk1, err := os.ReadFile(filepath.Join("internal", "core", "testdata", "graph_gtk1.gts"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := fmt.Sprintf("snap-%016x.gts", 5000)
+	if err := os.WriteFile(filepath.Join(dir, name), gtk1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	crc, size, err := wal.FileCRC(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.WriteManifest(dir, wal.Manifest{
+		Snapshot: name, LastLSN: 5000,
+		SnapshotCRC: crc, SnapshotBytes: size, Shards: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := graphtinker.NewSession(graphtinker.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := s.Recover(dir)
+	if err != nil {
+		t.Fatalf("recover over a GTK1 snapshot: %v", err)
+	}
+	if !info.Recovered || info.SnapshotOps != 5000 || info.ReplayedOps != 0 {
+		t.Fatalf("GTK1 recovery info %+v, want Recovered with 5000 snapshot ops", info)
+	}
+	ref := oracleOver(v1FixtureOps())
+	testutil.CheckAgainstRef(t, s.Graph(), ref)
+
+	// One logged batch, then a checkpoint: the directory upgrades in place
+	// to a one-section v2 file.
+	var b graphtinker.Batch
+	for i := uint64(0); i < 100; i++ {
+		b.Insert = append(b.Insert, graphtinker.Edge{Src: 900 + i%7, Dst: i, Weight: float32(i)})
+		ref.Insert(900+i%7, i, float32(i))
+	}
+	if out := s.ApplyBatch(b); out.DurabilityErr != nil {
+		t.Fatal(out.DurabilityErr)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+	if v := snapshotVersion(t, dir); v != 2 {
+		t.Fatalf("post-upgrade checkpoint is v%d, want v2", v)
+	}
+	m, _, err := wal.LoadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, m.Snapshot))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shards := binary.LittleEndian.Uint32(raw[6:]); shards != 1 || m.Shards != 1 {
+		t.Fatalf("upgraded snapshot holds %d sections and the manifest says Shards: %d, want 1 and 1", shards, m.Shards)
+	}
+
+	re, err := graphtinker.NewSession(graphtinker.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := re.Recover(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer re.CloseDurability()
+	testutil.CheckAgainstRef(t, re.Graph(), ref)
 }

@@ -106,9 +106,10 @@ type CSR = core.CSR
 // (see Graph.AnalyzeProbes).
 type ProbeHistogram = core.ProbeHistogram
 
-// ReadSnapshot reconstructs a graph from a stream written by
-// Graph.WriteSnapshot; a non-nil override replaces the stored
-// configuration.
+// ReadSnapshot reconstructs a graph from a snapshot written by
+// Graph.WriteSnapshot or Parallel.WriteSnapshot (whose shards it merges
+// into one graph) — one format, older files included; a non-nil override
+// replaces the stored configuration.
 func ReadSnapshot(r io.Reader, override *Config) (*Graph, error) {
 	return core.ReadSnapshot(r, override)
 }

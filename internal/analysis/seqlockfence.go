@@ -1,10 +1,11 @@
 package analysis
 
-// seqlockfence: internal/core's readers are lock-free. A shard's two
-// graph replicas (shardCtl.inst) may only be touched through the seqlock
-// protocol in seqlock.go — pinRead validates the version counter before
-// handing out a replica, and the publish/drain sequence is the only
-// writer-side transition. A raw `sc.inst[...]` anywhere else is a read
+// seqlockfence: internal/core's readers are lock-free. A shard's replica
+// slots (shardCtl.inst — one live replica in SINGLE mode, two in DUAL)
+// may only be touched through the seqlock protocol in seqlock.go —
+// pinRead validates the version counter before handing out a replica, and
+// the in-place apply and the publish/drain sequence are the only
+// writer-side transitions. A raw `sc.inst[...]` anywhere else is a read
 // outside a version-validated region: it can observe a replica mid-apply
 // and resurrect exactly the torn-read class the seqlock removed. The
 // check also bans sync.RWMutex read-side calls (RLock/RUnlock/TryRLock/

@@ -1,7 +1,8 @@
 package core
 
-// Bulk construction of an unpublished replica: snapshot recovery for the
-// v2 parallel format, and the seqlock's SINGLE -> DUAL promotion.
+// Bulk construction of an unpublished instance: snapshot recovery (every
+// v2 section, for a Parallel shard or a lone graph alike), and the
+// seqlock's SINGLE -> DUAL promotion.
 //
 // The seqlock write protocol (seqlock.go) exists to protect concurrent
 // readers. A replica nobody can reach yet needs none of it: during recovery
@@ -28,29 +29,41 @@ import (
 	"graphtinker/internal/faultinject"
 )
 
-// bulkLoadSection decodes one shard's section into the shard's replica.
-// Caller guarantees the store is not yet published and that the
-// section's sources route to this shard under the store's partition.
-func (p *Parallel) bulkLoadSection(ra io.ReaderAt, shard int, sec v2Section) error {
-	// The failpoint models a crash or fault mid-parallel-load: recovery
-	// dies here with other section loads in flight, and the directory must
-	// remain recoverable by a later open.
+// loadSection is the one section loader: it CRC-checks the v2 section
+// numbered shard and bulk-builds its runs into g, which no reader can
+// reach yet. A
+// Parallel loads each section into its own shard's replica and passes the
+// partition as owner, so a source routed elsewhere fails the load; a lone
+// graph loads every section into itself and passes nil.
+func loadSection(ra io.ReaderAt, shard int, sec v2Section, g *GraphTinker, owner func(src uint64) int) error {
+	// The failpoint models a crash or fault mid-load: recovery dies here
+	// with other section loads in flight, and the directory must remain
+	// recoverable by a later open.
 	if err := faultinject.Inject("recovery/bulk-load"); err != nil {
-		return fmt.Errorf("core: parallel snapshot shard %d bulk load: %w", shard, err)
+		return fmt.Errorf("core: snapshot shard %d bulk load: %w", shard, err)
 	}
 	buf, err := readV2Section(ra, shard, sec)
 	if err != nil {
 		return err
 	}
-	g := p.sc[shard].quiescedInstance()
-	g.reserveVertices(int(sec.sources))
-	return decodeV2Runs(buf, shard, sec, func(src uint64, run []Edge) error {
-		if owner := p.shardOf(src); owner != shard {
-			return fmt.Errorf("core: parallel snapshot shard %d section contains source %d owned by shard %d (section at byte offset %d)", shard, src, owner, sec.off)
+	before := g.NumEdges()
+	g.reserveVertices(len(g.cont) + int(sec.sources))
+	if err := decodeV2Runs(buf, shard, sec, func(src uint64, run []Edge) error {
+		if owner != nil && owner(src) != shard {
+			return fmt.Errorf("core: snapshot shard %d section contains source %d owned by shard %d (section at byte offset %d)", shard, src, owner(src), sec.off)
 		}
 		g.bulkInsertRun(src, run)
 		return nil
-	})
+	}); err != nil {
+		return err
+	}
+	// The bulk path skips the seqlock protocol and every per-op check, so
+	// verify its outcome: the section must add exactly the edges the table
+	// promised (duplicate destinations would silently collapse).
+	if got := g.NumEdges() - before; got != sec.edges {
+		return fmt.Errorf("core: snapshot shard %d bulk load produced %d edges, section table says %d (duplicate records?)", shard, got, sec.edges)
+	}
+	return nil
 }
 
 // bulkInsertRun inserts one source's complete edge run, choosing the

@@ -28,6 +28,11 @@ const (
 	DefaultWorkblockSize = 4
 	DefaultCALGroupSize  = 1024
 	DefaultCALBlockSize  = 256
+
+	// maxBlockCells caps PageWidth and CALBlockSize: storage is allocated
+	// in chunks of a thousand blocks, so a width near 2^62 — say, read from
+	// a crafted snapshot — would otherwise panic the first insert.
+	maxBlockCells = 1 << 16
 )
 
 // DeleteMode selects between the two edge-deletion mechanisms of Sec. III.C.
@@ -60,7 +65,7 @@ func (m DeleteMode) String() string {
 // call DefaultConfig and adjust.
 type Config struct {
 	// PageWidth is the number of edge cells in one edgeblock. Must be a
-	// power of two and a multiple of SubblockSize.
+	// power of two, a multiple of SubblockSize, and at most 65536.
 	PageWidth int
 	// SubblockSize is the number of edge cells in one subblock. Must be a
 	// power of two and a multiple of WorkblockSize. A subblock is the unit
@@ -85,7 +90,8 @@ type Config struct {
 	// CALGroupSize is the number of consecutive dense source ids that share
 	// one CAL group (the paper's example uses 1024).
 	CALGroupSize int
-	// CALBlockSize is the number of edge slots per CAL block.
+	// CALBlockSize is the number of edge slots per CAL block (at most
+	// 65536).
 	CALBlockSize int
 
 	// DeleteMode selects the deletion mechanism.
@@ -179,6 +185,9 @@ func (c Config) Validate() error {
 	if c.WorkblockSize <= 0 || bits.OnesCount(uint(c.WorkblockSize)) != 1 {
 		return fmt.Errorf("core: WorkblockSize %d must be a positive power of two", c.WorkblockSize)
 	}
+	if c.PageWidth > maxBlockCells {
+		return fmt.Errorf("core: PageWidth %d exceeds %d cells", c.PageWidth, maxBlockCells)
+	}
 	if c.PageWidth < c.SubblockSize {
 		return fmt.Errorf("core: PageWidth %d smaller than SubblockSize %d", c.PageWidth, c.SubblockSize)
 	}
@@ -192,8 +201,8 @@ func (c Config) Validate() error {
 		if c.CALGroupSize <= 0 {
 			return fmt.Errorf("core: CALGroupSize %d must be positive", c.CALGroupSize)
 		}
-		if c.CALBlockSize <= 0 {
-			return fmt.Errorf("core: CALBlockSize %d must be positive", c.CALBlockSize)
+		if c.CALBlockSize <= 0 || c.CALBlockSize > maxBlockCells {
+			return fmt.Errorf("core: CALBlockSize %d must be in [1, %d]", c.CALBlockSize, maxBlockCells)
 		}
 	}
 	if c.InitialVertexCapacity < 0 {

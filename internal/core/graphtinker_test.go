@@ -25,6 +25,8 @@ func TestConfigValidation(t *testing.T) {
 		{"subblock below workblock", func(c *Config) { c.SubblockSize = 4; c.WorkblockSize = 8 }},
 		{"zero CAL group", func(c *Config) { c.CALGroupSize = 0 }},
 		{"zero CAL block", func(c *Config) { c.CALBlockSize = 0 }},
+		{"huge page width", func(c *Config) { c.PageWidth = 1 << 40 }},
+		{"huge CAL block", func(c *Config) { c.CALBlockSize = 0x3030303030303030 }},
 		{"negative vertex capacity", func(c *Config) { c.InitialVertexCapacity = -1 }},
 		{"bogus delete mode", func(c *Config) { c.DeleteMode = DeleteMode(99) }},
 	}

@@ -77,11 +77,6 @@ func TestSnapshotConfigOverride(t *testing.T) {
 }
 
 func TestSnapshotRejectsGarbage(t *testing.T) {
-	cases := map[string][]byte{
-		"empty":     {},
-		"bad magic": []byte("NOTASNAPSHOTFILE____________________"),
-		"truncated": nil, // filled below
-	}
 	gt := MustNew(DefaultConfig())
 	gt.InsertEdge(1, 2, 3)
 	var buf bytes.Buffer
@@ -89,19 +84,21 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
-	cases["truncated"] = full[:len(full)-5]
+	badVersion := append([]byte(nil), full...)
+	badVersion[4] = 0xff // the v2 version field is bytes 4..5
 
-	for name, data := range cases {
-		if _, err := ReadSnapshot(bytes.NewReader(data), nil); err == nil {
-			t.Fatalf("case %q: garbage accepted", name)
+	for name, tc := range map[string]struct {
+		data []byte
+		want string
+	}{
+		"empty":       {nil, "header truncated at byte offset 0"},
+		"bad magic":   {[]byte("NOTASNAPSHOTFILE____________________"), "not a GraphTinker snapshot"},
+		"truncated":   {full[:len(full)-5], "footer magic"},
+		"bad version": {badVersion, "unsupported snapshot version 255"},
+	} {
+		if _, err := ReadSnapshot(bytes.NewReader(tc.data), nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("case %q: got %v, want an error mentioning %q", name, err, tc.want)
 		}
-	}
-
-	// Corrupted version field.
-	bad := append([]byte(nil), full...)
-	bad[4] = 0xff
-	if _, err := ReadSnapshot(bytes.NewReader(bad), nil); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("bad version accepted: %v", err)
 	}
 }
 
