@@ -87,7 +87,6 @@ func (d Diagnostic) String() string {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		LockHold,
-		AtomicMix,
 		FailpointReg,
 		ErrWrapDiscipline,
 		ClockBan,

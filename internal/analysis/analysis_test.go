@@ -104,10 +104,6 @@ func TestLockHold(t *testing.T) {
 	checkFixture(t, "lockhold", []*Analyzer{LockHold})
 }
 
-func TestAtomicMix(t *testing.T) {
-	checkFixture(t, "atomicmix", []*Analyzer{AtomicMix})
-}
-
 func TestFailpointReg(t *testing.T) {
 	saved := failpointNames
 	resetFailpointState(map[string]bool{"wal/append": true, "ingest/apply": true})

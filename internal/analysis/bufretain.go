@@ -35,7 +35,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -58,8 +57,8 @@ type ifaceSig struct {
 }
 
 type bufRetainCtx struct {
-	mp *ModulePass
-	cg *CallGraph
+	mp    *ModulePass
+	funcs map[string]*FuncNode
 	// markedFuncs maps function key -> no-retention parameter indexes.
 	markedFuncs map[string]map[int]bool
 	// markedIfaces maps interface method name+signature -> indexes; used
@@ -71,20 +70,15 @@ type bufRetainCtx struct {
 func runBufRetain(mp *ModulePass) {
 	ctx := &bufRetainCtx{
 		mp:           mp,
-		cg:           BuildCallGraph(mp.Packages),
+		funcs:        declaredFuncs(mp.Packages),
 		markedFuncs:  make(map[string]map[int]bool),
 		markedIfaces: make(map[ifaceSig]map[int]bool),
 	}
 	ctx.collectMarkers()
 	ctx.inheritInterfaceContracts()
 
-	keys := make([]string, 0, len(ctx.markedFuncs))
-	for k := range ctx.markedFuncs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		fn, ok := ctx.cg.Funcs[key]
+	for _, key := range sortedKeys(ctx.markedFuncs) {
+		fn, ok := ctx.funcs[key]
 		if !ok {
 			continue // marked interface method: no body to analyze
 		}
@@ -213,7 +207,7 @@ func (c *bufRetainCtx) inheritInterfaceContracts() {
 	if len(c.markedIfaces) == 0 {
 		return
 	}
-	for key, node := range c.cg.Funcs {
+	for key, node := range c.funcs {
 		if node.Decl.Recv == nil {
 			continue
 		}

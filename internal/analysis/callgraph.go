@@ -1,6 +1,6 @@
 package analysis
 
-// Module-wide call graph over string function keys. The loader
+// Function identity and call resolution across the module. The loader
 // type-checks each package twice (once as an import dependency without
 // test files, once as the test-inclusive analysis unit), so *types.Func
 // identity does NOT hold across packages — two views of the same
@@ -11,24 +11,14 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"sort"
 	"strings"
 )
 
 // FuncNode is one declared function or method in the module.
 type FuncNode struct {
-	Key  string
 	Decl *ast.FuncDecl
 	Pkg  *Package
-}
-
-// CallGraph indexes every function declaration in the loaded packages
-// and the statically-resolvable module-local calls between them.
-type CallGraph struct {
-	// Funcs maps function key to its declaration.
-	Funcs map[string]*FuncNode
-	// Calls maps a function key to the keys of module-local functions it
-	// calls directly (outside nested function literals), deduplicated.
-	Calls map[string][]string
 }
 
 // funcKey renders the cross-universe-stable key of a function object.
@@ -43,15 +33,11 @@ func funcKey(fn *types.Func) string {
 	return pkg.Path() + "." + fn.Name()
 }
 
-// BuildCallGraph indexes the packages' function declarations and their
-// module-local call edges. Test files (_test.go) are excluded: the
-// concurrency invariants the module analyzers enforce are production
-// contracts.
-func BuildCallGraph(pkgs []*Package) *CallGraph {
-	cg := &CallGraph{
-		Funcs: make(map[string]*FuncNode),
-		Calls: make(map[string][]string),
-	}
+// declaredFuncs indexes the packages' function declarations by key. Test
+// files (_test.go) are excluded: the concurrency invariants the module
+// analyzers enforce are production contracts.
+func declaredFuncs(pkgs []*Package) map[string]*FuncNode {
+	funcs := make(map[string]*FuncNode)
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			if isTestFile(pkg, f) {
@@ -66,47 +52,62 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 				if !ok {
 					continue
 				}
-				key := funcKey(fn)
-				if key == "" {
-					continue
+				if key := funcKey(fn); key != "" {
+					funcs[key] = &FuncNode{Decl: fd, Pkg: pkg}
 				}
-				cg.Funcs[key] = &FuncNode{Key: key, Decl: fd, Pkg: pkg}
-				cg.Calls[key] = collectCalls(pkg, fd.Body)
 			}
 		}
 	}
-	return cg
+	return funcs
 }
 
-// collectCalls lists the module-local callee keys reachable from body,
-// skipping nested function literals (their calls run in their own
-// goroutine/deferred context and are analyzed separately).
-func collectCalls(pkg *Package, body *ast.BlockStmt) []string {
-	seen := make(map[string]bool)
-	var out []string
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.CallExpr:
-			if key := calleeKey(pkg, n); key != "" && !seen[key] {
-				seen[key] = true
-				out = append(out, key)
-			}
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// calleeFunc resolves a call expression to its *types.Func when the
+// callee is statically known (plain call or method call; not a func
+// value or interface dispatch on an unknown concrete type).
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		if fn, ok := info.Uses[fun].(*types.Func); ok {
+			return fn
 		}
-		return true
-	})
-	return out
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[fun]; ok {
+			if fn, ok := sel.Obj().(*types.Func); ok {
+				return fn
+			}
+			return nil
+		}
+		// Package-qualified call: time.Sleep, os.Remove, ...
+		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
+			return fn
+		}
+	}
+	return nil
 }
 
-// calleeKey resolves a call to the key of a module-local function, or ""
-// when the callee is external, dynamic, or an interface method.
-func calleeKey(pkg *Package, call *ast.CallExpr) string {
-	fn := calleeFunc(pkg.Info, call)
-	if fn == nil || fn.Pkg() == nil {
+// recvNamed returns the name of a method's receiver type, or "".
+func recvNamed(fn *types.Func) string {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
 		return ""
 	}
-	return funcKey(fn)
+	t := sig.Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Obj().Name()
+	}
+	return ""
 }
 
 // isTestFile reports whether the file is a _test.go file.

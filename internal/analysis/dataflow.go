@@ -3,7 +3,7 @@ package analysis
 // Forward dataflow over the CFG. One worklist fixpoint serves both
 // lattice polarities used by the checks:
 //
-//   - must-analysis (lockhold's held-lock sets): meet is intersection,
+//   - must-analysis (lockflow.go's held-lock sets): meet is intersection,
 //     an undefined block state is TOP, so predecessors that have not
 //     been reached yet simply don't constrain the meet;
 //   - may-analysis (bufretain's taint sets): meet is union, an

@@ -8,24 +8,20 @@ package analysis
 // its mutex while parked, which is the sanctioned way to block under a
 // lock.
 //
-// The check is intraprocedural over a must-hold approximation: a lock is
-// considered held at a point only when every path from its Lock() reaches
-// that point without an Unlock(). Deferred unlocks hold to function exit.
-// Cross-package calls are NOT considered blocking — an API's internal
-// waiting is that package's own contract — so the check encodes "don't
-// hold YOUR lock across YOUR scheduling points".
+// This is a report over the shared held-lock engine (lockflow.go),
+// reading each lock by its expression. Cross-package calls are NOT
+// considered blocking — an API's internal waiting is that package's own
+// contract — so the check encodes "don't hold YOUR lock across YOUR
+// scheduling points".
 //
-// The must-hold sets are computed on the shared CFG (cfg.go) by the
-// forward dataflow solver (dataflow.go) with intersection meet, then a
-// single report pass replays each reachable block from its converged
-// entry state. Nested function literals are separate contexts analyzed
-// with an empty held set: a goroutine or deferred closure does not hold
-// its spawner's locks.
+// A blocking callee is described by its first blocking op in source
+// order, chosen only after the same-package closure has converged, so a
+// message never depends on map order. A function already on the chain
+// being described is skipped, which ends mutual recursion.
 
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 	"strings"
@@ -48,363 +44,101 @@ var LockHold = &Analyzer{
 	Run: runLockHold,
 }
 
-type lockholdCtx struct {
+type lockHold struct {
 	pass *Pass
-	// blocking maps same-package functions to a short description of the
-	// blocking operation they (transitively) perform.
-	blocking map[*types.Func]string
-	decls    map[*types.Func]*ast.FuncDecl
+	// own holds each function's blocking ops and same-package calls
+	// outside nested literals, in source order.
+	own map[string][]flowEvent
+	// blocks holds the blocking ops each function may reach.
+	blocks map[string]map[string]bool
+	descs  map[string]string
 }
 
 func runLockHold(pass *Pass) {
-	ctx := &lockholdCtx{
-		pass:     pass,
-		blocking: make(map[*types.Func]string),
-		decls:    make(map[*types.Func]*ast.FuncDecl),
+	lh := &lockHold{
+		pass:   pass,
+		own:    make(map[string][]flowEvent),
+		blocks: make(map[string]map[string]bool),
+		descs:  make(map[string]string),
 	}
+	calls := make(map[string][]string)
+	var bodies [][]flowEvent
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			if obj, ok := pass.Info.Defs[fd.Name].(*types.Func); ok {
-				ctx.decls[obj] = fd
-			}
-		}
-	}
-
-	// Fixed point: seed with direct blockers, then propagate through
-	// same-package calls until nothing changes.
-	for {
-		changed := false
-		for obj, fd := range ctx.decls {
-			if _, done := ctx.blocking[obj]; done {
+			fn, ok := pass.Info.Defs[fd.Name].(*types.Func)
+			if !ok {
 				continue
 			}
-			if desc := ctx.directOrTransitiveBlock(fd); desc != "" {
-				ctx.blocking[obj] = desc
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-
-	for _, fd := range ctx.decls {
-		ctx.analyzeBody(fd.Body)
-	}
-}
-
-// analyzeBody runs the CFG-based must-hold analysis over one function
-// (or function-literal) body.
-func (c *lockholdCtx) analyzeBody(body *ast.BlockStmt) {
-	cfg := BuildCFG(body)
-	ins := SolveForward(cfg, map[string]token.Pos{}, intersectHeld, copyHeld, equalHeld,
-		func(b *CFGBlock, in map[string]token.Pos) map[string]token.Pos {
-			c.applyBlock(cfg, b, in, false)
-			return in
-		})
-	reach := cfg.Reachable()
-	for _, b := range cfg.Blocks {
-		if !reach[b] {
-			continue
-		}
-		in, ok := ins[b]
-		if !ok {
-			continue
-		}
-		c.applyBlock(cfg, b, copyHeld(in), true)
-	}
-}
-
-// applyBlock replays one block's nodes in evaluation order, mutating the
-// held set. With report set it also emits diagnostics and descends into
-// nested function literals (each analyzed once, from its own block).
-func (c *lockholdCtx) applyBlock(cfg *CFG, b *CFGBlock, held map[string]token.Pos, report bool) {
-	for _, n := range b.Nodes {
-		if cfg.Comm[n] {
-			// Select comm clause: the blocking operation was already
-			// accounted to the SelectStmt node in the head block.
-			continue
-		}
-		switch n := n.(type) {
-		case *ast.ExprStmt:
-			c.scanExpr(n.X, held, report)
-		case *ast.SendStmt:
-			c.scanExpr(n.Chan, held, report)
-			c.scanExpr(n.Value, held, report)
-			c.reportIfHeld(held, n.Arrow, "channel send", report)
-		case *ast.AssignStmt:
-			for _, e := range n.Rhs {
-				c.scanExpr(e, held, report)
-			}
-			for _, e := range n.Lhs {
-				c.scanExpr(e, held, report)
-			}
-		case *ast.IncDecStmt:
-			c.scanExpr(n.X, held, report)
-		case *ast.DeclStmt:
-			if gd, ok := n.Decl.(*ast.GenDecl); ok {
-				for _, spec := range gd.Specs {
-					if vs, ok := spec.(*ast.ValueSpec); ok {
-						for _, e := range vs.Values {
-							c.scanExpr(e, held, report)
-						}
-					}
+			key := funcKey(fn)
+			events := lockFlow(pass.Info, fd.Body)
+			bodies = append(bodies, events)
+			for _, ev := range events {
+				switch {
+				case ev.nested:
+					continue
+				case ev.kind == flowBlock:
+					addFact(lh.blocks, key, ev.desc)
+				case ev.kind == flowCall && ev.callee.Pkg() == pass.Pkg:
+					calls[key] = append(calls[key], funcKey(ev.callee))
+				default:
+					continue
 				}
+				lh.own[key] = append(lh.own[key], ev)
 			}
-		case *ast.ReturnStmt:
-			for _, e := range n.Results {
-				c.scanExpr(e, held, report)
+			sort.SliceStable(lh.own[key], func(i, j int) bool { return lh.own[key][i].pos < lh.own[key][j].pos })
+		}
+	}
+	closeOverCalls(lh.blocks, calls)
+
+	for _, events := range bodies {
+		for _, ev := range events {
+			held := ev.held.names(false)
+			desc := ev.desc
+			switch {
+			case len(held) == 0:
+				continue
+			case ev.kind == flowBlock && desc == "select":
+				desc = "select (blocking)"
+			case ev.kind == flowCall && ev.callee.Pkg() == pass.Pkg:
+				desc = lh.callDesc(ev.callee, map[string]bool{})
 			}
-		case *ast.DeferStmt:
-			// defer mu.Unlock() keeps the lock held to function exit: no
-			// state change. A deferred closure is its own empty-held context.
-			if lit, ok := n.Call.Fun.(*ast.FuncLit); ok && report {
-				c.analyzeBody(lit.Body)
+			if desc == "" {
+				continue
 			}
-		case *ast.GoStmt:
-			if lit, ok := n.Call.Fun.(*ast.FuncLit); ok && report {
-				c.analyzeBody(lit.Body)
+			for _, h := range held {
+				pass.Reportf(ev.pos, "%s while holding %s", desc, h)
 			}
-		case *ast.SelectStmt:
-			if !selectHasDefault(n) {
-				c.reportIfHeld(held, n.Select, "select (blocking)", report)
-			}
-		case *ast.RangeStmt:
-			// The range expression was scanned in the predecessor block;
-			// the per-iteration assignment carries no lock events.
-		case ast.Expr: // if/for conditions, switch tags
-			c.scanExpr(n, held, report)
 		}
 	}
 }
 
-// scanExpr walks one expression for blocking operations and lock state
-// transitions, in source order.
-func (c *lockholdCtx) scanExpr(e ast.Expr, held map[string]token.Pos, report bool) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			if report {
-				c.analyzeBody(n.Body)
-			}
-			return false
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				c.reportIfHeld(held, n.OpPos, "channel receive", report)
-			}
-		case *ast.CallExpr:
-			if key, op, ok := c.lockOp(n); ok {
-				switch op {
-				case "Lock", "RLock":
-					held[key] = n.Pos()
-				case "Unlock", "RUnlock":
-					delete(held, key)
-				}
-				return false
-			}
-			if desc := c.callBlocks(n); desc != "" {
-				c.reportIfHeld(held, n.Pos(), desc, report)
-			}
-		}
-		return true
-	})
-}
-
-// directOrTransitiveBlock scans a function body (ignoring nested function
-// literals) for a blocking operation, returning its description.
-func (c *lockholdCtx) directOrTransitiveBlock(fd *ast.FuncDecl) string {
-	desc := ""
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if desc != "" {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false // separate goroutine/closure; analyzed on its own
-		case *ast.SendStmt:
-			desc = "channel send"
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				desc = "channel receive"
-			}
-		case *ast.SelectStmt:
-			if !selectHasDefault(n) {
-				desc = "select"
-			}
-		case *ast.CallExpr:
-			if d := c.callBlocks(n); d != "" {
-				desc = d
-			}
-		}
-		return desc == ""
-	})
-	return desc
-}
-
-// callBlocks reports whether the call is a blocking operation, either
-// directly or via a same-package callee already known to block.
-func (c *lockholdCtx) callBlocks(call *ast.CallExpr) string {
-	fn := calleeFunc(c.pass.Info, call)
-	if fn == nil {
+// callDesc renders a call to a same-package function that blocks, or ""
+// when it does not block other than through chain.
+func (lh *lockHold) callDesc(fn *types.Func, chain map[string]bool) string {
+	key := funcKey(fn)
+	if len(lh.blocks[key]) == 0 || chain[key] {
 		return ""
 	}
-	if d := wellKnownBlocker(fn); d != "" {
-		return d
-	}
-	if fn.Pkg() == c.pass.Pkg {
-		if via, ok := c.blocking[fn]; ok {
-			return fmt.Sprintf("call to %s (blocks: %s)", fn.Name(), via)
-		}
-	}
-	return ""
-}
-
-// wellKnownBlocker classifies stdlib calls that park the goroutine or hit
-// a slow syscall.
-func wellKnownBlocker(fn *types.Func) string {
-	pkg := fn.Pkg()
-	if pkg == nil {
-		return ""
-	}
-	switch pkg.Path() {
-	case "time":
-		if fn.Name() == "Sleep" {
-			return "time.Sleep"
-		}
-	case "os":
-		if fn.Name() == "Sync" && recvNamed(fn) == "File" {
-			return "(*os.File).Sync (fsync)"
-		}
-	case "sync":
-		if fn.Name() == "Wait" && recvNamed(fn) == "WaitGroup" {
-			return "(*sync.WaitGroup).Wait"
-		}
-	}
-	return ""
-}
-
-// recvNamed returns the name of a method's receiver type, or "".
-func recvNamed(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return ""
-}
-
-// calleeFunc resolves a call expression to its *types.Func when the
-// callee is statically known (plain call or method call; not a func
-// value or interface dispatch on an unknown concrete type).
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			return fn
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok {
-			if fn, ok := sel.Obj().(*types.Func); ok {
-				return fn
+	d, ok := lh.descs[key]
+	if !ok {
+		chain[key] = true
+		for _, ev := range lh.own[key] {
+			if d = ev.desc; ev.kind == flowCall {
+				d = lh.callDesc(ev.callee, chain)
 			}
-			return nil
+			if d != "" {
+				break
+			}
 		}
-		// Package-qualified call: time.Sleep, os.Remove, ...
-		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return fn
+		delete(chain, key)
+		if d == "" {
+			return ""
 		}
+		lh.descs[key] = d
 	}
-	return nil
-}
-
-func selectHasDefault(s *ast.SelectStmt) bool {
-	for _, c := range s.Body.List {
-		if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-			return true
-		}
-	}
-	return false
-}
-
-// lockOp classifies mu.Lock/RLock/Unlock/RUnlock calls on sync.Mutex /
-// sync.RWMutex receivers, returning the lock's identity key.
-func (c *lockholdCtx) lockOp(call *ast.CallExpr) (key, op string, ok bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
-	}
-	name := sel.Sel.Name
-	switch name {
-	case "Lock", "Unlock", "RLock", "RUnlock":
-	default:
-		return "", "", false
-	}
-	fn, isFn := c.pass.Info.Uses[sel.Sel].(*types.Func)
-	if !isFn || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", "", false
-	}
-	recv := recvNamed(fn)
-	if recv != "Mutex" && recv != "RWMutex" {
-		return "", "", false
-	}
-	return types.ExprString(sel.X), name, true
-}
-
-func (c *lockholdCtx) reportIfHeld(held map[string]token.Pos, pos token.Pos, desc string, report bool) {
-	if !report {
-		return
-	}
-	keys := make([]string, 0, len(held))
-	for k := range held {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		c.pass.Reportf(pos, "%s while holding %s", desc, key)
-	}
-}
-
-func copyHeld(m map[string]token.Pos) map[string]token.Pos {
-	out := make(map[string]token.Pos, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func intersectHeld(a, b map[string]token.Pos) map[string]token.Pos {
-	out := make(map[string]token.Pos)
-	for k, v := range a {
-		if _, ok := b[k]; ok {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-// equalHeld compares key sets only: the stored positions never affect
-// reporting, so convergence is on the lock identities.
-func equalHeld(a, b map[string]token.Pos) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if _, ok := b[k]; !ok {
-			return false
-		}
-	}
-	return true
+	return fmt.Sprintf("call to %s (blocks: %s)", fn.Name(), d)
 }

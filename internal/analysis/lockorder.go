@@ -2,11 +2,12 @@ package analysis
 
 // lockorder: the module's mutexes must be acquired in one global order.
 //
-// Every function is analyzed on its CFG with the must-hold dataflow:
-// acquiring lock B while provably holding lock A observes the ordering
-// edge A -> B. Acquisitions are also propagated through the module call
-// graph — calling a function that (transitively) acquires B while
-// holding A observes the same edge. Locks are named canonically:
+// This is a report over the shared held-lock engine (lockflow.go),
+// reading each lock by its canonical name: acquiring lock B while
+// provably holding lock A observes the ordering edge A -> B. Acquisitions
+// are also closed over the module's calls — calling a function that
+// (transitively) acquires B while holding A observes the same edge. Locks
+// are named canonically:
 //
 //   - struct-field mutexes:  pkg.Type.field   (core.Parallel.wmu — the
 //     index of a per-shard mutex slice is peeled, so all shards share
@@ -27,9 +28,7 @@ package analysis
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
-	"go/types"
 	"os"
 	"path/filepath"
 	"sort"
@@ -51,33 +50,49 @@ type lockEdge struct {
 }
 
 func runLockOrder(mp *ModulePass) {
-	cg := BuildCallGraph(mp.Packages)
-	ctx := &lockOrderCtx{
-		cg:       cg,
-		edges:    make(map[lockEdge]token.Pos),
-		acquires: make(map[string]map[string]bool),
+	edges := make(map[lockEdge]token.Pos)
+	observe := func(from []string, to string, pos token.Pos) {
+		for _, h := range from {
+			if _, seen := edges[lockEdge{h, to}]; !seen {
+				edges[lockEdge{h, to}] = pos
+			}
+		}
 	}
 
-	// Pass 1: per-function CFG analysis — direct edges, direct acquires,
-	// and calls made under held locks.
-	keys := sortedFuncKeys(cg)
-	for _, key := range keys {
-		fn := cg.Funcs[key]
-		ctx.analyzeFunc(key, fn.Pkg, fn.Decl.Body)
-	}
-
-	// Pass 2: transitive acquisition fixpoint over the call graph.
-	may := ctx.transitiveAcquires()
-
-	// Pass 3: edges induced by calls under held locks.
-	for _, cu := range ctx.callsUnder {
-		for lock := range may[cu.callee] {
-			for _, held := range cu.held {
-				e := lockEdge{from: held, to: lock}
-				if _, ok := ctx.edges[e]; !ok {
-					ctx.edges[e] = cu.pos
+	// Direct edges, direct acquisitions, and the calls made under held
+	// locks, function by function in key order.
+	acquires := make(map[string]map[string]bool)
+	calls := make(map[string][]string)
+	var callsUnder []flowEvent
+	funcs := declaredFuncs(mp.Packages)
+	for _, key := range sortedKeys(funcs) {
+		fn := funcs[key]
+		for _, ev := range lockFlow(fn.Pkg.Info, fn.Decl.Body) {
+			switch ev.kind {
+			case flowAcquire:
+				if ev.lock == "" {
+					continue
+				}
+				if !ev.nested {
+					addFact(acquires, key, ev.lock)
+				}
+				observe(ev.held.names(true), ev.lock, ev.pos)
+			case flowCall:
+				if !ev.nested {
+					calls[key] = append(calls[key], funcKey(ev.callee))
+				}
+				if ev.held != nil {
+					callsUnder = append(callsUnder, ev)
 				}
 			}
+		}
+	}
+
+	// Edges induced by calls under held locks.
+	closeOverCalls(acquires, calls)
+	for _, ev := range callsUnder {
+		for lock := range acquires[funcKey(ev.callee)] {
+			observe(ev.held.names(true), lock, ev.pos)
 		}
 	}
 
@@ -88,16 +103,16 @@ func runLockOrder(mp *ModulePass) {
 	}
 
 	// Findings: observed edges not in the spec.
-	for _, e := range sortedEdges(ctx.edges) {
+	for _, e := range sortedEdges(edges) {
 		if !spec[e] {
-			mp.Reportf(ctx.edges[e], "lock-order edge %s -> %s not in %s (add it deliberately or fix the acquisition order)",
+			mp.Reportf(edges[e], "lock-order edge %s -> %s not in %s (add it deliberately or fix the acquisition order)",
 				e.from, e.to, lockOrderSpecFile)
 		}
 	}
 
 	// Findings: stale spec entries.
 	for _, se := range specLines {
-		if _, ok := ctx.edges[se.edge]; !ok {
+		if _, ok := edges[se.edge]; !ok {
 			mp.ReportAt(token.Position{Filename: filepath.Join(mp.Dir, lockOrderSpecFile), Line: se.line, Column: 1},
 				"stale %s entry: edge %s -> %s is never observed", lockOrderSpecFile, se.edge.from, se.edge.to)
 		}
@@ -106,239 +121,25 @@ func runLockOrder(mp *ModulePass) {
 	// Findings: cycles in the observed graph. Self-edges are allowed when
 	// spec'd (deliberate same-class ordering, e.g. index-ordered shard
 	// locks); multi-lock cycles are always findings.
-	for _, cyc := range lockCycles(edgeSet(ctx.edges)) {
+	for _, cyc := range lockCycles(sortedEdges(edges)) {
 		if len(cyc) == 1 {
 			e := lockEdge{from: cyc[0], to: cyc[0]}
 			if spec[e] {
 				continue
 			}
-			mp.Reportf(ctx.edges[e], "lock-order cycle: %s -> %s (self-edge not sanctioned by %s)",
+			mp.Reportf(edges[e], "lock-order cycle: %s -> %s (self-edge not sanctioned by %s)",
 				cyc[0], cyc[0], lockOrderSpecFile)
 			continue
 		}
 		pos := token.NoPos
-		for _, e := range sortedEdges(ctx.edges) {
+		for _, e := range sortedEdges(edges) {
 			if e.from != e.to && inCycle(cyc, e.from) && inCycle(cyc, e.to) {
-				pos = ctx.edges[e]
+				pos = edges[e]
 				break
 			}
 		}
 		mp.Reportf(pos, "lock-order cycle: %s", strings.Join(append(append([]string{}, cyc...), cyc[0]), " -> "))
 	}
-}
-
-type callUnder struct {
-	callee string
-	held   []string
-	pos    token.Pos
-}
-
-type lockOrderCtx struct {
-	cg    *CallGraph
-	edges map[lockEdge]token.Pos
-	// acquires maps function key -> canonical locks it acquires directly.
-	acquires   map[string]map[string]bool
-	callsUnder []callUnder
-}
-
-// analyzeFunc runs the must-hold pass over one function body, recording
-// direct ordering edges, direct acquisitions, and held-calls. Nested
-// function literals are separate empty-held contexts: their edges and
-// held-calls still count, their acquisitions are not attributed to the
-// enclosing function (they run on another goroutine or at defer time).
-func (c *lockOrderCtx) analyzeFunc(key string, pkg *Package, body *ast.BlockStmt) {
-	if c.acquires[key] == nil && key != "" {
-		c.acquires[key] = make(map[string]bool)
-	}
-	cfg := BuildCFG(body)
-	ins := SolveForward(cfg, map[string]token.Pos{}, intersectHeld, copyHeld, equalHeld,
-		func(b *CFGBlock, in map[string]token.Pos) map[string]token.Pos {
-			c.applyBlock(key, pkg, cfg, b, in, false)
-			return in
-		})
-	reach := cfg.Reachable()
-	for _, b := range cfg.Blocks {
-		if !reach[b] {
-			continue
-		}
-		in, ok := ins[b]
-		if !ok {
-			continue
-		}
-		c.applyBlock(key, pkg, cfg, b, copyHeld(in), true)
-	}
-}
-
-// applyBlock replays one block's lock events. With record set it also
-// emits edges/acquires/held-calls and descends into nested literals.
-func (c *lockOrderCtx) applyBlock(key string, pkg *Package, cfg *CFG, b *CFGBlock, held map[string]token.Pos, record bool) {
-	for _, n := range b.Nodes {
-		if cfg.Comm[n] {
-			continue
-		}
-		// Deferred calls run at function exit; a deferred Unlock keeps the
-		// lock held to exit and a deferred literal is its own context.
-		if d, ok := n.(*ast.DeferStmt); ok {
-			if lit, ok := d.Call.Fun.(*ast.FuncLit); ok && record {
-				c.analyzeFunc("", pkg, lit.Body)
-			}
-			continue
-		}
-		if g, ok := n.(*ast.GoStmt); ok {
-			if lit, ok := g.Call.Fun.(*ast.FuncLit); ok && record {
-				c.analyzeFunc("", pkg, lit.Body)
-			}
-			continue
-		}
-		switch n.(type) {
-		case *ast.RangeStmt, *ast.SelectStmt:
-			// The range expression was scanned in the predecessor block;
-			// select clause bodies are their own blocks.
-			continue
-		}
-		ast.Inspect(n, func(x ast.Node) bool {
-			switch x := x.(type) {
-			case *ast.FuncLit:
-				if record {
-					c.analyzeFunc("", pkg, x.Body)
-				}
-				return false
-			case *ast.CallExpr:
-				if lock, op, ok := canonicalLockOp(pkg.Info, x); ok {
-					switch op {
-					case "Lock", "RLock":
-						if record {
-							if key != "" {
-								c.acquires[key][lock] = true
-							}
-							for h := range held {
-								if _, seen := c.edges[lockEdge{from: h, to: lock}]; !seen {
-									c.edges[lockEdge{from: h, to: lock}] = x.Pos()
-								}
-							}
-						}
-						held[lock] = x.Pos()
-					case "Unlock", "RUnlock":
-						delete(held, lock)
-					}
-					return false
-				}
-				if record && len(held) > 0 {
-					if callee := calleeKey(pkg, x); callee != "" {
-						c.callsUnder = append(c.callsUnder, callUnder{
-							callee: callee,
-							held:   sortedHeld(held),
-							pos:    x.Pos(),
-						})
-					}
-				}
-			}
-			return true
-		})
-	}
-}
-
-// transitiveAcquires closes the direct-acquire sets over the call graph.
-func (c *lockOrderCtx) transitiveAcquires() map[string]map[string]bool {
-	may := make(map[string]map[string]bool, len(c.acquires))
-	for k, locks := range c.acquires {
-		may[k] = make(map[string]bool, len(locks))
-		for l := range locks {
-			may[k][l] = true
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for caller, callees := range c.cg.Calls {
-			for _, callee := range callees {
-				for l := range may[callee] {
-					if may[caller] == nil {
-						may[caller] = make(map[string]bool)
-					}
-					if !may[caller][l] {
-						may[caller][l] = true
-						changed = true
-					}
-				}
-			}
-		}
-	}
-	return may
-}
-
-// canonicalLockOp classifies mu.Lock/RLock/Unlock/RUnlock calls on
-// sync.Mutex/RWMutex receivers and renders the lock's canonical
-// module-wide name. Locks that cannot be named (locals) return ok=false.
-func canonicalLockOp(info *types.Info, call *ast.CallExpr) (lock, op string, ok bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
-	}
-	op = sel.Sel.Name
-	switch op {
-	case "Lock", "Unlock", "RLock", "RUnlock":
-	default:
-		return "", "", false
-	}
-	fn, isFn := info.Uses[sel.Sel].(*types.Func)
-	if !isFn || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", "", false
-	}
-	if recv := recvNamed(fn); recv != "Mutex" && recv != "RWMutex" {
-		return "", "", false
-	}
-	lock = canonicalLockName(info, sel.X)
-	if lock == "" {
-		return "", "", false
-	}
-	return lock, op, true
-}
-
-// canonicalLockName names a mutex expression module-wide: pkg.Type.field
-// for struct fields (indexes and derefs peeled), pkg.var for package
-// variables, "" for locals.
-func canonicalLockName(info *types.Info, e ast.Expr) string {
-	e = ast.Unparen(e)
-	for {
-		switch x := e.(type) {
-		case *ast.IndexExpr:
-			e = ast.Unparen(x.X)
-			continue
-		case *ast.StarExpr:
-			e = ast.Unparen(x.X)
-			continue
-		}
-		break
-	}
-	switch x := e.(type) {
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[x]; ok && sel.Kind() == types.FieldVal {
-			t := sel.Recv()
-			for {
-				if p, ok := t.(*types.Pointer); ok {
-					t = p.Elem()
-					continue
-				}
-				break
-			}
-			if n, ok := t.(*types.Named); ok && n.Obj().Pkg() != nil {
-				return n.Obj().Pkg().Name() + "." + n.Obj().Name() + "." + x.Sel.Name
-			}
-			return ""
-		}
-		if v, ok := info.Uses[x.Sel].(*types.Var); ok && packageLevelVar(v) {
-			return v.Pkg().Name() + "." + v.Name()
-		}
-	case *ast.Ident:
-		if v, ok := info.Uses[x].(*types.Var); ok && packageLevelVar(v) {
-			return v.Pkg().Name() + "." + v.Name()
-		}
-	}
-	return ""
-}
-
-func packageLevelVar(v *types.Var) bool {
-	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
 }
 
 // specEntry is one parsed lockorder.spec line.
@@ -459,15 +260,6 @@ func lockCycles(edges []lockEdge) [][]string {
 	return out
 }
 
-func sortedFuncKeys(cg *CallGraph) []string {
-	keys := make([]string, 0, len(cg.Funcs))
-	for k := range cg.Funcs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 func sortedEdges(m map[lockEdge]token.Pos) []lockEdge {
 	out := make([]lockEdge, 0, len(m))
 	for e := range m {
@@ -482,10 +274,6 @@ func sortedEdges(m map[lockEdge]token.Pos) []lockEdge {
 	return out
 }
 
-func edgeSet(m map[lockEdge]token.Pos) []lockEdge {
-	return sortedEdges(m)
-}
-
 func inCycle(cyc []string, name string) bool {
 	for _, c := range cyc {
 		if c == name {
@@ -493,13 +281,4 @@ func inCycle(cyc []string, name string) bool {
 		}
 	}
 	return false
-}
-
-func sortedHeld(held map[string]token.Pos) []string {
-	out := make([]string, 0, len(held))
-	for k := range held {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

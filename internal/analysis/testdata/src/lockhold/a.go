@@ -117,3 +117,49 @@ func (s *S) GoroutineBody() {
 	}()
 	s.mu.Unlock()
 }
+
+// The chain h <- g <- f: f calls g before its own sleep, so f is
+// described by the call, its first blocking op in source order, whatever
+// order the closure visits the functions in.
+func h() { time.Sleep(time.Millisecond) }
+
+func g() { h() }
+
+func f() {
+	g()
+	time.Sleep(time.Millisecond)
+}
+
+func (s *S) ChainUnderLock() {
+	s.mu.Lock()
+	f() // want:lockhold "call to f (blocks: call to g (blocks: call to h (blocks: time.Sleep))) while holding s.mu"
+	s.mu.Unlock()
+}
+
+// Locks are reported by their expression, which lockorder's canonical
+// names would not tell apart: a read lock, one shard of a mutex slice,
+// and a function-local mutex that lockorder skips.
+type N struct {
+	rw  sync.RWMutex
+	mus []sync.Mutex
+	c   chan int
+}
+
+func (s *N) ReadLockSleep() {
+	s.rw.RLock()
+	time.Sleep(time.Millisecond) // want:lockhold "time.Sleep while holding s.rw"
+	s.rw.RUnlock()
+}
+
+func (s *N) ShardSend(i, v int) {
+	s.mus[i].Lock()
+	s.c <- v // want:lockhold "channel send while holding s.mus[i]"
+	s.mus[i].Unlock()
+}
+
+func (s *N) LocalSend(v int) {
+	var mu sync.Mutex
+	mu.Lock()
+	s.c <- v // want:lockhold "channel send while holding mu"
+	mu.Unlock()
+}

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Repo lint gate: formatting, module tidiness, and the gtlint invariant
-# suite. Exit 0 means the tree is clean; used by the CI lint job and
+# Repo lint gate: formatting, module tidiness, go vet, and the gtlint
+# invariant suite. Exit 0 means the tree is clean; used by the CI lint job and
 # runnable by hand:
 #
 #   scripts/lint.sh
@@ -25,6 +25,11 @@ if ! cmp -s go.mod /tmp/lint-go.mod.bak; then
   exit 1
 fi
 rm -f /tmp/lint-go.mod.bak
+
+echo "== go vet"
+# copylocks covers what gtlint does not check itself: a sync/atomic
+# value (or a mutex) copied by assignment, argument, return or range.
+go vet ./...
 
 echo "== gtlint (diff vs gtlint-baseline.json)"
 # Findings already recorded in the committed baseline are tolerated;

@@ -5,8 +5,9 @@ package graphtinker
 // insert/delete streams; the pipeline coalesces them into batches, flushes
 // on size or time, partitions each flush by the store's shard hash, and
 // applies shards on a fixed pool of per-shard workers. Concurrent readers
-// stay safe throughout (the Parallel store takes per-shard read locks);
-// Flush gives read-your-writes. For per-batch analytics instead of raw
+// stay safe throughout: reads take no lock, and each runs on a
+// version-pinned replica that no writer is changing. Flush gives
+// read-your-writes. For per-batch analytics instead of raw
 // throughput, see Session.StartStream.
 
 import "graphtinker/internal/ingest"
