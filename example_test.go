@@ -88,8 +88,8 @@ func ExampleNewParallel() {
 
 // The delete-and-compact mechanism keeps the structure dense as the graph
 // shrinks. The block representation is pinned so the example shows the
-// paper's compactor; under the adaptive default the drained vertex would
-// demote to a slice and free even its top-parent block.
+// paper's compactor; under the adaptive default the vertex would never
+// enter the block format at all.
 func ExampleConfig_deleteAndCompact() {
 	cfg := graphtinker.DefaultConfig()
 	cfg.DeleteMode = graphtinker.DeleteAndCompact

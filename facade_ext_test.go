@@ -109,8 +109,16 @@ func TestFacadeEdgeListIO(t *testing.T) {
 	}
 }
 
+// blocksConfig pins the paper's edgeblock tree, whose generations and
+// blocks the analysis and rebuild tests observe.
+func blocksConfig() Config {
+	cfg := DefaultConfig()
+	cfg.Repr = ReprBlocks
+	return cfg
+}
+
 func TestFacadeAnalysis(t *testing.T) {
-	g := MustNew(DefaultConfig())
+	g := MustNew(blocksConfig())
 	for i := uint64(0); i < 1000; i++ {
 		g.InsertEdge(1, i, 1)
 	}
@@ -127,7 +135,7 @@ func TestFacadeAnalysis(t *testing.T) {
 }
 
 func TestFacadeRebuiltAndTrace(t *testing.T) {
-	g := MustNew(DefaultConfig())
+	g := MustNew(blocksConfig())
 	for i := uint64(0); i < 2000; i++ {
 		g.InsertEdge(1, i, 1)
 	}

@@ -49,10 +49,10 @@ const (
 // Config.Repr.
 type Representation = core.Representation
 
-// Edge-container representations. The default, ReprAdaptive, starts every
-// vertex as a small sorted slice and migrates it to the paper's hashed
-// edgeblock tree (and, for heavy hitters, a cuckoo table) as its degree
-// crosses the Config thresholds; the other values pin one format.
+// Edge-container representations. The default, ReprAdaptive, keeps every
+// vertex in a sorted slice and moves heavy hitters to a cuckoo table and
+// back as their degree crosses the Config thresholds; the other values pin
+// one format. ReprBlocks is the paper's hashed edgeblock tree.
 const (
 	ReprAdaptive = core.ReprAdaptive
 	ReprSlice    = core.ReprSlice

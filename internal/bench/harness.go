@@ -278,9 +278,12 @@ func program(alg string, root uint64) (engine.Program, error) {
 	}
 }
 
-// gtConfig returns the paper's GraphTinker configuration, adjusted.
+// gtConfig returns the paper's GraphTinker configuration, adjusted. It pins
+// ReprBlocks, so the figures and ablations measure the edgeblock tree the
+// paper describes rather than the adaptive default.
 func gtConfig(mutate ...func(*core.Config)) core.Config {
 	cfg := core.DefaultConfig()
+	cfg.Repr = core.ReprBlocks
 	for _, m := range mutate {
 		m(&cfg)
 	}

@@ -245,15 +245,37 @@ func TestShapeRHHFlattensProbes(t *testing.T) {
 	}
 }
 
+// TestShapeDefaultBytesFloor is ext-mem's floor: on every Table-1
+// stand-in the adaptive default spends fewer bytes per edge than the
+// paper's block tree, and fills at least half of the edge slots it
+// allocates (slice capacity and cuckoo slots, buffers kept for reuse
+// after a migration included).
+func TestShapeDefaultBytesFloor(t *testing.T) {
+	if testing.Short() {
+		t.Skip("shape tests are slow for -short")
+	}
+	rows, err := memoryRows(shapeOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if r.gtDefault >= r.gt {
+			t.Errorf("%s: default %.1f B/edge not below the block tree's %.1f", r.name, r.gtDefault, r.gt)
+		}
+		if r.defaultFill < 0.5 {
+			t.Errorf("%s: default fill %.2f below 0.5", r.name, r.defaultFill)
+		}
+	}
+}
+
 // TestShapeSGHDensifiesMainRegion asserts the SGH mechanism: with sparse
 // raw ids, SGH keeps the main region exactly as large as the number of
 // distinct sources.
 func TestShapeSGHDensifiesMainRegion(t *testing.T) {
-	// Block representation pinned: the one-block-per-source claim is about
-	// the block format's SGH-densified main region (degree-1 vertices stay
-	// in the slice format under the adaptive default).
-	g := core.MustNew(gtConfig(func(c *core.Config) { c.Repr = core.ReprBlocks }))
-	gNoSGH := core.MustNew(gtConfig(func(c *core.Config) { c.EnableSGH = false; c.Repr = core.ReprBlocks }))
+	// gtConfig pins the block representation: the one-block-per-source
+	// claim is about the block format's SGH-densified main region.
+	g := core.MustNew(gtConfig())
+	gNoSGH := core.MustNew(gtConfig(func(c *core.Config) { c.EnableSGH = false }))
 	// Sparse source ids, the paper's own example: 34 and 22789. (Kept
 	// below ~10^6: without SGH the main region is raw-indexed, so the
 	// no-SGH instance genuinely allocates max-id-sized tables — the very

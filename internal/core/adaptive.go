@@ -1,33 +1,33 @@
 package core
 
+import "slices"
+
 // adaptiveContainer is the per-vertex adaptor over the three edge formats.
 // Each dense vertex id owns one (GraphTinker.cont); the kind tag selects the
 // active format and the hot paths dispatch on it with a switch — no
 // interface value is ever formed on the operation paths, so reads stay
 // allocation-free.
 //
-// Under Config.Repr == ReprAdaptive a vertex starts as a sorted slice and
+// Under Config.Repr == ReprAdaptive a vertex lives in one of two tiers and
 // migrates when its degree crosses the configured thresholds:
 //
-//	slice  --(degree > SlicePromoteDegree)-->  blocks
-//	blocks --(degree <= SliceDemoteDegree)-->  slice
-//	blocks --(degree > CuckooPromoteDegree)--> cuckoo
-//	cuckoo --(degree <= CuckooDemoteDegree)--> blocks
+//	slice  --(degree > CuckooPromoteDegree)-->  cuckoo
+//	cuckoo --(degree <= CuckooDemoteDegree)-->  slice
 //
 // Promote and demote points are separated (hysteresis) so a vertex
 // oscillating around one degree does not migrate on every operation. A
-// forced Repr pins every vertex to one format and never migrates.
+// forced Repr pins every vertex to one format and never migrates; the
+// paper's edgeblock tree is reached only that way (ReprBlocks).
 //
 // Migration runs inside the mutation that crossed the threshold, which
 // under the Parallel wrapper means inside a write no reader can see (an
 // in-place apply with the version odd, or the shadow-replica apply — see
 // seqlock.go): readers never observe a half-migrated vertex. A shard's two
 // replicas receive the same ops but need not migrate at the same one — a
-// clone starts each vertex in the format its degree selects, which inside a
-// hysteresis band may not be the source's. Steady-state flapping is
-// allocation-free: the slice keeps its entry buffer across promotions, the
-// cuckoo table keeps its slot buffer across demotions, and freed edgeblocks
-// return to the arena free list.
+// clone starts each vertex in the format its degree selects, which inside
+// the hysteresis band may not be the source's. Steady-state flapping is
+// allocation-free: the slice keeps its entry buffer across promotions and
+// the cuckoo table keeps its slot buffer across demotions.
 type adaptiveContainer struct {
 	kind   reprKind
 	slice  sliceContainer
@@ -41,12 +41,7 @@ var _ EdgeContainer = (*adaptiveContainer)(nil)
 // first edge. The zero kind (reprNone) marks an unbound container, which is
 // what lets GraphTinker.cont grow zero-filled.
 func (ac *adaptiveContainer) init(gt *GraphTinker, d uint32) {
-	ac.slice = sliceContainer{host: gt, d: d}
-	ac.blocks = blockContainer{host: gt, d: d}
-	ac.kind = gt.cfg.Repr.initialKind()
-	if ac.kind == reprCuckoo {
-		ac.cuckoo = newCuckooContainer(gt, d, 0)
-	}
+	ac.initForDegree(gt, d, 0)
 }
 
 // initForDegree binds the container like init but picks the format the
@@ -59,17 +54,9 @@ func (ac *adaptiveContainer) init(gt *GraphTinker, d uint32) {
 func (ac *adaptiveContainer) initForDegree(gt *GraphTinker, d uint32, degree int) {
 	ac.slice = sliceContainer{host: gt, d: d}
 	ac.blocks = blockContainer{host: gt, d: d}
-	if gt.cfg.Repr != ReprAdaptive {
-		ac.kind = gt.cfg.Repr.initialKind()
-	} else {
-		switch {
-		case degree > gt.cfg.CuckooPromoteDegree:
-			ac.kind = reprCuckoo
-		case degree > gt.cfg.SlicePromoteDegree:
-			ac.kind = reprBlocks
-		default:
-			ac.kind = reprSlice
-		}
+	ac.kind = gt.cfg.Repr.initialKind()
+	if gt.cfg.Repr == ReprAdaptive && degree > gt.cfg.CuckooPromoteDegree {
+		ac.kind = reprCuckoo
 	}
 	switch ac.kind {
 	case reprCuckoo:
@@ -89,15 +76,13 @@ func (ac *adaptiveContainer) Insert(dst uint64, w float32) (bool, int) {
 	switch ac.kind {
 	case reprSlice:
 		isNew, probe = ac.slice.Insert(dst, w)
+		if isNew {
+			ac.maybePromote()
+		}
 	case reprBlocks:
 		isNew, probe = ac.blocks.Insert(dst, w)
 	case reprCuckoo:
 		isNew, probe = ac.cuckoo.Insert(dst, w)
-	default:
-		return false, 0
-	}
-	if isNew {
-		ac.maybePromote()
 	}
 	return isNew, probe
 }
@@ -112,11 +97,9 @@ func (ac *adaptiveContainer) Delete(dst uint64) (bool, int) {
 		removed, probe = ac.blocks.Delete(dst)
 	case reprCuckoo:
 		removed, probe = ac.cuckoo.Delete(dst)
-	default:
-		return false, 0
-	}
-	if removed {
-		ac.maybeDemote()
+		if removed {
+			ac.maybeDemote()
+		}
 	}
 	return removed, probe
 }
@@ -200,8 +183,9 @@ func (ac *adaptiveContainer) repointCAL(dst uint64, p calPtr) bool {
 }
 
 // memoryBytes is the retained footprint of the container-owned buffers
-// (slice entries and cuckoo slots, live or kept for reuse). Block storage
-// is accounted by the shared arena.
+// (slice entries and the cuckoo table, live or kept for reuse). Block
+// storage is accounted by the shared arena, and the adaptor itself by
+// GraphTinker.Memory.
 func (ac *adaptiveContainer) memoryBytes() uint64 {
 	var n uint64 = ac.slice.memoryBytes()
 	if ac.cuckoo != nil {
@@ -210,108 +194,53 @@ func (ac *adaptiveContainer) memoryBytes() uint64 {
 	return n
 }
 
-// maybePromote migrates the vertex up a format when an insertion pushed its
-// degree past a promote threshold. Only the adaptive representation
-// migrates.
+// maybePromote moves a slice vertex into the cuckoo table when an insertion
+// pushed its degree past the promote threshold. Only the adaptive
+// representation migrates.
 func (ac *adaptiveContainer) maybePromote() {
 	gt := ac.host()
-	if gt.cfg.Repr != ReprAdaptive {
-		return
-	}
-	switch ac.kind {
-	case reprSlice:
-		if int(ac.slice.Degree()) > gt.cfg.SlicePromoteDegree {
-			ac.sliceToBlocks(gt)
-		}
-	case reprBlocks:
-		if int(ac.blocks.Degree()) > gt.cfg.CuckooPromoteDegree {
-			ac.blocksToCuckoo(gt)
-		}
+	if gt.cfg.Repr == ReprAdaptive && int(ac.slice.Degree()) > gt.cfg.CuckooPromoteDegree {
+		ac.sliceToCuckoo(gt)
 	}
 }
 
-// maybeDemote migrates the vertex down a format when a deletion dropped its
-// degree to a demote threshold.
+// maybeDemote moves a cuckoo vertex back into the slice when a deletion
+// dropped its degree to the demote threshold.
 func (ac *adaptiveContainer) maybeDemote() {
 	gt := ac.host()
-	if gt.cfg.Repr != ReprAdaptive {
-		return
-	}
-	switch ac.kind {
-	case reprCuckoo:
-		if int(ac.cuckoo.Degree()) <= gt.cfg.CuckooDemoteDegree {
-			ac.cuckooToBlocks(gt)
-		}
-		// A single deletion cannot cross both demote thresholds (the Config
-		// validator enforces CuckooDemoteDegree > SliceDemoteDegree), so no
-		// fallthrough is needed.
-	case reprBlocks:
-		if int(ac.blocks.Degree()) <= gt.cfg.SliceDemoteDegree {
-			ac.blocksToSlice(gt)
-		}
+	if gt.cfg.Repr == ReprAdaptive && int(ac.cuckoo.Degree()) <= gt.cfg.CuckooDemoteDegree {
+		ac.cuckooToSlice(gt)
 	}
 }
 
-// sliceToBlocks streams the slice entries into a fresh edgeblock tree. The
-// entries carry their CAL pointers; block placement goes through writeCell,
-// which re-points each mirror entry's owner at its new cell.
-func (ac *adaptiveContainer) sliceToBlocks(gt *GraphTinker) {
-	for i := range ac.slice.entries {
-		e := &ac.slice.entries[i]
-		ac.blocks.bulkAdd(e.dst, e.weight, e.calPtr)
-	}
-	ac.slice.clear()
-	ac.kind = reprBlocks
-	gt.stats.promotions.Add(1)
-}
-
-// blocksToSlice walks the edgeblock subtree into the retained slice buffer
-// (one sort at the end — demotions hand over at most SliceDemoteDegree
-// entries), invalidating the mirror's owner back-pointers, then frees the
-// whole subtree.
-func (ac *adaptiveContainer) blocksToSlice(gt *GraphTinker) {
-	ac.blocks.collectEntries(func(dst uint64, w float32, ptr calPtr) {
-		if gt.cal != nil && ptr.valid() {
-			gt.cal.setOwner(ptr, invalidCellAddr)
-			gt.stats.calPatches.Add(1)
-		}
-		ac.slice.bulkAdd(dst, w, ptr)
-	})
-	ac.slice.sortEntries()
-	ac.blocks.clear()
-	ac.kind = reprSlice
-	gt.stats.demotions.Add(1)
-}
-
-// blocksToCuckoo streams the edgeblock subtree into a cuckoo table sized
-// for the current degree, then frees the subtree.
-func (ac *adaptiveContainer) blocksToCuckoo(gt *GraphTinker) {
-	deg := int(ac.blocks.Degree())
+// sliceToCuckoo streams the slice entries into a cuckoo table sized for the
+// current degree, retaining the slice buffer for a later demotion. Both
+// formats keep the CAL pointer in the entry and leave the mirror's owner
+// back-pointer invalid, so the mirror needs no patching.
+func (ac *adaptiveContainer) sliceToCuckoo(gt *GraphTinker) {
+	deg := len(ac.slice.entries)
 	if ac.cuckoo == nil {
-		ac.cuckoo = newCuckooContainer(gt, ac.blocks.d, deg)
+		ac.cuckoo = newCuckooContainer(gt, ac.slice.d, deg)
 	} else {
 		ac.cuckoo.reset(deg)
 	}
-	ac.blocks.collectEntries(func(dst uint64, w float32, ptr calPtr) {
-		if gt.cal != nil && ptr.valid() {
-			gt.cal.setOwner(ptr, invalidCellAddr)
-			gt.stats.calPatches.Add(1)
-		}
-		ac.cuckoo.bulkAdd(dst, w, ptr)
-	})
-	ac.blocks.clear()
+	for i := range ac.slice.entries {
+		e := &ac.slice.entries[i]
+		ac.cuckoo.bulkAdd(e.dst, e.weight, e.calPtr)
+	}
+	ac.slice.clear()
 	ac.kind = reprCuckoo
 	gt.stats.promotions.Add(1)
 }
 
-// cuckooToBlocks streams the cuckoo table back into an edgeblock tree
-// (writeCell re-establishes the mirror owner back-pointers), retaining the
-// slot buffer for a later re-promotion.
-func (ac *adaptiveContainer) cuckooToBlocks(gt *GraphTinker) {
-	ac.cuckoo.collectEntries(func(dst uint64, w float32, ptr calPtr) {
-		ac.blocks.bulkAdd(dst, w, ptr)
-	})
+// cuckooToSlice copies the live slots into the retained slice buffer (grown
+// once to the degree when it is too small), sorts them once, and clears the
+// table, keeping its slot buffer for a later promotion.
+func (ac *adaptiveContainer) cuckooToSlice(gt *GraphTinker) {
+	ac.slice.entries = slices.Grow(ac.slice.entries, int(ac.cuckoo.n))
+	ac.cuckoo.collectEntries(ac.slice.bulkAdd)
+	ac.slice.sortEntries()
 	ac.cuckoo.clear()
-	ac.kind = reprBlocks
+	ac.kind = reprSlice
 	gt.stats.demotions.Add(1)
 }

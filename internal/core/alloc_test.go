@@ -86,6 +86,37 @@ func TestReadPathAllocFree(t *testing.T) {
 	}
 }
 
+// TestAdaptiveFlapAllocFree pins a full promote/demote cycle at the default
+// thresholds at zero allocations: the slice keeps its buffer across the
+// promotion, the table keeps its slots across the demotion, and the
+// demotion's sort of a table's worth of entries allocates nothing.
+// Delete-and-compact keeps the CAL mirror's footprint steady across cycles.
+func TestAdaptiveFlapAllocFree(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.DeleteMode = DeleteAndCompact
+	g := MustNew(cfg)
+	const src = 3
+	lo, hi := cfg.CuckooDemoteDegree, cfg.CuckooPromoteDegree+1
+	for i := 0; i < lo; i++ {
+		g.InsertEdge(src, uint64(i*7919), 1)
+	}
+	cycle := func() {
+		for i := lo; i < hi; i++ {
+			g.InsertEdge(src, uint64(i*7919), 1)
+		}
+		for i := hi - 1; i >= lo; i-- {
+			g.DeleteEdge(src, uint64(i*7919))
+		}
+	}
+	pinAllocs(t, "promote/demote cycle", 0, cycle)
+	if st := g.Stats(); st.Promotions != st.Demotions || st.Promotions < 100 {
+		t.Fatalf("cycles migrated %d up and %d down, want equal and >= 100", st.Promotions, st.Demotions)
+	}
+	if v := g.CheckInvariants(); len(v) != 0 {
+		t.Fatalf("invariants: %v", v)
+	}
+}
+
 // TestParallelInsertBatchSteadyAllocFree pins the sharded batch-update
 // path at zero steady-state allocations: after the first batch sizes the
 // scratch buffers and starts the workers, re-applying a batch must not

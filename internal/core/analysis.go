@@ -227,13 +227,11 @@ func (gt *GraphTinker) CheckInvariants() []string {
 				deg := int(gt.props.degree[uint32(d)])
 				switch ac.kind {
 				case reprSlice:
-					if deg > gt.cfg.SlicePromoteDegree {
-						report("vertex dense=%d: slice format at degree %d > promote threshold %d", d, deg, gt.cfg.SlicePromoteDegree)
+					if deg > gt.cfg.CuckooPromoteDegree {
+						report("vertex dense=%d: slice format at degree %d > promote threshold %d", d, deg, gt.cfg.CuckooPromoteDegree)
 					}
 				case reprBlocks:
-					if deg <= gt.cfg.SliceDemoteDegree || deg > gt.cfg.CuckooPromoteDegree {
-						report("vertex dense=%d: blocks format at degree %d outside (%d, %d]", d, deg, gt.cfg.SliceDemoteDegree, gt.cfg.CuckooPromoteDegree)
-					}
+					report("vertex dense=%d: blocks format under the adaptive representation", d)
 				case reprCuckoo:
 					if deg <= gt.cfg.CuckooDemoteDegree {
 						report("vertex dense=%d: cuckoo format at degree %d <= demote threshold %d", d, deg, gt.cfg.CuckooDemoteDegree)

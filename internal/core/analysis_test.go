@@ -10,8 +10,16 @@ func TestAnalyzeProbesEmptyGraph(t *testing.T) {
 	}
 }
 
+// blocksConfig is DefaultConfig pinned to the paper's edgeblock tree, for
+// tests of its mechanisms: RHH probes, generations and their counters.
+func blocksConfig() Config {
+	cfg := DefaultConfig()
+	cfg.Repr = ReprBlocks
+	return cfg
+}
+
 func TestAnalyzeProbesCountsAllEdges(t *testing.T) {
-	gt := MustNew(DefaultConfig())
+	gt := MustNew(blocksConfig())
 	r := &testRand{s: 55}
 	const n = 30000
 	for i := 0; i < n; i++ {
@@ -48,7 +56,7 @@ func TestProbeDistanceLogarithmicInDegree(t *testing.T) {
 	// vertex grows like log(n), not n. Verify the mean generation grows by
 	// O(1) when the degree grows 8x.
 	meanGen := func(degree int) float64 {
-		gt := MustNew(DefaultConfig())
+		gt := MustNew(blocksConfig())
 		for i := 0; i < degree; i++ {
 			gt.InsertEdge(1, uint64(i), 1)
 		}
@@ -103,7 +111,7 @@ func TestCheckInvariantsHealthyUnderChurn(t *testing.T) {
 }
 
 func TestCheckInvariantsDetectsCorruption(t *testing.T) {
-	gt := MustNew(DefaultConfig())
+	gt := MustNew(blocksConfig())
 	for i := 0; i < 100; i++ {
 		gt.InsertEdge(1, uint64(i), 1)
 	}
@@ -124,5 +132,26 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	}
 	if v := gt.CheckInvariants(); len(v) == 0 {
 		t.Fatalf("corrupted CAL pointer not detected")
+	}
+
+	// An adaptive vertex outside its tier's degree window: a slice above
+	// the promote point, a table at the demote point.
+	ad := MustNew(tinyThresholds(DefaultConfig()))
+	for i := 0; i < 6; i++ {
+		ad.InsertEdge(1, uint64(i), 1)
+	}
+	for i := 0; i < 10; i++ {
+		ad.InsertEdge(2, uint64(i), 1)
+	}
+	if v := ad.CheckInvariants(); len(v) != 0 {
+		t.Fatalf("healthy adaptive graph: %v", v)
+	}
+	ad.cfg.CuckooPromoteDegree, ad.cfg.CuckooDemoteDegree = 5, 2
+	if v := ad.CheckInvariants(); len(v) != 1 {
+		t.Fatalf("slice above the promote point: %v", v)
+	}
+	ad.cfg.CuckooPromoteDegree, ad.cfg.CuckooDemoteDegree = 20, 10
+	if v := ad.CheckInvariants(); len(v) != 1 {
+		t.Fatalf("table at the demote point: %v", v)
 	}
 }

@@ -19,8 +19,8 @@ package core
 // sequential insertion would leave them. What the bulk path skips is the
 // migration churn: each source's run carries its final degree, so
 // initForDegree picks the container format (and the cuckoo geometry) the
-// degree lands in up front instead of promoting slice → blocks → cuckoo
-// on the way up.
+// degree lands in up front instead of promoting slice → cuckoo on the
+// way up.
 
 import (
 	"fmt"

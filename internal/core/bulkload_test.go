@@ -22,9 +22,9 @@ import (
 )
 
 // buildChurnParallel fills a sharded store with a skewed insert/delete
-// stream plus a handful of hub sources whose degree crosses every
-// migration threshold — so a snapshot of it carries slice-, blocks- and
-// cuckoo-sized runs for the bulk loader's format pre-choice to get right.
+// stream plus a handful of hub sources on both sides of the migration
+// threshold — so a snapshot of it carries slice- and cuckoo-sized runs for
+// the bulk loader's format pre-choice to get right.
 func buildChurnParallel(t *testing.T, cfg Config, shards int) *Parallel {
 	t.Helper()
 	p, err := NewParallel(cfg, shards)
@@ -47,9 +47,8 @@ func buildChurnParallel(t *testing.T, cfg Config, shards int) *Parallel {
 			p.InsertEdge(src, dst, float32(next()%100)/10)
 		}
 	}
-	// Hubs: degrees 3, 12 and 60 straddle tinyThresholds' promote points
-	// (slice→blocks at 8, blocks→cuckoo at 24) and, at 60, the default
-	// CuckooPromoteDegree-sized pre-allocation path.
+	// Hubs: degree 3 stays below tinyThresholds' promote point (8); 12 and
+	// 60 lie above it.
 	for hub, deg := range map[uint64]int{1000: 3, 1001: 12, 1002: 60} {
 		for d := 0; d < deg; d++ {
 			p.InsertEdge(hub, 2000+uint64(d), float32(d))

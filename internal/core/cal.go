@@ -1,5 +1,7 @@
 package core
 
+import "unsafe"
+
 // calArray is the Coarse Adjacency List EdgeblockArray (Sec. III.B): a
 // second, highly compacted copy of every edge, kept up to date in real time
 // so full-processing analytics can stream edges contiguously without any
@@ -232,8 +234,10 @@ func (c *calArray) slotsAllocated() uint64 {
 	return n
 }
 
+// memoryBytes is the resident footprint of the mirror: its entry chunks and
+// the capacity of every metadata array.
 func (c *calArray) memoryBytes() uint64 {
-	const entryBytes = 8 + 8 + 8 + 4 + 1
-	return uint64(len(c.chunks))*uint64(c.entriesPerChunk)*entryBytes +
-		uint64(len(c.used)+len(c.live)+len(c.next)+len(c.groupHead)+len(c.groupTail))*4
+	return uint64(len(c.chunks))*uint64(c.entriesPerChunk)*uint64(unsafe.Sizeof(calEntry{})) +
+		uint64(cap(c.chunks))*uint64(unsafe.Sizeof(c.chunks[:0])) +
+		uint64(cap(c.used)+cap(c.live)+cap(c.next)+cap(c.groupHead)+cap(c.groupTail)+cap(c.freeList))*4
 }

@@ -160,9 +160,10 @@ func TestCALLiveSetMatchesEdgeblockArray(t *testing.T) {
 func TestCALOwnerBackPointersConsistent(t *testing.T) {
 	// Every valid CAL entry's owner must point at an occupied cell whose
 	// calPtr points back at the entry — under heavy churn in both modes.
+	// Only block cells own their entries, so the block format is pinned.
 	for _, mode := range []DeleteMode{DeleteOnly, DeleteAndCompact} {
 		t.Run(mode.String(), func(t *testing.T) {
-			cfg := DefaultConfig()
+			cfg := blocksConfig()
 			cfg.DeleteMode = mode
 			gt := MustNew(cfg)
 			r := &testRand{s: 999}

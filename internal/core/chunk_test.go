@@ -78,7 +78,7 @@ func TestGrowHelper(t *testing.T) {
 }
 
 func TestFreeListReusePreservesCorrectness(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := blocksConfig()
 	cfg.DeleteMode = DeleteAndCompact
 	gt := MustNew(cfg)
 	ref := newRefGraph()

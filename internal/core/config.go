@@ -98,31 +98,28 @@ type Config struct {
 	DeleteMode DeleteMode
 
 	// Repr selects the per-vertex edge representation. The zero value is
-	// ReprAdaptive: every vertex starts in the inline sorted-slice format
-	// and is promoted/demoted between slice, hashed blocks and cuckoo
-	// hashing as its degree crosses the thresholds below. The other values
-	// force a single format for every vertex (no migration), which is what
-	// the conformance suite and gtbench's -repr A/B flag use.
+	// ReprAdaptive: every vertex starts in the inline sorted-slice format,
+	// moves to the cuckoo table when its degree passes
+	// CuckooPromoteDegree, and back when it falls to CuckooDemoteDegree.
+	// The other values force a single format for every vertex (no
+	// migration). ReprBlocks is the paper's edgeblock tree: the figure
+	// harness pins it, and the conformance suite and gtbench's -repr A/B
+	// flag force each format in turn.
 	Repr Representation
 
 	// Adaptive-representation degree thresholds. Zero means "use the
 	// default"; New normalizes them before validation, so a Config built
 	// by hand without touching these fields behaves like DefaultConfig.
-	// Promote and demote thresholds are deliberately separated (hysteresis)
-	// so a vertex oscillating around one degree does not migrate on every
+	// The demote point must lie below the promote point (hysteresis), so a
+	// vertex oscillating around one degree does not migrate on every
 	// operation.
 	//
-	// SlicePromoteDegree: a slice vertex whose degree exceeds this is
-	// promoted to hashed blocks (default 32 — one page of edges).
-	SlicePromoteDegree int
-	// SliceDemoteDegree: a blocks vertex whose degree falls to or below
-	// this is demoted back to a slice (default 12).
-	SliceDemoteDegree int
-	// CuckooPromoteDegree: a blocks vertex whose degree exceeds this is
-	// promoted to the cuckoo table (default 2048).
+	// CuckooPromoteDegree: a slice vertex whose degree exceeds this moves
+	// to the cuckoo table (default 2048, from the measured sweep in
+	// DESIGN.md §3).
 	CuckooPromoteDegree int
 	// CuckooDemoteDegree: a cuckoo vertex whose degree falls to or below
-	// this is demoted back to hashed blocks (default 1024).
+	// this moves back to a slice (default 1024).
 	CuckooDemoteDegree int
 
 	// InitialVertexCapacity pre-sizes the per-vertex tables. Optional.
@@ -146,8 +143,6 @@ func DefaultConfig() Config {
 		CALBlockSize:        DefaultCALBlockSize,
 		DeleteMode:          DeleteOnly,
 		Repr:                ReprAdaptive,
-		SlicePromoteDegree:  DefaultSlicePromoteDegree,
-		SliceDemoteDegree:   DefaultSliceDemoteDegree,
 		CuckooPromoteDegree: DefaultCuckooPromoteDegree,
 		CuckooDemoteDegree:  DefaultCuckooDemoteDegree,
 	}
@@ -157,12 +152,6 @@ func DefaultConfig() Config {
 // so snapshot loads and hand-built Configs predating the adaptive layer
 // keep working unchanged (the snapshot format does not persist them).
 func (c Config) withReprDefaults() Config {
-	if c.SlicePromoteDegree == 0 {
-		c.SlicePromoteDegree = DefaultSlicePromoteDegree
-	}
-	if c.SliceDemoteDegree == 0 {
-		c.SliceDemoteDegree = DefaultSliceDemoteDegree
-	}
 	if c.CuckooPromoteDegree == 0 {
 		c.CuckooPromoteDegree = DefaultCuckooPromoteDegree
 	}
@@ -218,20 +207,9 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("core: unknown Representation %d", c.Repr)
 	}
-	if c.SlicePromoteDegree < 1 {
-		return fmt.Errorf("core: SlicePromoteDegree %d must be positive", c.SlicePromoteDegree)
-	}
-	if c.SliceDemoteDegree < 0 || c.SliceDemoteDegree >= c.SlicePromoteDegree {
-		return fmt.Errorf("core: SliceDemoteDegree %d must be in [0, SlicePromoteDegree %d) for hysteresis",
-			c.SliceDemoteDegree, c.SlicePromoteDegree)
-	}
-	if c.CuckooPromoteDegree <= c.SlicePromoteDegree {
-		return fmt.Errorf("core: CuckooPromoteDegree %d must exceed SlicePromoteDegree %d",
-			c.CuckooPromoteDegree, c.SlicePromoteDegree)
-	}
-	if c.CuckooDemoteDegree <= c.SliceDemoteDegree || c.CuckooDemoteDegree >= c.CuckooPromoteDegree {
-		return fmt.Errorf("core: CuckooDemoteDegree %d must be in (SliceDemoteDegree %d, CuckooPromoteDegree %d) for hysteresis",
-			c.CuckooDemoteDegree, c.SliceDemoteDegree, c.CuckooPromoteDegree)
+	if c.CuckooDemoteDegree < 0 || c.CuckooDemoteDegree >= c.CuckooPromoteDegree {
+		return fmt.Errorf("core: CuckooDemoteDegree %d must be in [0, CuckooPromoteDegree %d) for hysteresis",
+			c.CuckooDemoteDegree, c.CuckooPromoteDegree)
 	}
 	return nil
 }

@@ -21,7 +21,11 @@ import (
 // testConfig is DefaultConfig with the representation overridden by the
 // GT_REPR environment variable (adaptive|slice|blocks|cuckoo). The CI
 // conformance matrix sets GT_REPR per job so the seqlock and race suites
-// exercise every container format; locally it defaults to adaptive.
+// exercise every container format; locally it defaults to adaptive. The
+// adaptive representation runs at tinyThresholds: at the default promote
+// point test-sized graphs would never leave the slice, and the suites
+// would never see a migration inside an in-place apply, a shadow apply or
+// a clone.
 func testConfig(tb testing.TB) Config {
 	cfg := DefaultConfig()
 	if s := os.Getenv("GT_REPR"); s != "" {
@@ -31,16 +35,17 @@ func testConfig(tb testing.TB) Config {
 		}
 		cfg.Repr = r
 	}
+	if cfg.Repr == ReprAdaptive {
+		cfg = tinyThresholds(cfg)
+	}
 	return cfg
 }
 
 // tinyThresholds shrinks the adaptive migration boundaries so test-sized
-// degree swings cross every one of them.
+// degree swings cross both of them.
 func tinyThresholds(cfg Config) Config {
-	cfg.SlicePromoteDegree = 8
-	cfg.SliceDemoteDegree = 4
-	cfg.CuckooPromoteDegree = 24
-	cfg.CuckooDemoteDegree = 16
+	cfg.CuckooPromoteDegree = 8
+	cfg.CuckooDemoteDegree = 4
 	return cfg
 }
 
@@ -239,15 +244,13 @@ func TestRepresentationDifferential(t *testing.T) {
 }
 
 // TestAdaptiveMigrationBoundaries pins the exact promote and demote points:
-// with thresholds (promote 4→blocks, 8→cuckoo; demote 6→blocks, 2→slice)
-// a vertex must migrate at exactly degree 5, 9, 6 and 2 — one edge earlier
-// or later is a hysteresis bug.
+// with promote 4 and demote 2 a vertex must move slice→cuckoo at exactly
+// degree 5 and cuckoo→slice at exactly degree 2 — one edge earlier or later
+// is a hysteresis bug — and every migration is counted exactly once.
 func TestAdaptiveMigrationBoundaries(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.SlicePromoteDegree = 4
-	cfg.SliceDemoteDegree = 2
-	cfg.CuckooPromoteDegree = 8
-	cfg.CuckooDemoteDegree = 6
+	cfg.CuckooPromoteDegree = 4
+	cfg.CuckooDemoteDegree = 2
 	for _, mode := range []DeleteMode{DeleteOnly, DeleteAndCompact} {
 		t.Run(mode.String(), func(t *testing.T) {
 			gt := MustNew(cfg.withDeleteMode(mode))
@@ -259,7 +262,7 @@ func TestAdaptiveMigrationBoundaries(t *testing.T) {
 				}
 				return gt.cont[d].kind
 			}
-			verify := func(stage string, want reprKind, degree int) {
+			verify := func(stage string, want reprKind, degree int, promotions, demotions uint64) {
 				t.Helper()
 				if got := kindOf(); got != want {
 					t.Fatalf("%s: representation = %v, want %v", stage, got, want)
@@ -272,54 +275,48 @@ func TestAdaptiveMigrationBoundaries(t *testing.T) {
 						t.Fatalf("%s: edge %d = (%g,%v) after migration", stage, i, w, ok)
 					}
 				}
+				if s := gt.Stats(); s.Promotions != promotions || s.Demotions != demotions {
+					t.Fatalf("%s: promotions=%d demotions=%d, want %d/%d", stage, s.Promotions, s.Demotions, promotions, demotions)
+				}
 				if v := gt.CheckInvariants(); len(v) != 0 {
 					t.Fatalf("%s: invariants: %v", stage, v)
 				}
 			}
-
-			// Up: slice holds through the promote threshold itself...
-			for i := 1; i <= 4; i++ {
-				gt.InsertEdge(src, uint64(i), float32(i))
+			insertUpTo := func(lo, hi int) {
+				for i := lo; i <= hi; i++ {
+					gt.InsertEdge(src, uint64(i), float32(i))
+				}
 			}
-			verify("degree 4", reprSlice, 4)
-			// ...and the next insert is the exact promote point.
-			gt.InsertEdge(src, 5, 5)
-			verify("degree 5 (slice→blocks)", reprBlocks, 5)
-			for i := 6; i <= 8; i++ {
-				gt.InsertEdge(src, uint64(i), float32(i))
-			}
-			verify("degree 8", reprBlocks, 8)
-			gt.InsertEdge(src, 9, 9)
-			verify("degree 9 (blocks→cuckoo)", reprCuckoo, 9)
-			if s := gt.Stats(); s.Promotions != 2 || s.Demotions != 0 {
-				t.Fatalf("after ascent: promotions=%d demotions=%d, want 2/0", s.Promotions, s.Demotions)
+			deleteDownTo := func(hi, lo int) {
+				for i := hi; i >= lo; i-- {
+					gt.DeleteEdge(src, uint64(i))
+				}
 			}
 
-			// Down: cuckoo holds strictly above its demote threshold...
-			for i := 9; i >= 8; i-- {
-				gt.DeleteEdge(src, uint64(i))
-			}
-			verify("degree 7", reprCuckoo, 7)
-			// ...and demotes exactly on reaching it.
-			gt.DeleteEdge(src, 7)
-			verify("degree 6 (cuckoo→blocks)", reprBlocks, 6)
-			for i := 6; i >= 4; i-- {
-				gt.DeleteEdge(src, uint64(i))
-			}
-			verify("degree 3", reprBlocks, 3)
-			gt.DeleteEdge(src, 3)
-			verify("degree 2 (blocks→slice)", reprSlice, 2)
-			if s := gt.Stats(); s.Promotions != 2 || s.Demotions != 2 {
-				t.Fatalf("after descent: promotions=%d demotions=%d, want 2/2", s.Promotions, s.Demotions)
-			}
+			for cycle := uint64(0); cycle < 2; cycle++ {
+				// Up: the slice holds through the promote threshold itself;
+				// weight updates and absent deletes at the boundary move
+				// nothing...
+				insertUpTo(int(gt.OutDegree(src))+1, 4)
+				gt.InsertEdge(src, 4, 4)
+				gt.DeleteEdge(src, 99)
+				verify("degree 4", reprSlice, 4, cycle, cycle)
+				// ...and the next new edge is the exact promote point.
+				insertUpTo(5, 5)
+				verify("degree 5 (slice→cuckoo)", reprCuckoo, 5, cycle+1, cycle)
+				insertUpTo(6, 8)
+				verify("degree 8", reprCuckoo, 8, cycle+1, cycle)
 
-			// Flap once more: the retained buffers must serve a re-promotion.
-			for i := 3; i <= 5; i++ {
-				gt.InsertEdge(src, uint64(i), float32(i))
-			}
-			verify("degree 5 again (slice→blocks)", reprBlocks, 5)
-			if s := gt.Stats(); s.Promotions != 3 {
-				t.Fatalf("re-promotion not counted: promotions=%d, want 3", s.Promotions)
+				// Down: the table holds strictly above the demote
+				// threshold...
+				deleteDownTo(8, 4)
+				gt.InsertEdge(src, 3, 3)
+				gt.DeleteEdge(src, 99)
+				verify("degree 3", reprCuckoo, 3, cycle+1, cycle)
+				// ...and demotes exactly on reaching it.
+				deleteDownTo(3, 3)
+				verify("degree 2 (cuckoo→slice)", reprSlice, 2, cycle+1, cycle+1)
+				// The second cycle runs on the buffers the first retained.
 			}
 		})
 	}

@@ -3,19 +3,20 @@ package core
 // Per-vertex edge containers. The out-edge set of every vertex sits behind
 // the EdgeContainer interface, with three concrete formats:
 //
-//   - sliceContainer (repr_slice.go): a small sorted slice. The long
-//     low-degree tail of real graphs lives here — no blocks, no hashing,
-//     just a binary search over a handful of contiguous entries.
+//   - sliceContainer (repr_slice.go): a sorted slice. Every vertex up to
+//     the promote degree lives here under the default — no blocks, no
+//     hashing, just a binary search over contiguous entries.
+//   - cuckooContainer (repr_cuckoo.go): a bucketized cuckoo hash table for
+//     the vertices above it.
 //   - blockContainer (repr_blocks.go): the paper's hashed edgeblock tree
 //     (Robin Hood Hashing within subblocks, Tree-Based Hashing across
-//     generations). The default mid-range format.
-//   - cuckooContainer (repr_cuckoo.go): a bucketized cuckoo hash table for
-//     heavy hitters, where the block tree would otherwise grow deep
-//     overflow chains.
+//     generations). Only ReprBlocks uses it: it is the structure the paper
+//     describes, and the one its figures and ablations measure.
 //
 // adaptiveContainer (adaptive.go) is the per-vertex adaptor: it routes
-// operations to the active format and migrates between formats when the
-// degree crosses the Config thresholds (with hysteresis). Every vertex owns
+// operations to the active format and migrates between the slice and the
+// cuckoo table when the degree crosses the Config thresholds (with
+// hysteresis). Every vertex owns
 // one adaptiveContainer in GraphTinker.cont; the hot paths dispatch on its
 // kind tag directly — the interface is the architectural and testing
 // boundary, not a virtual-dispatch layer in the middle of a probe loop.
@@ -60,12 +61,13 @@ type Representation uint8
 
 const (
 	// ReprAdaptive (the default) starts every vertex as a sorted slice and
-	// migrates it between formats as its degree crosses the Config
-	// thresholds.
+	// moves it to the cuckoo table and back as its degree crosses the
+	// Config thresholds.
 	ReprAdaptive Representation = iota
 	// ReprSlice forces the inline sorted-slice container for every vertex.
 	ReprSlice
-	// ReprBlocks forces the paper's hashed edgeblock-tree container.
+	// ReprBlocks forces the paper's hashed edgeblock-tree container — the
+	// structure the paper's figures measure.
 	ReprBlocks
 	// ReprCuckoo forces the bucketized cuckoo container.
 	ReprCuckoo
@@ -104,10 +106,11 @@ func ParseRepresentation(s string) (Representation, error) {
 	}
 }
 
-// Default adaptive-migration thresholds (see the Config fields).
+// Default adaptive-migration thresholds (see the Config fields). The
+// promote point is the smallest one repeated runs of
+// BenchmarkReprThresholds (internal/bench) pick; demotion sits at half of
+// it.
 const (
-	DefaultSlicePromoteDegree  = 32
-	DefaultSliceDemoteDegree   = 12
 	DefaultCuckooPromoteDegree = 2048
 	DefaultCuckooDemoteDegree  = 1024
 )
@@ -140,7 +143,7 @@ func (k reprKind) String() string {
 }
 
 // initialKind maps a forced Representation to the kind every vertex starts
-// (and stays) in; ReprAdaptive starts at the slice tail.
+// (and stays) in; ReprAdaptive starts in the slice.
 func (r Representation) initialKind() reprKind {
 	switch r {
 	case ReprSlice, ReprAdaptive:

@@ -93,7 +93,7 @@ func TestDeleteAndCompactShrinks(t *testing.T) {
 }
 
 func TestDeleteAndCompactKeepsStructureDense(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := blocksConfig()
 	cfg.DeleteMode = DeleteAndCompact
 	gt := MustNew(cfg)
 	ref := newRefGraph()
@@ -118,7 +118,7 @@ func TestDeleteAndCompactKeepsStructureDense(t *testing.T) {
 	}
 	// The EdgeblockArray fill under compaction should be far higher than the
 	// same workload under delete-only.
-	cfg2 := DefaultConfig()
+	cfg2 := blocksConfig()
 	cfg2.DeleteMode = DeleteOnly
 	gt2 := MustNew(cfg2)
 	ref2 := newRefGraph()

@@ -1,5 +1,7 @@
 package core
 
+import "unsafe"
+
 // edgeblockArray is the backbone of GraphTinker (Sec. III.B): a growable
 // array of edgeblocks, each PageWidth edge cells wide, backed by fixed-size
 // slab chunks so cells of one edgeblock are contiguous in memory and arena
@@ -205,13 +207,11 @@ func (eba *edgeblockArray) hasChildren(b int32) bool {
 	return false
 }
 
-// memoryBytes estimates the resident footprint of the arena.
+// memoryBytes is the resident footprint of the arena: its cell chunks and
+// the capacity of every metadata array.
 func (eba *edgeblockArray) memoryBytes() uint64 {
-	const cellBytes = 8 + 8 + 4 + 2 + 1 // dst + calPtr + weight + probe + state (unpadded estimate)
-	return uint64(len(eba.chunks))*uint64(eba.cellsPerChunk)*cellBytes +
-		uint64(len(eba.children))*4 +
-		uint64(len(eba.parent))*4 +
-		uint64(len(eba.parentSb))*4 +
-		uint64(len(eba.occupancy))*4 +
-		uint64(len(eba.subOcc))
+	return uint64(len(eba.chunks))*uint64(eba.cellsPerChunk)*uint64(unsafe.Sizeof(edgeCell{})) +
+		uint64(cap(eba.chunks))*uint64(unsafe.Sizeof(eba.chunks[:0])) +
+		uint64(cap(eba.children)+cap(eba.parent)+cap(eba.parentSb)+cap(eba.occupancy)+cap(eba.freeList))*4 +
+		uint64(cap(eba.subOcc))
 }

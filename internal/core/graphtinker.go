@@ -2,6 +2,7 @@ package core
 
 import (
 	"time"
+	"unsafe"
 
 	"graphtinker/internal/metrics"
 )
@@ -212,11 +213,14 @@ func (gt *GraphTinker) Instrument(rec *metrics.UpdateRecorder) { gt.rec = rec }
 // Recorder returns the attached update-path recorder (nil when detached).
 func (gt *GraphTinker) Recorder() *metrics.UpdateRecorder { return gt.rec }
 
-// Memory reports the approximate resident footprint by component.
+// Memory reports the resident footprint by component: the capacity of every
+// buffer the instance holds times its padded element size, so it tracks
+// the heap the instance occupies (the SGH map's share is an estimate).
 func (gt *GraphTinker) Memory() MemoryFootprint {
 	m := MemoryFootprint{
-		EdgeblockArrayBytes: gt.eba.memoryBytes() + uint64(len(gt.topBlock))*4,
+		EdgeblockArrayBytes: gt.eba.memoryBytes() + uint64(cap(gt.topBlock))*4,
 		VertexPropsBytes:    gt.props.memoryBytes(),
+		ContainerBytes:      uint64(cap(gt.cont)) * uint64(unsafe.Sizeof(adaptiveContainer{})),
 	}
 	for d := range gt.cont {
 		m.ContainerBytes += gt.cont[d].memoryBytes()
@@ -239,11 +243,10 @@ func (gt *GraphTinker) OccupancyReport() Occupancy {
 		FreeBlocks:     len(gt.eba.freeList),
 	}
 	for d := range gt.cont {
-		switch gt.cont[d].kind {
-		case reprSlice:
-			o.SliceSlots += uint64(gt.cont[d].slice.Degree())
-		case reprCuckoo:
-			o.CuckooSlots += uint64(len(gt.cont[d].cuckoo.slots))
+		ac := &gt.cont[d]
+		o.SliceSlots += uint64(cap(ac.slice.entries))
+		if ac.cuckoo != nil {
+			o.CuckooSlots += uint64(cap(ac.cuckoo.slots))
 		}
 	}
 	if gt.cal != nil {

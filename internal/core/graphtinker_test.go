@@ -1,7 +1,10 @@
 package core
 
 import (
+	"runtime"
 	"testing"
+
+	"graphtinker/internal/rmat"
 )
 
 func TestDefaultConfigValid(t *testing.T) {
@@ -29,6 +32,10 @@ func TestConfigValidation(t *testing.T) {
 		{"huge CAL block", func(c *Config) { c.CALBlockSize = 0x3030303030303030 }},
 		{"negative vertex capacity", func(c *Config) { c.InitialVertexCapacity = -1 }},
 		{"bogus delete mode", func(c *Config) { c.DeleteMode = DeleteMode(99) }},
+		{"demote at promote", func(c *Config) { c.CuckooPromoteDegree = 64; c.CuckooDemoteDegree = 64 }},
+		{"demote above promote", func(c *Config) { c.CuckooPromoteDegree = 64; c.CuckooDemoteDegree = 100 }},
+		{"negative demote", func(c *Config) { c.CuckooDemoteDegree = -1 }},
+		{"negative promote", func(c *Config) { c.CuckooPromoteDegree = -1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -137,7 +144,7 @@ func TestSelfLoop(t *testing.T) {
 }
 
 func TestHighDegreeVertexBranchesOut(t *testing.T) {
-	gt := MustNew(DefaultConfig())
+	gt := MustNew(blocksConfig())
 	ref := newRefGraph()
 	const degree = 5000
 	for i := 0; i < degree; i++ {
@@ -405,7 +412,7 @@ func TestEarlyStopIteration(t *testing.T) {
 }
 
 func TestStatsAccumulateAndReset(t *testing.T) {
-	gt := MustNew(DefaultConfig())
+	gt := MustNew(blocksConfig())
 	for i := 0; i < 100; i++ {
 		gt.InsertEdge(1, uint64(i), 1)
 	}
@@ -452,6 +459,40 @@ func TestMemoryFootprintGrows(t *testing.T) {
 	}
 }
 
+// TestMemoryTracksHeap holds Memory() to the heap an instance actually
+// occupies: after a fixed RMAT load under each representation, its total
+// is within 10% of the HeapAlloc growth the load caused.
+func TestMemoryTracksHeap(t *testing.T) {
+	edges, err := rmat.Generate(rmat.Graph500Params(14, 16, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	for _, repr := range []Representation{ReprAdaptive, ReprSlice, ReprBlocks, ReprCuckoo} {
+		t.Run(repr.String(), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Repr = repr
+			base := heap()
+			g := MustNew(cfg)
+			for _, e := range edges {
+				g.InsertEdge(e.Src, e.Dst, e.Weight)
+			}
+			grown := float64(heap() - base)
+			counted := float64(g.Memory().Total())
+			t.Logf("%s: Memory %.1f B/edge, heap %.1f B/edge", repr, counted/float64(g.NumEdges()), grown/float64(g.NumEdges()))
+			if counted < 0.9*grown || counted > 1.1*grown {
+				t.Fatalf("Memory().Total() = %.0f B, heap grew %.0f B (%+.1f%%)", counted, grown, 100*(counted/grown-1))
+			}
+		})
+	}
+}
+
 func TestOccupancyReport(t *testing.T) {
 	gt := MustNew(DefaultConfig())
 	for i := 0; i < 1000; i++ {
@@ -474,7 +515,7 @@ func TestOccupancyReport(t *testing.T) {
 }
 
 func TestRHHSwapsHappenUnderPressure(t *testing.T) {
-	gt := MustNew(DefaultConfig())
+	gt := MustNew(blocksConfig())
 	// Many edges of one vertex force subblock collisions and RHH swaps.
 	for i := 0; i < 4000; i++ {
 		gt.InsertEdge(7, uint64(i), 1)

@@ -3,7 +3,7 @@ package core
 import "testing"
 
 func TestRebuiltCompactsTombstonedStructure(t *testing.T) {
-	gt := MustNew(DefaultConfig()) // delete-only
+	gt := MustNew(blocksConfig()) // delete-only
 	ref := newRefGraph()
 	r := &testRand{s: 99}
 	for i := 0; i < 20000; i++ {

@@ -59,26 +59,18 @@ func (c *blockContainer) Insert(dst uint64, w float32) (bool, int) {
 		float.calPtr = gt.cal.append(c.d, gt.rawOf(c.d), dst, w, invalidCellAddr)
 		gt.stats.calAppends.Add(1)
 	}
-	probe += c.placeFloat(float)
 	c.n++
-	return true, probe
-}
 
-// placeFloat settles a floating occupied cell by the Robin Hood /
-// Tree-Based Hashing descent, returning the cells inspected. Shared by
-// Insert and the bulk loads of format migration (which arrive with their
-// CAL pointer already assigned).
-func (c *blockContainer) placeFloat(float edgeCell) int {
-	gt := c.host
+	// Settle the floating cell by the Robin Hood / Tree-Based Hashing
+	// descent.
 	blk := c.top()
 	gen := 0
-	probe := 0
 	for {
 		sb := gt.subblockFor(float.dst, gen)
 		outcome, evicted, scanned := gt.placeInSubblock(blk, sb, float)
 		probe += scanned
 		if outcome == placedHere {
-			break
+			return true, probe
 		}
 		float = evicted
 		child := gt.eba.childOf(blk, sb)
@@ -92,7 +84,6 @@ func (c *blockContainer) placeFloat(float edgeCell) int {
 		gen++
 		gt.stats.observeGeneration(gen)
 	}
-	return probe
 }
 
 func (c *blockContainer) Delete(dst uint64) (bool, int) {
@@ -174,59 +165,4 @@ func (c *blockContainer) repointCAL(dst uint64, p calPtr) bool {
 	}
 	gt.eba.subblockCells(fr.block, fr.sb)[fr.slot].calPtr = p
 	return true
-}
-
-// clear frees the vertex's whole edgeblock subtree — including the
-// top-parent block — returning every block to the arena free list. Used
-// when a migration moves the vertex out of the block format; the freed
-// blocks are what the space-adaptivity of the hybrid representation
-// reclaims.
-func (c *blockContainer) clear() {
-	gt := c.host
-	if blk := c.top(); blk != noBlock {
-		gt.pruneEmptySubtree(blk)
-		gt.topBlock[c.d] = noBlock
-	}
-	c.n = 0
-}
-
-// collectEntries walks every live cell, handing (dst, weight, calPtr) to
-// the migration target's bulk loader.
-func (c *blockContainer) collectEntries(fn func(dst uint64, w float32, ptr calPtr)) {
-	blk := c.top()
-	if blk == noBlock {
-		return
-	}
-	c.host.collectSubtree(blk, fn)
-}
-
-// bulkAdd places an edge during migration: the CAL mirror entry already
-// exists, so the cell carries the existing pointer and writeCell re-points
-// the mirror's owner to the new cell address.
-func (c *blockContainer) bulkAdd(dst uint64, w float32, ptr calPtr) {
-	gt := c.host
-	if c.top() == noBlock {
-		gt.topBlock[c.d] = gt.eba.allocBlock(noBlock, 0)
-		gt.stats.blocksAllocated.Add(1)
-	}
-	c.placeFloat(edgeCell{dst: dst, weight: w, calPtr: ptr, state: cellOccupied})
-	c.n++
-}
-
-// collectSubtree is walkSubtree with the CAL pointer exposed (migrations
-// need it; the public iteration surface does not).
-func (gt *GraphTinker) collectSubtree(blk int32, fn func(dst uint64, w float32, ptr calPtr)) {
-	if gt.eba.occupancy[blk] > 0 {
-		cells := gt.eba.blockCells(blk)
-		for i := range cells {
-			if cells[i].state == cellOccupied {
-				fn(cells[i].dst, cells[i].weight, cells[i].calPtr)
-			}
-		}
-	}
-	for _, child := range gt.eba.blockChildren(blk) {
-		if child != noBlock {
-			gt.collectSubtree(child, fn)
-		}
-	}
 }

@@ -1,11 +1,14 @@
 package core
 
+import "unsafe"
+
 // cuckooContainer stores a heavy-hitter vertex's out-edges in a bucketized
 // cuckoo hash table (4 slots per bucket, 2 candidate buckets per edge, a
-// bounded eviction chain, doubling growth). At the degrees where the hashed
-// edgeblock tree would grow deep overflow chains — every generation adds a
-// subblock scan to the probe path — the cuckoo table answers any lookup in
-// at most two bucket fetches regardless of degree.
+// bounded eviction chain, doubling growth) — the upper tier of the
+// adaptive representation. Where a sorted slice would shift hundreds of
+// entries per insert, the table answers any lookup in at most two bucket
+// fetches regardless of degree, and unlike the hashed edgeblock tree it
+// grows no overflow generations.
 //
 // Determinism: every decision (bucket choice, victim rotation, growth) is a
 // pure function of the container state and the operation stream, and the
@@ -23,8 +26,6 @@ type cuckooSlot struct {
 	weight float32
 	used   bool
 }
-
-const cuckooSlotBytes = 8 + 8 + 4 + 1 // dst + calPtr + weight + used (unpadded estimate)
 
 type cuckooContainer struct {
 	host *GraphTinker
@@ -340,6 +341,8 @@ func (c *cuckooContainer) bulkAdd(dst uint64, w float32, ptr calPtr) {
 	c.n++
 }
 
+// memoryBytes counts the table header (allocated apart from the adaptor)
+// and its slot buffer.
 func (c *cuckooContainer) memoryBytes() uint64 {
-	return uint64(cap(c.slots)) * cuckooSlotBytes
+	return uint64(unsafe.Sizeof(*c)) + uint64(cap(c.slots))*uint64(unsafe.Sizeof(cuckooSlot{}))
 }

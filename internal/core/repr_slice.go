@@ -1,13 +1,18 @@
 package core
 
-// sliceContainer stores a vertex's out-edges as a small slice sorted by
-// destination id — the low-degree-tail format of the adaptive
-// representation. Most vertices of a skewed stream never leave it: lookups
-// are a binary search over a few contiguous entries, insertion shifts a
-// handful of elements, and there is no block, hash or tombstone overhead
-// at all. The entry buffer is retained across demotions (entries[:0]), so
-// a vertex flapping around the promote threshold re-migrates without
-// allocating.
+import (
+	"cmp"
+	"slices"
+	"unsafe"
+)
+
+// sliceContainer stores a vertex's out-edges as a slice sorted by
+// destination id — the lower tier of the adaptive representation. All but
+// the heaviest vertices of a skewed stream stay in it: lookups are a binary
+// search over contiguous entries, insertion shifts the entries above the
+// new one, and there is no block, hash or tombstone overhead at all. The
+// entry buffer is retained across promotions (entries[:0]), so a vertex
+// flapping around the thresholds re-migrates without allocating.
 
 // sliceEntry is one stored edge: the destination, the CAL mirror pointer
 // (invalidCALPtr when CAL is off) and the weight.
@@ -16,8 +21,6 @@ type sliceEntry struct {
 	calPtr calPtr
 	weight float32
 }
-
-const sliceEntryBytes = 8 + 8 + 4 // dst + calPtr + weight (unpadded estimate)
 
 type sliceContainer struct {
 	host *GraphTinker
@@ -151,22 +154,13 @@ func (c *sliceContainer) bulkAdd(dst uint64, w float32, ptr calPtr) {
 	c.entries = append(c.entries, sliceEntry{dst: dst, calPtr: ptr, weight: w})
 }
 
-// sortEntries restores dst order after a bulk migration. Demotions hand
-// over at most SliceDemoteDegree entries, so a simple insertion sort beats
-// sort.Slice (which allocates its closure) on every real input.
+// sortEntries restores dst order after a demotion, which hands over up to
+// CuckooDemoteDegree entries in hash order. The comparator captures
+// nothing, so the sort does not allocate.
 func (c *sliceContainer) sortEntries() {
-	es := c.entries
-	for i := 1; i < len(es); i++ {
-		e := es[i]
-		j := i - 1
-		for j >= 0 && es[j].dst > e.dst {
-			es[j+1] = es[j]
-			j--
-		}
-		es[j+1] = e
-	}
+	slices.SortFunc(c.entries, func(a, b sliceEntry) int { return cmp.Compare(a.dst, b.dst) })
 }
 
 func (c *sliceContainer) memoryBytes() uint64 {
-	return uint64(cap(c.entries)) * sliceEntryBytes
+	return uint64(cap(c.entries)) * uint64(unsafe.Sizeof(sliceEntry{}))
 }

@@ -228,7 +228,7 @@ func (d *modeDriver) untilSingle(batchOps int) {
 // stopping, asserting the mode and the exact build/drop counts at every
 // stage.
 func TestSeqlockModeMachineDifferential(t *testing.T) {
-	p, err := NewParallel(tinyThresholds(testConfig(t)), 2)
+	p, err := NewParallel(testConfig(t), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -661,7 +661,7 @@ func FuzzSeqlockModes(f *testing.F) {
 			data = data[:600]
 		}
 		const shards = 2
-		p, err := NewParallel(tinyThresholds(testConfig(t)), shards)
+		p, err := NewParallel(testConfig(t), shards)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,6 +42,8 @@ func (s *scatterGather) raw(dense uint32) uint64 { return s.toRaw[dense] }
 func (s *scatterGather) count() int { return len(s.toRaw) }
 
 func (s *scatterGather) memoryBytes() uint64 {
-	// Rough estimate: map entry ≈ 2 words + overhead, slice entry 8 bytes.
-	return uint64(len(s.toRaw))*8 + uint64(len(s.toDense))*24
+	// The reverse slice is exact; a map entry is an estimate of 24 bytes
+	// (a 12-byte key/value pair padded to 16, its control byte, and the
+	// table's slack between growths).
+	return uint64(cap(s.toRaw))*8 + uint64(len(s.toDense))*24
 }

@@ -30,8 +30,8 @@ package core
 // (40 + 12·sources + 12·edges), so the writer sizes every section up
 // front, encodes sections concurrently in a bounded window, and writes
 // them in order. degHist is advisory pre-sizing metadata: how many of the
-// section's sources fall at or below the writer's slice-promote
-// threshold, at or below its cuckoo-promote threshold, and above it.
+// section's sources fall at or below the writer's promote threshold, a
+// reserved count written as 0, and how many lie above the threshold.
 // Decoders must not depend on it — each run carries its exact degree.
 //
 // Both readers (ReadSnapshot for a lone graph, ReadParallelSnapshot for a
@@ -251,12 +251,9 @@ func encodeV2Section(g *GraphTinker, sec v2Section) ([]byte, error) {
 		if deg == 0 {
 			continue
 		}
-		switch {
-		case int(deg) <= cfg.SlicePromoteDegree:
+		if int(deg) <= cfg.CuckooPromoteDegree {
 			hist[0]++
-		case int(deg) <= cfg.CuckooPromoteDegree:
-			hist[1]++
-		default:
+		} else {
 			hist[2]++
 		}
 		if o+12 > len(buf) {

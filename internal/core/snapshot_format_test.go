@@ -16,8 +16,8 @@ import (
 )
 
 // formatOps is the fixture stream plus hubs whose degrees (3, 12, 60)
-// straddle tinyThresholds' promote points, so every writer's sections
-// carry slice-, blocks- and cuckoo-sized runs.
+// straddle tinyThresholds' promote point, so every writer's sections carry
+// slice- and cuckoo-sized runs.
 func formatOps() []EdgeOp {
 	ops := snapshotFixtureOps()
 	for i, deg := range []int{3, 12, 60} {

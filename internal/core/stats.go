@@ -26,8 +26,8 @@ type Stats struct {
 	BlocksFreed     uint64 `json:"blocks_freed"`
 	CompactionMoves uint64 `json:"compaction_moves"` // cells pulled up by delete-and-compact
 
-	// Adaptive-representation migrations (slice→blocks and blocks→cuckoo
-	// are promotions; the reverse directions are demotions).
+	// Adaptive-representation migrations (slice→cuckoo is a promotion,
+	// cuckoo→slice a demotion).
 	Promotions uint64 `json:"promotions"`
 	Demotions  uint64 `json:"demotions"`
 
@@ -151,15 +151,16 @@ func (s *statsCounters) reset() {
 	s.shadowDrops.Store(0)
 }
 
-// MemoryFootprint is a coarse accounting of resident bytes per component.
+// MemoryFootprint accounts the resident bytes of an instance per component.
 type MemoryFootprint struct {
 	EdgeblockArrayBytes uint64
 	CALBytes            uint64
 	SGHBytes            uint64
 	VertexPropsBytes    uint64
-	// ContainerBytes is the retained footprint of the container-owned
-	// buffers (slice entries and cuckoo slots, including buffers kept for
-	// reuse after a demotion). Block storage is in EdgeblockArrayBytes.
+	// ContainerBytes is the per-vertex adaptor array plus the
+	// container-owned buffers (slice entries and cuckoo tables, including
+	// buffers kept for reuse after a migration). Block storage is in
+	// EdgeblockArrayBytes.
 	ContainerBytes uint64
 }
 
@@ -176,11 +177,11 @@ type Occupancy struct {
 	CellsAllocated uint64
 	LiveBlocks     int
 	FreeBlocks     int
-	// SliceSlots / CuckooSlots count the storage slots of vertices whose
-	// ACTIVE representation is the slice or cuckoo format (slice slots are
-	// exactly its live entries; cuckoo slots include its empty buckets).
-	// Retained-but-inactive buffers are memory, not occupancy — they show
-	// up in MemoryFootprint.ContainerBytes only.
+	// SliceSlots / CuckooSlots count the allocated entries of every slice
+	// buffer and cuckoo table: capacity, not length, and including the
+	// buffers a vertex keeps for reuse after migrating out of a format. So
+	// Fill compares like with like across formats: live edges over every
+	// edge slot the instance holds.
 	SliceSlots    uint64
 	CuckooSlots   uint64
 	CALLiveEdges  uint64
@@ -189,7 +190,7 @@ type Occupancy struct {
 }
 
 // Fill is the fraction of allocated edge-storage slots (block cells plus
-// active slice/cuckoo slots) holding a live edge.
+// slice and cuckoo slots) holding a live edge.
 func (o Occupancy) Fill() float64 {
 	total := o.CellsAllocated + o.SliceSlots + o.CuckooSlots
 	if total == 0 {

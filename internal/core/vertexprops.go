@@ -45,5 +45,5 @@ func (vp *vertexProps) reserve(n int) {
 }
 
 func (vp *vertexProps) memoryBytes() uint64 {
-	return uint64(len(vp.degree))*4 + uint64(len(vp.value))*8 + uint64(len(vp.flags))*4
+	return uint64(cap(vp.degree))*4 + uint64(cap(vp.value))*8 + uint64(cap(vp.flags))*4
 }
