@@ -123,10 +123,11 @@ func PageRank(cfg PageRankConfig) Program { return algorithms.PageRankDelta(cfg)
 // it.
 type InEdgeStore = engine.InEdgeStore
 
-// VCEngine runs a Program in the vertex-centric pull model — the
-// computation model the paper's future-work section proposes. It gathers
-// over in-edges instead of scattering over out-edges, so it needs a store
-// with reverse access (see NewMirrored).
+// VCEngine is the Engine NewVCEngine builds: it runs a Program in the
+// vertex-centric pull model — the computation model the paper's
+// future-work section proposes. It gathers over in-edges instead of
+// scattering over out-edges, so it needs a store with reverse access (see
+// NewMirrored).
 type VCEngine = engine.VCEngine
 
 // NewVCEngine builds a vertex-centric engine over an in-edge-capable
@@ -144,9 +145,11 @@ func MustNewVCEngine(store InEdgeStore, prog Program, opts EngineOptions) *VCEng
 // satisfies it.
 type ShardedStore = engine.ShardedStore
 
-// ParallelEngine runs a Program over a sharded store with one worker per
-// shard, in both the full-processing and incremental phases. Results are
-// identical to the sequential engine for deterministic Reduce functions.
+// ParallelEngine is the Engine NewParallelEngine builds: it runs a Program
+// over a sharded store with one worker per shard, in both the
+// full-processing and incremental phases. Results are identical to the
+// sequential engine for deterministic Reduce functions. Programs with only
+// an ApplyVertex hook, such as PageRank, are refused.
 type ParallelEngine = engine.ParallelEngine
 
 // NewParallelEngine builds a parallel engine over a sharded store.

@@ -38,7 +38,7 @@ func ExtVC(opts Options) (Table, error) {
 
 		// VC: mirrored store, analytics after every batch.
 		m := core.MustNewMirrored(gtConfig())
-		vc := engine.MustNewVC(m, prog, engine.Options{})
+		vc := engine.MustNewVC(m, prog, engine.Options{Mode: engine.IncrementalProcessing})
 		var vcRes workloadResult
 		vcRes.Converged = true
 		loadCost := timeIt(func() {

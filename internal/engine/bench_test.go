@@ -71,6 +71,36 @@ func BenchmarkVCEngine(b *testing.B) {
 	}
 }
 
+// TestRunAllocsIndependentOfFrontier pins that edge walks allocate nothing
+// per vertex: on a warmed engine, a from-scratch run over a two-hop star
+// allocates the same whether its frontier holds 512 or 4,096 vertices.
+func TestRunAllocsIndependentOfFrontier(t *testing.T) {
+	star := func(fan uint64) []Edge {
+		var edges []Edge
+		for i := uint64(1); i <= fan; i++ {
+			edges = append(edges, te(0, i), te(i, fan+i))
+		}
+		return edges
+	}
+	allocs := func(e *Engine) float64 {
+		e.RunFromScratch()
+		return testing.AllocsPerRun(5, func() { e.RunFromScratch() })
+	}
+	for name, build := range map[string]func([]Edge) *Engine{
+		"sequential": func(edges []Edge) *Engine {
+			return MustNew(newStore(t, edges), minProgram(), Options{Mode: IncrementalProcessing})
+		},
+		"pull": func(edges []Edge) *Engine {
+			return MustNewVC(mirroredStore(t, edges), minProgram(), Options{Mode: IncrementalProcessing})
+		},
+	} {
+		small, large := allocs(build(star(512))), allocs(build(star(4096)))
+		if small != large {
+			t.Fatalf("%s: %v allocs at a 512-vertex frontier, %v at 4096", name, small, large)
+		}
+	}
+}
+
 func BenchmarkFrontierAddContains(b *testing.B) {
 	f := newFrontier(1 << 20)
 	b.ReportAllocs()

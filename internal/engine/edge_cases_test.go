@@ -26,18 +26,28 @@ func TestEngineOnEmptyStore(t *testing.T) {
 func TestPredictorInfiniteOnEdgelessActivation(t *testing.T) {
 	// An active vertex on a store whose edges were all deleted: T = A/0 is
 	// treated as infinite, forcing the FP path in hybrid mode (streaming
-	// nothing is free), and the run converges immediately.
+	// nothing is free), and the run converges immediately. Every loading
+	// strategy records the same trace.
 	store := core.MustNew(core.DefaultConfig())
 	store.InsertEdge(0, 1, 1)
 	store.DeleteEdge(0, 1)
-	e := MustNew(store, minProgram(), Options{Mode: Hybrid})
-	res := e.RunFromScratch()
-	if len(res.Iterations) != 1 {
-		t.Fatalf("iterations = %d", len(res.Iterations))
-	}
-	it := res.Iterations[0]
-	if !math.IsInf(it.PredictorT, 1) || !it.UsedFull {
-		t.Fatalf("edge-less iteration: T=%v full=%v", it.PredictorT, it.UsedFull)
+	sharded := shardedStore(t, 3, []Edge{te(0, 1)})
+	sharded.DeleteBatch([]Edge{te(0, 1)})
+	mirrored := mirroredStore(t, []Edge{te(0, 1)})
+	mirrored.DeleteEdge(0, 1)
+	for name, e := range map[string]*Engine{
+		"sequential": MustNew(store, minProgram(), Options{Mode: Hybrid}),
+		"sharded":    MustNewParallelEngine(sharded, minProgram(), Options{Mode: Hybrid}),
+		"pull":       MustNewVC(mirrored, minProgram(), Options{Mode: Hybrid}),
+	} {
+		res := e.RunFromScratch()
+		if len(res.Iterations) != 1 {
+			t.Fatalf("%s: iterations = %d", name, len(res.Iterations))
+		}
+		it := res.Iterations[0]
+		if !math.IsInf(it.PredictorT, 1) || !it.UsedFull {
+			t.Fatalf("%s: edge-less iteration: T=%v full=%v", name, it.PredictorT, it.UsedFull)
+		}
 	}
 }
 

@@ -54,70 +54,87 @@ type Options struct {
 	// are rejected.
 	Threshold float64
 	// MaxIterations guards against non-converging programs; 0 derives a
-	// bound from the vertex count.
+	// bound from the vertex count. Negative values are rejected.
 	MaxIterations int
-}
-
-// resolveThreshold applies the documented Threshold rule shared by every
-// engine constructor: 0 is the sentinel for DefaultThreshold, positives are
-// taken verbatim, negatives are an error.
-func resolveThreshold(th float64) (float64, error) {
-	if th < 0 {
-		return 0, fmt.Errorf("engine: threshold %g is negative; use 0 for the default (%g) or any positive value", th, DefaultThreshold)
-	}
-	if th == 0 {
-		return DefaultThreshold, nil
-	}
-	return th, nil
 }
 
 // Engine runs one Program over one GraphStore, keeping vertex properties
 // alive across batch updates so incremental and hybrid runs can continue
 // from the previous fixed point.
+//
+// Every engine runs the same GAS loop: the inference box, a processing
+// phase that loads edges into the VTempProperty buffer, and one apply
+// phase. The constructor fixes how the processing phase loads edges:
+//   - New: sequential scatter, straight into the global buffer;
+//   - NewParallelEngine: sharded scatter, one worker per shard with a
+//     private buffer and a merge phase (parallel.go);
+//   - NewVC: pull, gathering each vertex's messages over its in-edges
+//     (vc.go).
 type Engine struct {
 	store GraphStore
 	prog  Program
 	opts  Options
 
-	// val is the VPropertyArray; temp the VTempProperty buffer of the
-	// processing phase (Sec. IV.A).
-	val  []float64
-	temp []float64
+	shards ShardedStore // set for the sharded scatter
+	in     InEdgeStore  // set for the pull strategy
 
-	touched   []uint64
-	isTouched []bool
+	// val is the VPropertyArray. The embedded worker's buffer is the
+	// VTempProperty buffer of the processing phase (Sec. IV.A), the one
+	// the apply phase reads.
+	val []float64
+	worker
+	// workers lists every scatter context, the embedded worker first.
+	workers []*worker
 
 	cur, next *frontier
 }
 
-// New validates the program and builds an engine sized to the store's
-// current vertex space.
+// New validates the program and builds a sequential engine sized to the
+// store's current vertex space.
 func New(store GraphStore, prog Program, opts Options) (*Engine, error) {
-	if err := validateProgram(prog); err != nil {
-		return nil, err
-	}
-	var err error
-	if opts.Threshold, err = resolveThreshold(opts.Threshold); err != nil {
-		return nil, err
-	}
-	switch opts.Mode {
-	case FullProcessing, IncrementalProcessing, Hybrid:
-	default:
-		return nil, fmt.Errorf("engine: unknown mode %d", opts.Mode)
-	}
-	e := &Engine{store: store, prog: prog, opts: opts,
-		cur: newFrontier(0), next: newFrontier(0)}
-	e.Resize()
-	return e, nil
+	return newEngine(store, prog, opts, 1)
 }
 
 // MustNew is New for known-valid inputs.
 func MustNew(store GraphStore, prog Program, opts Options) *Engine {
-	e, err := New(store, prog, opts)
+	return must(New(store, prog, opts))
+}
+
+func must(e *Engine, err error) *Engine {
 	if err != nil {
 		panic(err)
 	}
 	return e
+}
+
+// newEngine is the one validation path: the program's hooks, the mode, the
+// Threshold rule (0 is the sentinel for DefaultThreshold) and the guard.
+func newEngine(store GraphStore, prog Program, opts Options, workers int) (*Engine, error) {
+	if err := validateProgram(prog); err != nil {
+		return nil, err
+	}
+	switch {
+	case opts.Mode > Hybrid:
+		return nil, fmt.Errorf("engine: unknown mode %d", opts.Mode)
+	case opts.Threshold < 0:
+		return nil, fmt.Errorf("engine: threshold %g is negative; use 0 for the default (%g) or any positive value", opts.Threshold, DefaultThreshold)
+	case opts.MaxIterations < 0:
+		return nil, fmt.Errorf("engine: negative MaxIterations")
+	}
+	if opts.Threshold == 0 {
+		opts.Threshold = DefaultThreshold
+	}
+	e := &Engine{store: store, prog: prog, opts: opts,
+		cur: newFrontier(0), next: newFrontier(0)}
+	e.workers = []*worker{&e.worker}
+	for len(e.workers) < workers {
+		e.workers = append(e.workers, new(worker))
+	}
+	for _, ws := range e.workers {
+		ws.bind(e)
+	}
+	e.Resize()
+	return e, nil
 }
 
 // Mode returns the engine's execution model.
@@ -133,10 +150,13 @@ func (e *Engine) Resize() {
 	}
 	n := maxID + 1
 	for uint64(len(e.val)) < n {
-		v := uint64(len(e.val))
-		e.val = append(e.val, e.prog.InitVertex(v))
-		e.temp = append(e.temp, 0)
-		e.isTouched = append(e.isTouched, false)
+		e.val = append(e.val, e.prog.InitVertex(uint64(len(e.val))))
+	}
+	for _, ws := range e.workers {
+		for uint64(len(ws.temp)) < n {
+			ws.temp = append(ws.temp, 0)
+			ws.isTouched = append(ws.isTouched, false)
+		}
 	}
 	e.cur.grow(n)
 	e.next.grow(n)
@@ -147,9 +167,7 @@ func (e *Engine) NumVertices() uint64 { return uint64(len(e.val)) }
 
 // Value returns the current property of v (the program's InitVertex value
 // when v is out of range).
-func (e *Engine) Value(v uint64) float64 { return e.value(v) }
-
-func (e *Engine) value(v uint64) float64 {
+func (e *Engine) Value(v uint64) float64 {
 	if v < uint64(len(e.val)) {
 		return e.val[v]
 	}
@@ -159,35 +177,16 @@ func (e *Engine) value(v uint64) float64 {
 // Values exposes the full property array (live; do not mutate).
 func (e *Engine) Values() []float64 { return e.val }
 
-func (e *Engine) activate(v uint64) {
-	if v < uint64(len(e.val)) {
-		e.cur.add(v)
-	}
-}
-
-// resetProperties re-initializes every vertex property (the from-scratch
-// start of the full-processing model).
-func (e *Engine) resetProperties() {
-	for v := range e.val {
-		e.val[v] = e.prog.InitVertex(uint64(v))
-	}
-	e.cur.clear()
-	e.next.clear()
-}
-
 // RunAfterBatch performs the engine's work for one freshly applied batch
 // update, per the engine's mode: full processing restarts from scratch;
 // incremental and hybrid seed the batch's inconsistent vertices and
 // continue from the previous properties.
 func (e *Engine) RunAfterBatch(batch []Edge) RunResult {
-	e.Resize()
-	switch e.opts.Mode {
-	case FullProcessing:
-		e.resetProperties()
-		e.prog.InitialSeeds(SeedContext{eng: e})
-	default:
-		e.prog.SeedInconsistent(batch, SeedContext{eng: e})
+	if e.opts.Mode == FullProcessing {
+		return e.RunFromScratch()
 	}
+	e.Resize()
+	e.prog.SeedInconsistent(batch, SeedContext{e})
 	return e.iterate()
 }
 
@@ -197,60 +196,61 @@ func (e *Engine) RunAfterBatch(batch []Edge) RunResult {
 // programs cannot repair their state.
 func (e *Engine) RunFromScratch() RunResult {
 	e.Resize()
-	e.resetProperties()
-	e.prog.InitialSeeds(SeedContext{eng: e})
-	return e.iterate()
-}
-
-// maxIterations derives the convergence guard.
-func (e *Engine) maxIterations() int {
-	if e.opts.MaxIterations > 0 {
-		return e.opts.MaxIterations
+	for v := range e.val {
+		e.val[v] = e.prog.InitVertex(uint64(v))
 	}
-	return len(e.val) + 2
+	e.cur.clear()
+	e.next.clear()
+	e.prog.InitialSeeds(SeedContext{e})
+	return e.iterate()
 }
 
 // iterate runs processing+apply iterations until the frontier empties.
 func (e *Engine) iterate() RunResult {
 	res := RunResult{Algorithm: e.prog.Name, Mode: e.opts.Mode, Converged: true}
-	guard := e.maxIterations()
+	guard := e.opts.MaxIterations
+	if guard == 0 {
+		guard = len(e.val) + 2
+	}
 	for iter := 0; e.cur.size() > 0; iter++ {
 		if iter >= guard {
 			res.Converged = false
 			break
 		}
-		it := IterationStats{Index: iter, Active: uint64(e.cur.size())}
+		it := IterationStats{Index: iter, Active: uint64(e.cur.size()), PredictorT: math.Inf(1)}
 
 		// Inference box (Sec. IV.B): T = A / E, where A is the number of
 		// active vertices for this iteration and E the edges loaded so far.
-		edgeCount := e.store.NumEdges()
-		if edgeCount > 0 {
+		if edgeCount := e.store.NumEdges(); edgeCount > 0 {
 			it.PredictorT = float64(it.Active) / float64(edgeCount)
-		} else {
-			it.PredictorT = math.Inf(1)
 		}
 		switch e.opts.Mode {
 		case FullProcessing:
 			it.UsedFull = true
-		case IncrementalProcessing:
-			it.UsedFull = false
 		case Hybrid:
 			it.UsedFull = it.PredictorT > e.opts.Threshold
 		}
-		for _, u := range e.cur.list {
-			it.ActiveDegreeSum += uint64(e.store.OutDegree(u))
-		}
 
 		start := time.Now()
-		if it.UsedFull {
-			e.processFull(&it)
-		} else {
-			e.processIncremental(&it)
+		switch {
+		case e.in != nil:
+			it.UsedFull = true // the pull model always sweeps the vertex set
+			e.gather()
+		case e.shards != nil:
+			e.scatterSharded(it.UsedFull)
+		default:
+			e.worker.scatter(e.cur.list, it.UsedFull, -1)
 		}
 		processDone := time.Now()
 		it.ProcessDuration = processDone.Sub(start)
+		applyStart := processDone
+		if e.shards != nil {
+			e.mergeWorkers()
+			applyStart = time.Now()
+			it.MergeDuration = applyStart.Sub(processDone)
+		}
 		e.applyPhase(&it)
-		it.ApplyDuration = time.Since(processDone)
+		it.ApplyDuration = time.Since(applyStart)
 		it.Duration = time.Since(start)
 		res.accumulate(it)
 
@@ -261,6 +261,7 @@ func (e *Engine) iterate() RunResult {
 }
 
 // scatterInput resolves the value ProcessEdge sees for a source vertex.
+// ScatterValue hooks run concurrently under the sharded scatter.
 func (e *Engine) scatterInput(src uint64) float64 {
 	if e.prog.ScatterValue != nil {
 		return e.prog.ScatterValue(src, e.val[src])
@@ -268,52 +269,11 @@ func (e *Engine) scatterInput(src uint64) float64 {
 	return e.val[src]
 }
 
-// processFull streams every edge of the graph and processes those whose
-// source is active — the contiguous-access processing phase.
-func (e *Engine) processFull(it *IterationStats) {
-	e.store.ForEachEdge(func(src, dst uint64, w float32) bool {
-		it.EdgesLoaded++
-		if !e.cur.contains(src) {
-			return true
-		}
-		it.EdgesProcessed++
-		e.accumulate(dst, e.prog.ProcessEdge(e.scatterInput(src), w))
-		return true
-	})
-}
-
-// processIncremental walks only the active vertices, retrieving their
-// out-edges from the store's random-access path.
-func (e *Engine) processIncremental(it *IterationStats) {
-	for _, u := range e.cur.list {
-		srcVal := e.scatterInput(u)
-		e.store.ForEachOutEdge(u, func(dst uint64, w float32) bool {
-			it.EdgesLoaded++
-			it.EdgesProcessed++
-			e.accumulate(dst, e.prog.ProcessEdge(srcVal, w))
-			return true
-		})
-	}
-}
-
-// accumulate reduces a message into the VTempProperty buffer.
-func (e *Engine) accumulate(dst uint64, msg float64) {
-	if dst >= uint64(len(e.val)) {
-		// A destination beyond the property arrays can only appear if the
-		// store mutated mid-run; ignore rather than corrupt.
-		return
-	}
-	if e.isTouched[dst] {
-		e.temp[dst] = e.prog.Reduce(e.temp[dst], msg)
-	} else {
-		e.temp[dst] = msg
-		e.isTouched[dst] = true
-		e.touched = append(e.touched, dst)
-	}
-}
-
-// applyPhase commits buffered properties and builds the next frontier.
+// applyPhase takes the iteration's counters, commits the buffered
+// properties and builds the next frontier.
 func (e *Engine) applyPhase(it *IterationStats) {
+	it.EdgesLoaded, it.EdgesProcessed, it.ActiveDegreeSum = e.loaded, e.processed, e.degreeSum
+	e.loaded, e.processed, e.degreeSum = 0, 0, 0
 	it.TouchedVertices = uint64(len(e.touched))
 	for _, v := range e.touched {
 		var newVal float64
@@ -330,4 +290,84 @@ func (e *Engine) applyPhase(it *IterationStats) {
 		e.isTouched[v] = false
 	}
 	e.touched = e.touched[:0]
+}
+
+// worker is one processing context: a VTempProperty buffer with its
+// touched list, the iteration's work counters, and edge visitors built once
+// so that walking a vertex's edges allocates nothing.
+type worker struct {
+	eng       *Engine
+	temp      []float64
+	isTouched []bool
+	touched   []uint64
+
+	loaded, processed, degreeSum uint64
+
+	// srcVal is the ProcessEdge input of the vertex whose out-edges
+	// visitOut walks; dst the vertex whose in-edges visitIn walks (pull).
+	srcVal      float64
+	dst         uint64
+	visitOut    func(dst uint64, w float32) bool
+	visitEdge   func(src, dst uint64, w float32) bool
+	visitIn     func(src uint64, w float32) bool
+	visitSource func(v uint64, inDegree uint32) bool
+}
+
+// bind points the worker at its engine and builds the scatter visitors.
+func (ws *worker) bind(e *Engine) {
+	ws.eng = e
+	ws.visitOut = func(dst uint64, w float32) bool {
+		ws.loaded++
+		ws.processed++
+		ws.accumulate(dst, e.prog.ProcessEdge(ws.srcVal, w))
+		return true
+	}
+	ws.visitEdge = func(src, dst uint64, w float32) bool {
+		ws.loaded++
+		if e.cur.contains(src) {
+			ws.processed++
+			ws.accumulate(dst, e.prog.ProcessEdge(e.scatterInput(src), w))
+		}
+		return true
+	}
+}
+
+// scatter is one worker's share of a scatter iteration. It sums the
+// out-degrees of its slice of the active list (the inference box's extra
+// heuristic input) and, in an incremental iteration, walks their out-edges
+// from the store's random-access path. A full iteration instead streams
+// one shard, or the whole store when shard < 0, and processes the edges
+// whose source is active — the contiguous-access processing phase.
+func (ws *worker) scatter(active []uint64, full bool, shard int) {
+	e := ws.eng
+	for _, u := range active {
+		ws.degreeSum += uint64(e.store.OutDegree(u))
+		if !full {
+			ws.srcVal = e.scatterInput(u)
+			e.store.ForEachOutEdge(u, ws.visitOut)
+		}
+	}
+	switch {
+	case !full:
+	case shard < 0:
+		e.store.ForEachEdge(ws.visitEdge)
+	default:
+		e.shards.ForEachShardEdge(shard, ws.visitEdge)
+	}
+}
+
+// accumulate reduces a message into the worker's buffer.
+func (ws *worker) accumulate(dst uint64, msg float64) {
+	if dst >= uint64(len(ws.temp)) {
+		// A destination beyond the property arrays can only appear if the
+		// store mutated mid-run; ignore rather than corrupt.
+		return
+	}
+	if ws.isTouched[dst] {
+		ws.temp[dst] = ws.eng.prog.Reduce(ws.temp[dst], msg)
+	} else {
+		ws.temp[dst] = msg
+		ws.isTouched[dst] = true
+		ws.touched = append(ws.touched, dst)
+	}
 }

@@ -83,6 +83,9 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(store, good, Options{Threshold: -1}); err == nil {
 		t.Fatalf("negative threshold accepted")
 	}
+	if _, err := New(store, good, Options{MaxIterations: -1}); err == nil {
+		t.Fatalf("negative guard accepted")
+	}
 	for _, strip := range []func(*Program){
 		func(p *Program) { p.InitVertex = nil },
 		func(p *Program) { p.ProcessEdge = nil },
@@ -335,11 +338,16 @@ func TestRunResultMerge(t *testing.T) {
 }
 
 func TestActiveDegreeSumCollected(t *testing.T) {
-	store := newStore(t, []Edge{te(0, 1), te(0, 2), te(0, 3)})
-	e := MustNew(store, minProgram(), Options{Mode: IncrementalProcessing})
-	res := e.RunFromScratch()
-	if res.Iterations[0].ActiveDegreeSum != 3 {
-		t.Fatalf("first-iteration degree sum = %d, want 3", res.Iterations[0].ActiveDegreeSum)
+	edges := []Edge{te(0, 1), te(0, 2), te(0, 3)}
+	for name, e := range map[string]*Engine{
+		"sequential": MustNew(newStore(t, edges), minProgram(), Options{Mode: IncrementalProcessing}),
+		"sharded":    MustNewParallelEngine(shardedStore(t, 2, edges), minProgram(), Options{Mode: IncrementalProcessing}),
+		"pull":       MustNewVC(mirroredStore(t, edges), minProgram(), Options{}),
+	} {
+		res := e.RunFromScratch()
+		if res.Iterations[0].ActiveDegreeSum != 3 {
+			t.Fatalf("%s: first-iteration degree sum = %d, want 3", name, res.Iterations[0].ActiveDegreeSum)
+		}
 	}
 }
 

@@ -13,7 +13,8 @@ type IterationStats struct {
 	// Index within the run, starting at 0.
 	Index int `json:"index"`
 	// UsedFull is true when the iteration loaded edges by streaming the
-	// whole graph (FP path) rather than walking active vertices (IP path).
+	// whole graph (FP path) rather than walking active vertices (IP path);
+	// a pull iteration always sweeps the whole in-edge set.
 	UsedFull bool `json:"used_full"`
 	// Active is the number of active vertices entering the iteration.
 	Active uint64 `json:"active"`
@@ -30,8 +31,9 @@ type IterationStats struct {
 	// TouchedVertices is how many destinations received messages.
 	TouchedVertices uint64 `json:"touched_vertices"`
 	// Duration is the wall time of the iteration; the per-phase durations
-	// below partition it. MergeDuration is zero on the sequential engine
-	// (only the parallel engine has a worker-buffer merge phase).
+	// below partition it. MergeDuration is zero unless the engine loads
+	// edges by sharded scatter, the one strategy with a worker-buffer merge
+	// phase.
 	Duration        time.Duration `json:"duration_ns"`
 	ProcessDuration time.Duration `json:"process_ns"`
 	MergeDuration   time.Duration `json:"merge_ns"`

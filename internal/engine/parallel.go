@@ -2,23 +2,21 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"sync"
-	"time"
 )
 
-// Parallel analytics engine. The paper parallelizes updates by sharding
-// the structure across instances (Sec. III.D); this engine extends the
-// same sharding to the processing phase: in full-processing iterations
-// each shard's CAL is streamed by its own worker, and in incremental
-// iterations the active-vertex list is partitioned across workers. Workers
-// accumulate into private VTempProperty buffers; the buffers are merged
-// with the program's Reduce (which must therefore be commutative and
-// associative — true of min, sum and every GAS combiner) before a
-// sequential apply phase. Results are bit-identical to the sequential
-// engine for deterministic Reduce functions.
+// Sharded scatter. The paper parallelizes updates by sharding the
+// structure across instances (Sec. III.D); this strategy extends the same
+// sharding to the processing phase: in full-processing iterations each
+// shard is streamed by its own worker, and in incremental iterations the
+// active-vertex list is partitioned across workers. Workers accumulate
+// into private VTempProperty buffers, merged with the program's Reduce
+// (which must therefore be commutative and associative — true of min, sum
+// and every GAS combiner) before the apply phase. Results are
+// bit-identical to the sequential scatter for deterministic Reduce
+// functions.
 
-// ShardedStore is the read surface the parallel engine needs; it is
+// ShardedStore is the read surface the sharded scatter needs; it is
 // satisfied by core.Parallel. Shard iteration must be read-only (safe for
 // concurrent readers).
 type ShardedStore interface {
@@ -29,314 +27,70 @@ type ShardedStore interface {
 	ForEachShardEdge(shard int, fn func(src, dst uint64, w float32) bool)
 }
 
-// ParallelEngine runs one Program over a sharded store with one worker per
-// shard.
-type ParallelEngine struct {
-	store ShardedStore
-	prog  Program
-	opts  Options
+// ParallelEngine is the Engine NewParallelEngine builds; the name stays
+// for existing callers.
+type ParallelEngine = Engine
 
-	val       []float64
-	cur, next *frontier
-
-	// Per-worker accumulation state, reused across iterations.
-	workers []workerState
-
-	// Global merge target.
-	temp      []float64
-	isTouched []bool
-	touched   []uint64
-}
-
-type workerState struct {
-	temp      []float64
-	isTouched []bool
-	touched   []uint64
-	loaded    uint64
-	processed uint64
-	// degreeSum is this worker's share of the iteration's active-vertex
-	// out-degree total (the inference-box input the sequential engine
-	// computes inline; here each worker sums its slice of the active list
-	// during the process phase).
-	degreeSum uint64
-}
-
-// NewParallelEngine validates the program and builds the engine. ApplyVertex
-// programs are rejected: per-vertex side state is not safe to update from
-// merged parallel buffers without program cooperation.
+// NewParallelEngine validates the program and builds an engine that
+// scatters with one worker per shard. Programs with only an ApplyVertex
+// hook are refused. ApplyVertex exists for per-vertex side state, and the
+// ScatterValue that reads it runs on every worker at once: PageRank's
+// grows its shared pending slice (ensure), which concurrent workers
+// cannot do safely.
 func NewParallelEngine(store ShardedStore, prog Program, opts Options) (*ParallelEngine, error) {
-	if err := validateProgram(prog); err != nil {
-		return nil, err
-	}
 	if prog.ApplyVertex != nil && prog.Apply == nil {
 		return nil, fmt.Errorf("engine: parallel engine requires a plain Apply hook")
 	}
-	var err error
-	if opts.Threshold, err = resolveThreshold(opts.Threshold); err != nil {
+	e, err := newEngine(store, prog, opts, store.NumShards())
+	if err != nil {
 		return nil, err
 	}
-	switch opts.Mode {
-	case FullProcessing, IncrementalProcessing, Hybrid:
-	default:
-		return nil, fmt.Errorf("engine: unknown mode %d", opts.Mode)
-	}
-	e := &ParallelEngine{store: store, prog: prog, opts: opts,
-		cur: newFrontier(0), next: newFrontier(0),
-		workers: make([]workerState, store.NumShards()),
-	}
-	e.Resize()
+	e.shards = store
 	return e, nil
 }
 
 // MustNewParallelEngine is NewParallelEngine for known-valid inputs.
 func MustNewParallelEngine(store ShardedStore, prog Program, opts Options) *ParallelEngine {
-	e, err := NewParallelEngine(store, prog, opts)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
-// Resize grows every property buffer to the store's vertex space.
-func (e *ParallelEngine) Resize() {
-	maxID, ok := e.store.MaxVertexID()
-	if !ok {
-		return
-	}
-	n := maxID + 1
-	for uint64(len(e.val)) < n {
-		v := uint64(len(e.val))
-		e.val = append(e.val, e.prog.InitVertex(v))
-		e.temp = append(e.temp, 0)
-		e.isTouched = append(e.isTouched, false)
-	}
-	for w := range e.workers {
-		ws := &e.workers[w]
-		for uint64(len(ws.temp)) < n {
-			ws.temp = append(ws.temp, 0)
-			ws.isTouched = append(ws.isTouched, false)
-		}
-	}
-	e.cur.grow(n)
-	e.next.grow(n)
-}
-
-// NumVertices is the property-array size.
-func (e *ParallelEngine) NumVertices() uint64 { return uint64(len(e.val)) }
-
-// Value returns the current property of v.
-func (e *ParallelEngine) Value(v uint64) float64 {
-	if v < uint64(len(e.val)) {
-		return e.val[v]
-	}
-	return e.prog.InitVertex(v)
-}
-
-func (e *ParallelEngine) seedContext() SeedContext {
-	shim := &Engine{prog: e.prog, val: e.val, cur: e.cur, next: e.next}
-	return SeedContext{eng: shim}
-}
-
-// RunFromScratch re-initializes and runs to convergence.
-func (e *ParallelEngine) RunFromScratch() RunResult {
-	e.Resize()
-	for v := range e.val {
-		e.val[v] = e.prog.InitVertex(uint64(v))
-	}
-	e.cur.clear()
-	e.next.clear()
-	e.prog.InitialSeeds(e.seedContext())
-	return e.iterate()
-}
-
-// RunAfterBatch seeds the batch's inconsistent vertices per the engine's
-// mode and continues.
-func (e *ParallelEngine) RunAfterBatch(batch []Edge) RunResult {
-	e.Resize()
-	switch e.opts.Mode {
-	case FullProcessing:
-		return e.RunFromScratch()
-	default:
-		e.prog.SeedInconsistent(batch, e.seedContext())
-		return e.iterate()
-	}
-}
-
-func (e *ParallelEngine) maxIterations() int {
-	if e.opts.MaxIterations > 0 {
-		return e.opts.MaxIterations
-	}
-	return len(e.val) + 2
-}
-
-func (e *ParallelEngine) iterate() RunResult {
-	res := RunResult{Algorithm: e.prog.Name, Mode: e.opts.Mode, Converged: true}
-	guard := e.maxIterations()
-	for iter := 0; e.cur.size() > 0; iter++ {
-		if iter >= guard {
-			res.Converged = false
-			break
-		}
-		it := IterationStats{Index: iter, Active: uint64(e.cur.size())}
-		if ec := e.store.NumEdges(); ec > 0 {
-			it.PredictorT = float64(it.Active) / float64(ec)
-		} else {
-			it.PredictorT = math.Inf(1)
-		}
-		switch e.opts.Mode {
-		case FullProcessing:
-			it.UsedFull = true
-		case IncrementalProcessing:
-			it.UsedFull = false
-		case Hybrid:
-			it.UsedFull = it.PredictorT > e.opts.Threshold
-		}
-
-		start := time.Now()
-		if it.UsedFull {
-			e.processFullParallel(&it)
-		} else {
-			e.processIncrementalParallel(&it)
-		}
-		processDone := time.Now()
-		it.ProcessDuration = processDone.Sub(start)
-		e.mergeWorkers()
-		mergeDone := time.Now()
-		it.MergeDuration = mergeDone.Sub(processDone)
-		e.applyPhase(&it)
-		it.ApplyDuration = time.Since(mergeDone)
-		it.Duration = time.Since(start)
-		res.accumulate(it)
-
-		e.cur.clear()
-		e.cur, e.next = e.next, e.cur
-	}
-	return res
-}
-
-// workerAccumulate reduces a message into one worker's private buffer.
-func (ws *workerState) accumulate(prog *Program, dst uint64, msg float64) {
-	if dst >= uint64(len(ws.temp)) {
-		return
-	}
-	if ws.isTouched[dst] {
-		ws.temp[dst] = prog.Reduce(ws.temp[dst], msg)
-	} else {
-		ws.temp[dst] = msg
-		ws.isTouched[dst] = true
-		ws.touched = append(ws.touched, dst)
-	}
-}
-
-// processFullParallel streams every shard concurrently. Tiny graphs run
-// inline. The active-degree sum (which full streaming does not produce as
-// a side effect) is computed here too, each worker covering a slice of the
-// active list.
-func (e *ParallelEngine) processFullParallel(it *IterationStats) {
-	active := e.cur.list
-	if e.store.NumEdges() < uint64(len(e.workers))*smallIterationCutoff || len(e.workers) == 1 {
-		ws := &e.workers[0]
-		for _, u := range active {
-			ws.degreeSum += uint64(e.store.OutDegree(u))
-		}
-		e.store.ForEachEdge(func(src, dst uint64, weight float32) bool {
-			ws.loaded++
-			if !e.cur.contains(src) {
-				return true
-			}
-			ws.processed++
-			ws.accumulate(&e.prog, dst, e.prog.ProcessEdge(e.scatterInput(src), weight))
-			return true
-		})
-		return
-	}
-	p := len(e.workers)
-	var wg sync.WaitGroup
-	for w := range e.workers {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ws := &e.workers[w]
-			for _, u := range active[len(active)*w/p : len(active)*(w+1)/p] {
-				ws.degreeSum += uint64(e.store.OutDegree(u))
-			}
-			e.store.ForEachShardEdge(w, func(src, dst uint64, weight float32) bool {
-				ws.loaded++
-				if !e.cur.contains(src) {
-					return true
-				}
-				ws.processed++
-				ws.accumulate(&e.prog, dst, e.prog.ProcessEdge(e.scatterInput(src), weight))
-				return true
-			})
-		}(w)
-	}
-	wg.Wait()
+	return must(NewParallelEngine(store, prog, opts))
 }
 
 // smallIterationCutoff is the per-worker work floor below which fanning
 // out goroutines costs more than it saves; such iterations run inline on
-// worker 0.
+// the first worker, exactly as the sequential scatter does.
 const smallIterationCutoff = 512
 
-// processIncrementalParallel partitions the active list across workers.
-// Iterations too small to amortize goroutine fan-out run inline.
-func (e *ParallelEngine) processIncrementalParallel(it *IterationStats) {
-	active := e.cur.list
-	p := len(e.workers)
-	if len(active) < p*smallIterationCutoff/8 || p == 1 {
-		ws := &e.workers[0]
-		for _, u := range active {
-			ws.degreeSum += uint64(e.store.OutDegree(u))
-			srcVal := e.scatterInput(u)
-			e.store.ForEachOutEdge(u, func(dst uint64, weight float32) bool {
-				ws.loaded++
-				ws.processed++
-				ws.accumulate(&e.prog, dst, e.prog.ProcessEdge(srcVal, weight))
-				return true
-			})
-		}
+// scatterSharded fans one iteration out across the workers: worker w
+// streams shard w (full) or walks its slice of the active list
+// (incremental), and sums the out-degrees of its slice either way.
+func (e *Engine) scatterSharded(full bool) {
+	active, p := e.cur.list, len(e.workers)
+	small := len(active) < p*smallIterationCutoff/8
+	if full {
+		small = e.store.NumEdges() < uint64(p)*smallIterationCutoff
+	}
+	if small || p == 1 {
+		e.worker.scatter(active, full, -1)
 		return
 	}
 	var wg sync.WaitGroup
-	for w := 0; w < p; w++ {
-		lo := len(active) * w / p
-		hi := len(active) * (w + 1) / p
-		if lo == hi {
+	for w, ws := range e.workers {
+		lo, hi := len(active)*w/p, len(active)*(w+1)/p
+		if lo == hi && !full {
 			continue
 		}
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func() {
 			defer wg.Done()
-			ws := &e.workers[w]
-			for _, u := range active[lo:hi] {
-				ws.degreeSum += uint64(e.store.OutDegree(u))
-				srcVal := e.scatterInput(u)
-				e.store.ForEachOutEdge(u, func(dst uint64, weight float32) bool {
-					ws.loaded++
-					ws.processed++
-					ws.accumulate(&e.prog, dst, e.prog.ProcessEdge(srcVal, weight))
-					return true
-				})
-			}
-		}(w, lo, hi)
+			ws.scatter(active[lo:hi], full, w)
+		}()
 	}
 	wg.Wait()
 }
 
-// scatterInput resolves the ProcessEdge input. ScatterValue hooks must be
-// safe for concurrent calls (pure functions of their inputs).
-func (e *ParallelEngine) scatterInput(src uint64) float64 {
-	if e.prog.ScatterValue != nil {
-		return e.prog.ScatterValue(src, e.val[src])
-	}
-	return e.val[src]
-}
-
-// mergeWorkers folds every worker's private buffer into the global one.
-func (e *ParallelEngine) mergeWorkers() {
-	for w := range e.workers {
-		ws := &e.workers[w]
+// mergeWorkers folds every other worker's buffer and counters into the
+// first worker's, which is the global buffer.
+func (e *Engine) mergeWorkers() {
+	for _, ws := range e.workers[1:] {
 		for _, v := range ws.touched {
 			if e.isTouched[v] {
 				e.temp[v] = e.prog.Reduce(e.temp[v], ws.temp[v])
@@ -348,27 +102,9 @@ func (e *ParallelEngine) mergeWorkers() {
 			ws.isTouched[v] = false
 		}
 		ws.touched = ws.touched[:0]
+		e.loaded += ws.loaded
+		e.processed += ws.processed
+		e.degreeSum += ws.degreeSum
+		ws.loaded, ws.processed, ws.degreeSum = 0, 0, 0
 	}
-}
-
-// applyPhase commits merged properties and builds the next frontier.
-func (e *ParallelEngine) applyPhase(it *IterationStats) {
-	for w := range e.workers {
-		it.EdgesLoaded += e.workers[w].loaded
-		it.EdgesProcessed += e.workers[w].processed
-		it.ActiveDegreeSum += e.workers[w].degreeSum
-		e.workers[w].loaded = 0
-		e.workers[w].processed = 0
-		e.workers[w].degreeSum = 0
-	}
-	it.TouchedVertices = uint64(len(e.touched))
-	for _, v := range e.touched {
-		newVal, act := e.prog.Apply(e.val[v], e.temp[v])
-		e.val[v] = newVal
-		if act {
-			e.next.add(v)
-		}
-		e.isTouched[v] = false
-	}
-	e.touched = e.touched[:0]
 }

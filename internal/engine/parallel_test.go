@@ -37,6 +37,9 @@ func TestParallelEngineValidation(t *testing.T) {
 	if _, err := NewParallelEngine(p, minProgram(), Options{Threshold: -1}); err == nil {
 		t.Fatalf("negative threshold accepted")
 	}
+	if _, err := NewParallelEngine(p, minProgram(), Options{MaxIterations: -1}); err == nil {
+		t.Fatalf("negative guard accepted")
+	}
 	bad := minProgram()
 	bad.Apply = nil
 	bad.ApplyVertex = func(v uint64, old, reduced float64) (float64, bool) { return old, false }

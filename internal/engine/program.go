@@ -3,7 +3,10 @@
 // dynamic graph store, with three execution modes — full processing
 // (store-and-static-compute), incremental processing, and the hybrid mode
 // whose inference box picks the cheaper edge-loading path for every
-// iteration using the predictor T = A/E against a fixed threshold.
+// iteration using the predictor T = A/E against a fixed threshold. One
+// Engine type runs that loop; its constructor picks how edges are loaded:
+// sequential scatter (New), sharded scatter (NewParallelEngine) or pull
+// over in-edges (NewVC).
 package engine
 
 import "graphtinker/internal/core"
@@ -39,10 +42,15 @@ type GraphStore interface {
 type SeedContext struct{ eng *Engine }
 
 // Value returns the current property of vertex v.
-func (s SeedContext) Value(v uint64) float64 { return s.eng.value(v) }
+func (s SeedContext) Value(v uint64) float64 { return s.eng.Value(v) }
 
 // Activate marks v active for the first iteration of the coming run.
-func (s SeedContext) Activate(v uint64) { s.eng.activate(v) }
+// Out-of-range ids are ignored.
+func (s SeedContext) Activate(v uint64) {
+	if v < uint64(len(s.eng.val)) {
+		s.eng.cur.add(v)
+	}
+}
 
 // SetValue overrides the property of v (e.g. pinning a root's distance to
 // zero). Out-of-range ids are ignored.

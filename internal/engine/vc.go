@@ -1,21 +1,16 @@
 package engine
 
-import (
-	"fmt"
-	"time"
-)
-
-// Vertex-centric engine — the computation model the paper's future-work
+// Pull strategy — the vertex-centric model the paper's future-work
 // section proposes exploring ("Future work on GraphTinker will explore the
 // efficiency of the vertex-centric model with our data structure").
 //
-// Where the edge-centric engine scatters along the out-edges of active
-// vertices, the vertex-centric engine *pulls*: every iteration it visits
-// each vertex with in-edges and gathers messages from those in-neighbours
-// that are active, then applies locally. Pulling reads are contention-free
-// (each vertex only writes its own property) and win when frontiers are
-// dense; the cost is touching every vertex's in-edge list each iteration.
-// It requires in-edge access, which core.Mirrored provides.
+// Where the scatter strategies walk the out-edges of active vertices, pull
+// visits each vertex with in-edges every iteration and gathers the
+// messages of those in-neighbours that are active. Each vertex only
+// writes its own buffer slot, so pulling is contention-free and wins when
+// frontiers are dense; the cost is touching every vertex's in-edge list
+// each iteration. It requires in-edge access, which core.Mirrored
+// provides.
 
 // InEdgeStore extends GraphStore with reverse-direction access.
 type InEdgeStore interface {
@@ -29,171 +24,49 @@ type InEdgeStore interface {
 	ForEachInSource(fn func(v uint64, inDegree uint32) bool)
 }
 
-// VCEngine runs one Program in the vertex-centric pull model.
-type VCEngine struct {
-	store InEdgeStore
-	prog  Program
-	opts  Options
+// VCEngine is the Engine NewVC builds; the name stays for existing
+// callers.
+type VCEngine = Engine
 
-	val       []float64
-	cur, next *frontier
-}
-
-// NewVC validates the program and builds a vertex-centric engine. The
-// Options' Mode field is ignored (the pull model has a single loading
-// strategy); Threshold is unused.
+// NewVC validates the program and builds an engine that pulls over
+// in-edges. Options mean what they mean for New, except that the pull
+// model has a single loading path: every iteration sweeps all in-edges, so
+// Threshold is unused and Mode only decides whether RunAfterBatch restarts
+// (FullProcessing) or continues from the previous properties.
 func NewVC(store InEdgeStore, prog Program, opts Options) (*VCEngine, error) {
-	if err := validateProgram(prog); err != nil {
+	e, err := newEngine(store, prog, opts, 1)
+	if err != nil {
 		return nil, err
 	}
-	if opts.MaxIterations < 0 {
-		return nil, fmt.Errorf("engine: negative MaxIterations")
+	e.in = store
+	ws := &e.worker
+	ws.visitIn = func(src uint64, w float32) bool {
+		ws.loaded++
+		if e.cur.contains(src) {
+			ws.processed++
+			ws.accumulate(ws.dst, e.prog.ProcessEdge(e.scatterInput(src), w))
+		}
+		return true
 	}
-	e := &VCEngine{store: store, prog: prog, opts: opts,
-		cur: newFrontier(0), next: newFrontier(0)}
-	e.Resize()
+	ws.visitSource = func(v uint64, _ uint32) bool {
+		ws.dst = v
+		store.ForEachInEdge(v, ws.visitIn)
+		return true
+	}
 	return e, nil
 }
 
 // MustNewVC is NewVC for known-valid inputs.
 func MustNewVC(store InEdgeStore, prog Program, opts Options) *VCEngine {
-	e, err := NewVC(store, prog, opts)
-	if err != nil {
-		panic(err)
-	}
-	return e
+	return must(NewVC(store, prog, opts))
 }
 
-// Resize grows the property arrays to the store's current vertex space.
-func (e *VCEngine) Resize() {
-	maxID, ok := e.store.MaxVertexID()
-	if !ok {
-		return
+// gather is the pull iteration: sum the active out-degrees, then let every
+// vertex with in-edges reduce the messages of its active in-neighbours
+// into the global buffer, which the apply phase commits as for a scatter.
+func (e *Engine) gather() {
+	for _, u := range e.cur.list {
+		e.degreeSum += uint64(e.store.OutDegree(u))
 	}
-	n := maxID + 1
-	for uint64(len(e.val)) < n {
-		v := uint64(len(e.val))
-		e.val = append(e.val, e.prog.InitVertex(v))
-	}
-	e.cur.grow(n)
-	e.next.grow(n)
-}
-
-// NumVertices is the size of the property array.
-func (e *VCEngine) NumVertices() uint64 { return uint64(len(e.val)) }
-
-// Value returns the current property of v.
-func (e *VCEngine) Value(v uint64) float64 {
-	if v < uint64(len(e.val)) {
-		return e.val[v]
-	}
-	return e.prog.InitVertex(v)
-}
-
-func (e *VCEngine) seedContext() SeedContext {
-	// SeedContext is defined over *Engine; build a minimal Engine view
-	// sharing the VC engine's state so the same Program hooks work.
-	shim := &Engine{prog: e.prog, val: e.val, cur: e.cur, next: e.next}
-	return SeedContext{eng: shim}
-}
-
-// RunFromScratch re-initializes all properties and runs to convergence.
-func (e *VCEngine) RunFromScratch() RunResult {
-	e.Resize()
-	for v := range e.val {
-		e.val[v] = e.prog.InitVertex(uint64(v))
-	}
-	e.cur.clear()
-	e.next.clear()
-	e.prog.InitialSeeds(e.seedContext())
-	return e.iterate()
-}
-
-// RunAfterBatch seeds the batch's inconsistent vertices and continues from
-// the previous properties.
-func (e *VCEngine) RunAfterBatch(batch []Edge) RunResult {
-	e.Resize()
-	e.prog.SeedInconsistent(batch, e.seedContext())
-	return e.iterate()
-}
-
-func (e *VCEngine) maxIterations() int {
-	if e.opts.MaxIterations > 0 {
-		return e.opts.MaxIterations
-	}
-	return len(e.val) + 2
-}
-
-func (e *VCEngine) scatterInput(src uint64) float64 {
-	if e.prog.ScatterValue != nil {
-		return e.prog.ScatterValue(src, e.val[src])
-	}
-	return e.val[src]
-}
-
-func (e *VCEngine) apply(v uint64, reduced float64) (float64, bool) {
-	if e.prog.ApplyVertex != nil {
-		return e.prog.ApplyVertex(v, e.val[v], reduced)
-	}
-	return e.prog.Apply(e.val[v], reduced)
-}
-
-// iterate runs gather+apply rounds until the frontier empties.
-func (e *VCEngine) iterate() RunResult {
-	res := RunResult{Algorithm: e.prog.Name, Mode: e.opts.Mode, Converged: true}
-	guard := e.maxIterations()
-	for iter := 0; e.cur.size() > 0; iter++ {
-		if iter >= guard {
-			res.Converged = false
-			break
-		}
-		it := IterationStats{Index: iter, Active: uint64(e.cur.size())}
-		if ec := e.store.NumEdges(); ec > 0 {
-			it.PredictorT = float64(it.Active) / float64(ec)
-		}
-		start := time.Now()
-
-		// Gather phase: every vertex with in-edges pulls from its active
-		// in-neighbours and applies immediately (pull writes are private
-		// to the gathering vertex, so no temp buffer is needed).
-		e.store.ForEachInSource(func(v uint64, inDeg uint32) bool {
-			if v >= uint64(len(e.val)) {
-				return true
-			}
-			var acc float64
-			touched := false
-			e.store.ForEachInEdge(v, func(src uint64, w float32) bool {
-				it.EdgesLoaded++
-				if !e.cur.contains(src) {
-					return true
-				}
-				it.EdgesProcessed++
-				msg := e.prog.ProcessEdge(e.scatterInput(src), w)
-				if touched {
-					acc = e.prog.Reduce(acc, msg)
-				} else {
-					acc = msg
-					touched = true
-				}
-				return true
-			})
-			if touched {
-				it.TouchedVertices++
-				newVal, act := e.apply(v, acc)
-				e.val[v] = newVal
-				if act {
-					e.next.add(v)
-				}
-			}
-			return true
-		})
-
-		it.UsedFull = true // the pull model always sweeps the vertex set
-		it.Duration = time.Since(start)
-		res.accumulate(it)
-
-		e.cur.clear()
-		e.cur, e.next = e.next, e.cur
-	}
-	return res
+	e.in.ForEachInSource(e.visitSource)
 }

@@ -96,6 +96,12 @@ func TestVCValidation(t *testing.T) {
 	if _, err := NewVC(m, minProgram(), Options{MaxIterations: -1}); err == nil {
 		t.Fatalf("negative guard accepted")
 	}
+	if _, err := NewVC(m, minProgram(), Options{Mode: Mode(9)}); err == nil {
+		t.Fatalf("bogus mode accepted")
+	}
+	if _, err := NewVC(m, minProgram(), Options{Threshold: -1}); err == nil {
+		t.Fatalf("negative threshold accepted")
+	}
 }
 
 func TestVCMustNewPanics(t *testing.T) {

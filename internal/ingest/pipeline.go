@@ -10,7 +10,8 @@
 // shard), so the drained target converges to exactly the state a
 // sequential replay of the stream would produce — the property the
 // differential tests pin. Reads against the target during ingestion are
-// safe (core.Parallel read-locks per shard) but only eventually consistent;
+// safe (core.Parallel reads are lock-free seqlock reads that never see a
+// half-applied batch) but only eventually consistent;
 // Flush is the read-your-writes barrier: it returns once every update
 // admitted before the call has been applied.
 package ingest
