@@ -245,22 +245,34 @@ func TestShapeRHHFlattensProbes(t *testing.T) {
 	}
 }
 
+// defaultBytesCeiling bounds ext-mem's "GT default" column at 1/128 (the
+// scale of results/gtbench_scale128.txt): its largest row, 61.8 B/edge on
+// RMAT_1M_10M with 16-byte slice, cuckoo and CAL entries, plus 10%.
+const defaultBytesCeiling = 68.0
+
 // TestShapeDefaultBytesFloor is ext-mem's floor: on every Table-1
-// stand-in the adaptive default spends fewer bytes per edge than the
-// paper's block tree, and fills at least half of the edge slots it
+// stand-in at the committed table's scale the adaptive default spends
+// fewer bytes per edge than the paper's block tree and at most
+// defaultBytesCeiling, and fills at least half of the edge slots it
 // allocates (slice capacity and cuckoo slots, buffers kept for reuse
-// after a migration included).
+// after a migration included). Smaller scales are dominated by fixed
+// costs (one CAL chunk is 1 MiB), so the ceiling is not checked there.
 func TestShapeDefaultBytesFloor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape tests are slow for -short")
 	}
-	rows, err := memoryRows(shapeOpts())
+	opts := DefaultOptions()
+	opts.ScaleDivisor = 128
+	rows, err := memoryRows(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
 		if r.gtDefault >= r.gt {
 			t.Errorf("%s: default %.1f B/edge not below the block tree's %.1f", r.name, r.gtDefault, r.gt)
+		}
+		if r.gtDefault > defaultBytesCeiling {
+			t.Errorf("%s: default %.1f B/edge above the ceiling %.1f", r.name, r.gtDefault, defaultBytesCeiling)
 		}
 		if r.defaultFill < 0.5 {
 			t.Errorf("%s: default fill %.2f below 0.5", r.name, r.defaultFill)

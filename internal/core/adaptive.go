@@ -63,7 +63,7 @@ func (ac *adaptiveContainer) initForDegree(gt *GraphTinker, d uint32, degree int
 		ac.cuckoo = newCuckooContainer(gt, d, degree)
 	case reprSlice:
 		if degree > 0 {
-			ac.slice.entries = make([]sliceEntry, 0, degree)
+			ac.slice.entries = make([]edgeEntry, 0, degree)
 		}
 	}
 }
@@ -215,8 +215,9 @@ func (ac *adaptiveContainer) maybeDemote() {
 
 // sliceToCuckoo streams the slice entries into a cuckoo table sized for the
 // current degree, retaining the slice buffer for a later demotion. Both
-// formats keep the CAL pointer in the entry and leave the mirror's owner
-// back-pointer invalid, so the mirror needs no patching.
+// formats hold the same edgeEntry, CAL pointer included, and the mirror
+// points at no container, so whole entries move and the mirror needs no
+// patching.
 func (ac *adaptiveContainer) sliceToCuckoo(gt *GraphTinker) {
 	deg := len(ac.slice.entries)
 	if ac.cuckoo == nil {
@@ -224,9 +225,8 @@ func (ac *adaptiveContainer) sliceToCuckoo(gt *GraphTinker) {
 	} else {
 		ac.cuckoo.reset(deg)
 	}
-	for i := range ac.slice.entries {
-		e := &ac.slice.entries[i]
-		ac.cuckoo.bulkAdd(e.dst, e.weight, e.calPtr)
+	for _, e := range ac.slice.entries {
+		ac.cuckoo.bulkAdd(e)
 	}
 	ac.slice.clear()
 	ac.kind = reprCuckoo

@@ -165,10 +165,11 @@ func (gt *GraphTinker) DegreeHistogram() []uint64 {
 
 // CheckInvariants performs a full structural self-check, returning a list
 // of violations (empty when healthy). It verifies that block/subblock
-// occupancy counters match the cells, that CAL back-pointers are mutually
-// consistent, that per-vertex degrees match reachable live cells, and that
-// every live edge is findable along its tree-hash path. Intended for tests
-// and debugging, not hot paths.
+// occupancy counters match the cells and cuckoo occupancy masks their live
+// counts, that every live CAL entry resolves through its container, that
+// per-vertex degrees match reachable live cells, and that every live edge
+// is findable along its tree-hash path. Intended for tests and debugging,
+// not hot paths.
 func (gt *GraphTinker) CheckInvariants() []string {
 	var violations []string
 	report := func(format string, args ...any) {
@@ -218,6 +219,12 @@ func (gt *GraphTinker) CheckInvariants() []string {
 		switch ac.kind {
 		case reprSlice, reprCuckoo:
 			contLive += uint64(ac.Degree())
+		}
+		// A table, live or kept for reuse, holds exactly n live slots.
+		if ac.cuckoo != nil {
+			if got := ac.cuckoo.occupied(); got != ac.cuckoo.n {
+				report("vertex dense=%d: cuckoo occupancy masks count %d slots, n=%d", d, got, ac.cuckoo.n)
+			}
 		}
 		if ac.kind != reprNone {
 			if got, want := ac.Degree(), gt.props.degree[uint32(d)]; got != want {
@@ -270,34 +277,24 @@ func (gt *GraphTinker) CheckInvariants() []string {
 		if gt.cal.liveEdges != gt.numEdges {
 			report("CAL live %d != numEdges %d", gt.cal.liveEdges, gt.numEdges)
 		}
+		// Every live entry resolves through its container, whatever the
+		// format: the container stores the edge, and its pointer for the
+		// edge is this slot.
 		calSeen := uint64(0)
 		for g := range gt.cal.groupHead {
 			for b := gt.cal.groupHead[g]; b != noBlock; b = gt.cal.next[b] {
 				for s := int32(0); s < gt.cal.used[b]; s++ {
 					e := &gt.cal.blockEntries(b)[s]
-					if !e.valid {
+					if e.src == calTombstone {
 						continue
 					}
 					calSeen++
-					if e.owner != invalidCellAddr {
-						// Block-format entry: the owning cell points back.
-						cell := gt.eba.cellAt(e.owner)
-						if cell.state != cellOccupied || cell.dst != e.dst {
-							report("CAL entry (%d,%d) owner cell mismatch", e.src, e.dst)
-						} else if cell.calPtr != makeCALPtr(b, s) {
-							report("CAL entry (%d,%d) back-pointer broken", e.src, e.dst)
-						}
-					} else {
-						// Container-owned entry (slice/cuckoo format): the
-						// mirror pointer is held inside the container.
-						d, ok := gt.denseLookup(e.src)
-						if !ok || uint32(len(gt.cont)) <= d {
-							report("CAL entry (%d,%d) has no source container", e.src, e.dst)
-						} else if p, found := gt.cont[d].calPtrOf(e.dst); !found {
-							report("CAL entry (%d,%d) not stored in its container", e.src, e.dst)
-						} else if p != makeCALPtr(b, s) {
-							report("CAL entry (%d,%d) container pointer broken", e.src, e.dst)
-						}
+					if uint32(len(gt.cont)) <= e.src || gt.cont[e.src].kind == reprNone {
+						report("CAL entry (dense %d,%d) has no source container", e.src, e.dst)
+					} else if p, found := gt.cont[e.src].calPtrOf(e.dst); !found {
+						report("CAL entry (dense %d,%d) not stored in its container", e.src, e.dst)
+					} else if p != gt.cal.ptr(b, s) {
+						report("CAL entry (dense %d,%d) container pointer broken", e.src, e.dst)
 					}
 				}
 			}

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestAnalyzeProbesEmptyGraph(t *testing.T) {
 	gt := MustNew(DefaultConfig())
@@ -122,11 +125,11 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	}
 	gt.eba.occupancy[gt.topBlock[0]]--
 
-	// Corrupt a CAL back-pointer.
+	// Corrupt a block cell's CAL pointer.
 	cells := gt.eba.blockCells(gt.topBlock[0])
 	for i := range cells {
 		if cells[i].state == cellOccupied {
-			cells[i].calPtr = makeCALPtr(0, 0)
+			cells[i].calPtr ^= 1
 			break
 		}
 	}
@@ -154,4 +157,23 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	if v := ad.CheckInvariants(); len(v) != 1 {
 		t.Fatalf("table at the demote point: %v", v)
 	}
+	ad.cfg = tinyThresholds(DefaultConfig())
+
+	reported := func(what, want string) {
+		t.Helper()
+		for _, v := range ad.CheckInvariants() {
+			if strings.Contains(v, want) {
+				return
+			}
+		}
+		t.Fatalf("%s not reported (want %q): %v", what, want, ad.CheckInvariants())
+	}
+	// A flipped occupancy bit in vertex 2's table.
+	tab := ad.cont[1].cuckoo
+	tab.occ[0] ^= 1
+	reported("flipped mask bit", "cuckoo occupancy masks")
+	tab.occ[0] ^= 1
+	// A slice entry of vertex 1 whose CAL pointer names another slot.
+	ad.cont[0].slice.entries[0].calPtr ^= 1
+	reported("wrong slice calPtr", "container pointer broken")
 }

@@ -14,8 +14,8 @@ package core
 // one replica and leaves the shard in SINGLE mode.
 //
 // Edges still go through the containers' real Insert path (not the
-// migration-only bulkAdd paths), so the CAL mirror, its owner
-// back-pointers, and the degree/count bookkeeping come out exactly as
+// migration-only bulkAdd paths), so the CAL mirror, the containers'
+// pointers into it, and the degree/count bookkeeping come out exactly as
 // sequential insertion would leave them. What the bulk path skips is the
 // migration churn: each source's run carries its final degree, so
 // initForDegree picks the container format (and the cuckoo geometry) the

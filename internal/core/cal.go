@@ -1,6 +1,10 @@
 package core
 
-import "unsafe"
+import (
+	"fmt"
+	"math"
+	"unsafe"
+)
 
 // calArray is the Coarse Adjacency List EdgeblockArray (Sec. III.B): a
 // second, highly compacted copy of every edge, kept up to date in real time
@@ -9,30 +13,40 @@ import "unsafe"
 //
 // Dense source ids are partitioned into groups of groupSize consecutive ids;
 // each group owns a chain of CAL blocks whose slots are filled strictly in
-// arrival order, so edges of many vertices pack into the same block. Every
-// CAL entry carries its raw source id (edges in a block belong to different
-// vertices of the group) and the address of its owning EdgeblockArray cell,
-// so the two copies can patch each other in O(1) — no traversal is ever
-// needed to keep the mirror consistent, which is why CAL maintenance adds
-// only a small constant to update cost.
+// arrival order, so edges of many vertices pack into the same block. A CAL
+// entry is 16 B: the destination, the weight and the dense source id (edges
+// in a block belong to different vertices of the group). The edge's
+// container keeps the entry's calPtr, so an update or delete patches the
+// copy in O(1). When delete-and-compact moves an entry, the entry's dense
+// id and destination name its container, which re-points itself through
+// its own lookup (repointCAL) — the mirror holds no address into any
+// container, which is what lets every container format move its entries
+// freely.
 type calEntry struct {
-	src    uint64 // raw source vertex id
 	dst    uint64 // raw destination vertex id
-	owner  cellAddr
+	src    uint32 // dense source id; calTombstone marks a delete-only tombstone
 	weight float32
-	valid  bool
 }
+
+// calTombstone is the src of a CAL entry invalidated by the delete-only
+// path. No dense id reaches it: the arrays indexed by dense id would need
+// 2^32 entries first.
+const calTombstone = math.MaxUint32
 
 type calArray struct {
 	groupSize int
 	blockSize int
 
 	// chunks hold blocksPerChunk CAL blocks each; block b lives in
-	// chunks[b/blocksPerChunk] at offset (b%blocksPerChunk)*blockSize.
-	// Chunked slabs keep growth copy-free.
+	// chunks[b/blocksPerChunk] at offset (b%blocksPerChunk)*blockSize, so
+	// the flat slot index p lives at chunks[p/entriesPerChunk]
+	// [p%entriesPerChunk]. Chunked slabs keep growth copy-free.
 	chunks          [][]calEntry
 	blocksPerChunk  int
 	entriesPerChunk int
+	// maxBlocks bounds numBlocks so every slot index fits a calPtr below
+	// invalidCALPtr (and every block index an int32).
+	maxBlocks int
 	// used is the append cursor of each block; live counts valid entries.
 	used []int32
 	live []int32
@@ -51,10 +65,17 @@ func newCALArray(groupSize, blockSize int) *calArray {
 	c := &calArray{groupSize: groupSize, blockSize: blockSize}
 	c.blocksPerChunk = 256
 	c.entriesPerChunk = c.blocksPerChunk * blockSize
+	c.maxBlocks = int(min(math.MaxInt32, uint64(invalidCALPtr)/uint64(blockSize)))
 	return c
 }
 
 func (c *calArray) groupOf(dense uint32) int { return int(dense) / c.groupSize }
+
+func (c *calArray) ptr(b, slot int32) calPtr {
+	return calPtr(uint32(b)*uint32(c.blockSize) + uint32(slot))
+}
+
+func (c *calArray) blockOf(p calPtr) int32 { return int32(uint32(p) / uint32(c.blockSize)) }
 
 func (c *calArray) ensureGroup(g int) {
 	for len(c.groupHead) <= g {
@@ -72,6 +93,12 @@ func (c *calArray) allocBlock() int32 {
 		c.next[b] = noBlock
 		c.liveBlocks++
 		return b
+	}
+	if c.numBlocks >= c.maxBlocks {
+		// Delete-only tombstones are never reused, so churn alone can get
+		// here, not only live edges.
+		panic(fmt.Sprintf("core: CAL mirror full: %d blocks of %d slots exhaust the 32-bit CAL pointer "+
+			"(delete-only tombstones are never reclaimed; Rebuilt compacts them)", c.numBlocks, c.blockSize))
 	}
 	b := int32(c.numBlocks)
 	c.numBlocks++
@@ -91,13 +118,13 @@ func (c *calArray) blockEntries(b int32) []calEntry {
 }
 
 func (c *calArray) entryAt(p calPtr) *calEntry {
-	return &c.blockEntries(p.block())[p.slot()]
+	return &c.chunks[int(p)/c.entriesPerChunk][int(p)%c.entriesPerChunk]
 }
 
 // append inserts a copy of the edge at the last unoccupied slot of the last
 // assigned block of the source's group, growing the chain when the tail
-// block is full, and returns the CAL pointer the owning cell must remember.
-func (c *calArray) append(dense uint32, rawSrc, dst uint64, w float32, owner cellAddr) calPtr {
+// block is full, and returns the CAL pointer the container must remember.
+func (c *calArray) append(dense uint32, dst uint64, w float32) calPtr {
 	g := c.groupOf(dense)
 	c.ensureGroup(g)
 	tail := c.groupTail[g]
@@ -115,65 +142,41 @@ func (c *calArray) append(dense uint32, rawSrc, dst uint64, w float32, owner cel
 	c.used[tail]++
 	c.live[tail]++
 	c.liveEdges++
-	c.blockEntries(tail)[slot] = calEntry{
-		src: rawSrc, dst: dst, weight: w, owner: owner, valid: true,
-	}
-	return makeCALPtr(tail, slot)
+	c.blockEntries(tail)[slot] = calEntry{dst: dst, src: dense, weight: w}
+	return c.ptr(tail, slot)
 }
 
-// invalidate implements the delete-only path: the copy is flagged invalid
-// and the slot is never reused, mirroring the tombstone left in the
+// invalidate implements the delete-only path: the copy is tombstoned and
+// the slot is never reused, mirroring the tombstone left in the
 // EdgeblockArray.
 func (c *calArray) invalidate(p calPtr) {
 	e := c.entryAt(p)
-	if e.valid {
-		e.valid = false
-		c.live[p.block()]--
+	if e.src != calTombstone {
+		e.src = calTombstone
+		c.live[c.blockOf(p)]--
 		c.liveEdges--
 	}
-}
-
-// setOwner re-points the back-reference after the owning EdgeblockArray cell
-// moved (Robin-Hood swap or compaction pull-up).
-func (c *calArray) setOwner(p calPtr, owner cellAddr) {
-	c.entryAt(p).owner = owner
 }
 
 func (c *calArray) patchWeight(p calPtr, w float32) {
 	c.entryAt(p).weight = w
 }
 
-// movedCAL identifies the entry that backfilled a CAL hole during
-// delete-and-compact: the owner cell address when the moved edge lives in
-// the block format (invalidCellAddr otherwise — slice and cuckoo entries
-// carry no owner back-pointer), plus the raw endpoints so a container-owned
-// entry can be re-pointed through its container's own lookup.
-type movedCAL struct {
-	owner    cellAddr
-	src, dst uint64
-	moved    bool
-}
-
 // removeCompact implements the delete-and-compact path for the CAL mirror:
-// the hole left by the deleted entry is filled with the last entry of the
-// same group's tail block, keeping every chain dense, and the tail block is
-// freed when it empties. It returns the identity of the moved entry so the
-// caller can re-point whatever references the old location at p (see
-// GraphTinker.repointMovedCAL).
-func (c *calArray) removeCompact(p calPtr, dense uint32) movedCAL {
+// the hole left by the deleted entry at p is filled with the last entry of
+// the same group's tail block, keeping every chain dense, and the tail
+// block is freed when it empties. When an entry moved it is returned with
+// ok set: its dense id and destination name the container whose pointer
+// must now become p.
+func (c *calArray) removeCompact(p calPtr, dense uint32) (moved calEntry, ok bool) {
 	g := c.groupOf(dense)
 	tail := c.groupTail[g]
 	lastSlot := c.used[tail] - 1
-	lastPtr := makeCALPtr(tail, lastSlot)
-
-	var mv movedCAL
-	if lastPtr != p {
-		moved := *c.entryAt(lastPtr)
+	if lastPtr := c.ptr(tail, lastSlot); lastPtr != p {
+		moved = *c.entryAt(lastPtr)
 		*c.entryAt(p) = moved
-		mv = movedCAL{owner: moved.owner, src: moved.src, dst: moved.dst, moved: true}
+		ok = true
 	}
-	le := c.entryAt(lastPtr)
-	le.valid = false
 	c.used[tail] = lastSlot
 	c.live[tail]--
 	c.liveEdges--
@@ -198,22 +201,29 @@ func (c *calArray) removeCompact(p calPtr, dense uint32) movedCAL {
 		c.freeList = append(c.freeList, tail)
 		c.liveBlocks--
 	}
-	return mv
+	return moved, ok
 }
 
 // forEach streams every live edge copy group by group, block by block —
-// the contiguous access pattern full-processing mode relies on. The
+// the contiguous access pattern full-processing mode relies on. toRaw maps
+// a dense source id back to its raw id (the SGH table; nil when dense and
+// raw ids coincide). A group spans groupSize consecutive dense ids, so the
+// lookups of one block stay within a few cache lines of toRaw. The
 // callback returns false to stop early.
-func (c *calArray) forEach(fn func(src, dst uint64, w float32) bool) {
+func (c *calArray) forEach(toRaw []uint64, fn func(src, dst uint64, w float32) bool) {
 	for g := range c.groupHead {
 		for b := c.groupHead[g]; b != noBlock; b = c.next[b] {
 			ents := c.blockEntries(b)[:c.used[b]]
 			for i := range ents {
 				e := &ents[i]
-				if !e.valid {
+				if e.src == calTombstone {
 					continue
 				}
-				if !fn(e.src, e.dst, e.weight) {
+				src := uint64(e.src)
+				if toRaw != nil {
+					src = toRaw[e.src]
+				}
+				if !fn(src, e.dst, e.weight) {
 					return
 				}
 			}

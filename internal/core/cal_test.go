@@ -1,18 +1,73 @@
 package core
 
-import "testing"
+import (
+	"math"
+	"strings"
+	"testing"
+	"unsafe"
+)
 
 func TestCALPtrPacking(t *testing.T) {
-	p := makeCALPtr(123456, 789)
-	if p.block() != 123456 || p.slot() != 789 {
-		t.Fatalf("round trip = (%d,%d)", p.block(), p.slot())
+	// A calPtr is a flat slot index; it must address the same entry as
+	// (block, slot) on both sides of a chunk boundary.
+	c := newCALArray(1024, 4)
+	for c.numBlocks < 2*c.blocksPerChunk+5 {
+		c.allocBlock()
 	}
-	if !p.valid() {
-		t.Fatalf("packed pointer should be valid")
+	for _, b := range []int32{0, 1, int32(c.blocksPerChunk - 1), int32(c.blocksPerChunk), int32(2*c.blocksPerChunk + 4)} {
+		for slot := int32(0); slot < int32(c.blockSize); slot++ {
+			p := c.ptr(b, slot)
+			if !p.valid() || c.blockOf(p) != b {
+				t.Fatalf("ptr(%d,%d) = %d: valid=%v block %d", b, slot, p, p.valid(), c.blockOf(p))
+			}
+			if c.entryAt(p) != &c.blockEntries(b)[slot] {
+				t.Fatalf("entryAt and blockEntries disagree for block %d slot %d", b, slot)
+			}
+		}
 	}
 	if invalidCALPtr.valid() {
 		t.Fatalf("invalid sentinel reported valid")
 	}
+}
+
+// TestEntryLayout pins every per-edge record of the default path at 16 B,
+// and the 32-bit CAL pointer's bound: the last slot below it is reachable,
+// and the first block past it panics instead of wrapping a pointer.
+func TestEntryLayout(t *testing.T) {
+	if got := unsafe.Sizeof(edgeEntry{}); got != 16 {
+		t.Errorf("edgeEntry is %d B, want 16", got)
+	}
+	if got := unsafe.Sizeof(calEntry{}); got != 16 {
+		t.Errorf("calEntry is %d B, want 16", got)
+	}
+
+	// A one-slot block runs out of int32 block ids before it runs out of
+	// pointer space.
+	if c := newCALArray(1024, 1); c.maxBlocks != math.MaxInt32 {
+		t.Errorf("1-slot blocks: maxBlocks = %d, want %d", c.maxBlocks, math.MaxInt32)
+	}
+
+	c := newCALArray(1024, 4)
+	last := c.ptr(int32(c.maxBlocks-1), int32(c.blockSize-1))
+	if !last.valid() || uint64(last) != uint64(c.maxBlocks)*uint64(c.blockSize)-1 || c.blockOf(last) != int32(c.maxBlocks-1) {
+		t.Fatalf("last slot below the bound: ptr %d (valid=%v, block %d)", last, last.valid(), c.blockOf(last))
+	}
+	if uint64(c.maxBlocks+1)*uint64(c.blockSize) <= uint64(invalidCALPtr) {
+		t.Fatalf("maxBlocks %d leaves room for another block of %d slots", c.maxBlocks, c.blockSize)
+	}
+
+	// Preset the block count at the bound, as delete-only churn would leave
+	// it, and ask for one more block.
+	c.numBlocks = c.maxBlocks
+	defer func() {
+		r := recover()
+		msg, _ := r.(string)
+		if !strings.Contains(msg, "32-bit CAL pointer") {
+			t.Fatalf("append past the bound: recovered %v, want a CAL pointer panic", r)
+		}
+	}()
+	c.append(0, 1, 1)
+	t.Fatalf("append past the bound returned")
 }
 
 func TestCALGroupsShareBlocks(t *testing.T) {
@@ -20,13 +75,13 @@ func TestCALGroupsShareBlocks(t *testing.T) {
 	// block — the defining property of the Coarse Adjacency List.
 	c := newCALArray(1024, 256)
 	for v := uint32(0); v < 100; v++ {
-		c.append(v, uint64(v), uint64(v+1), 1, invalidCellAddr)
+		c.append(v, uint64(v+1), 1)
 	}
 	if c.liveBlocks != 1 {
 		t.Fatalf("100 edges from one group spread over %d blocks, want 1", c.liveBlocks)
 	}
 	// A source from another group opens a new chain.
-	c.append(5000, 5000, 1, 1, invalidCellAddr)
+	c.append(5000, 1, 1)
 	if c.liveBlocks != 2 {
 		t.Fatalf("second group should open its own block chain; blocks = %d", c.liveBlocks)
 	}
@@ -35,13 +90,13 @@ func TestCALGroupsShareBlocks(t *testing.T) {
 func TestCALChainGrowth(t *testing.T) {
 	c := newCALArray(1024, 4)
 	for i := 0; i < 10; i++ {
-		c.append(0, 0, uint64(i), 1, invalidCellAddr)
+		c.append(0, uint64(i), 1)
 	}
 	if c.liveBlocks != 3 {
 		t.Fatalf("10 edges / 4-slot blocks should use 3 blocks, got %d", c.liveBlocks)
 	}
 	var got []uint64
-	c.forEach(func(src, dst uint64, w float32) bool {
+	c.forEach(nil, func(src, dst uint64, w float32) bool {
 		got = append(got, dst)
 		return true
 	})
@@ -58,17 +113,14 @@ func TestCALChainGrowth(t *testing.T) {
 
 func TestCALRemoveCompactReusesBlocks(t *testing.T) {
 	c := newCALArray(1024, 4)
-	ptrs := make([]calPtr, 0, 8)
 	for i := 0; i < 8; i++ {
-		ptrs = append(ptrs, c.append(0, 0, uint64(i), 1, cellAddr(i)))
+		c.append(0, uint64(i), 1)
 	}
-	// Remove everything; blocks must return to the free list.
+	// Remove everything, tail-last entries directly; blocks must return to
+	// the free list.
 	for c.liveEdges > 0 {
-		// Always remove the entry currently at ptrs[0]'s position by
-		// resolving a live pointer: remove tail-last entries directly.
 		tail := c.groupTail[0]
-		last := makeCALPtr(tail, c.used[tail]-1)
-		c.removeCompact(last, 0)
+		c.removeCompact(c.ptr(tail, c.used[tail]-1), 0)
 	}
 	if c.liveBlocks != 0 {
 		t.Fatalf("liveBlocks = %d after removing all entries", c.liveBlocks)
@@ -77,39 +129,36 @@ func TestCALRemoveCompactReusesBlocks(t *testing.T) {
 		t.Fatalf("free list has %d blocks, want 2", len(c.freeList))
 	}
 	// New appends must reuse freed blocks.
-	c.append(0, 0, 99, 1, invalidCellAddr)
+	c.append(0, 99, 1)
 	if c.numBlocks != 2 {
 		t.Fatalf("append after free allocated a fresh block; numBlocks = %d", c.numBlocks)
 	}
-	_ = ptrs
 }
 
+// The owner of a CAL entry is the container of its dense source id: a
+// compaction that moves an entry must report which container to re-point.
 func TestCALRemoveCompactPatchesMovedOwner(t *testing.T) {
 	c := newCALArray(1024, 8)
-	p0 := c.append(0, 0, 10, 1, cellAddr(100))
-	c.append(0, 0, 11, 1, cellAddr(101))
-	p2 := c.append(0, 0, 12, 1, cellAddr(102))
-	// Removing the first entry must move the last entry (owner 102) into
-	// its slot and report that entry's identity for re-pointing.
-	moved := c.removeCompact(p0, 0)
-	if !moved.moved || moved.owner != cellAddr(102) {
-		t.Fatalf("moved = %+v, want owner 102", moved)
+	p0 := c.append(3, 10, 1)
+	c.append(4, 11, 1)
+	p2 := c.append(5, 12, 1)
+	// Removing the first entry must move the last entry (dense 5) into its
+	// slot and report that entry's identity for re-pointing.
+	moved, ok := c.removeCompact(p0, 3)
+	if !ok || moved.src != 5 || moved.dst != 12 {
+		t.Fatalf("moved = %+v (ok=%v), want dense 5 dst 12", moved, ok)
 	}
-	if moved.src != 0 || moved.dst != 12 {
-		t.Fatalf("moved identity = (%d,%d), want (0,12)", moved.src, moved.dst)
-	}
-	e := c.entryAt(p0)
-	if e.dst != 12 || !e.valid {
+	if e := c.entryAt(p0); *e != moved {
 		t.Fatalf("hole not filled by tail entry: %+v", e)
 	}
 	// Removing the (now stale) tail position must not be observable: the
 	// old tail slot is dead.
-	if c.used[p2.block()] != 2 {
-		t.Fatalf("used cursor = %d, want 2", c.used[p2.block()])
+	if c.used[c.blockOf(p2)] != 2 {
+		t.Fatalf("used cursor = %d, want 2", c.used[c.blockOf(p2)])
 	}
 	// Removing the tail entry itself moves nothing.
-	tailPtr := makeCALPtr(c.groupTail[0], c.used[c.groupTail[0]]-1)
-	if moved := c.removeCompact(tailPtr, 0); moved.moved {
+	tailPtr := c.ptr(c.groupTail[0], c.used[c.groupTail[0]]-1)
+	if moved, ok := c.removeCompact(tailPtr, 4); ok {
 		t.Fatalf("removing tail reported a move: %+v", moved)
 	}
 }
@@ -137,7 +186,7 @@ func TestCALLiveSetMatchesEdgeblockArray(t *testing.T) {
 				}
 			}
 			got := make(map[key]float32)
-			gt.cal.forEach(func(src, dst uint64, w float32) bool {
+			gt.cal.forEach(gt.sgh.toRaw, func(src, dst uint64, w float32) bool {
 				k := key{src, dst}
 				if _, dup := got[k]; dup {
 					t.Fatalf("CAL yielded duplicate edge %v", k)
@@ -158,48 +207,47 @@ func TestCALLiveSetMatchesEdgeblockArray(t *testing.T) {
 }
 
 func TestCALOwnerBackPointersConsistent(t *testing.T) {
-	// Every valid CAL entry's owner must point at an occupied cell whose
-	// calPtr points back at the entry — under heavy churn in both modes.
-	// Only block cells own their entries, so the block format is pinned.
+	// Every valid CAL entry's owner — the container of its dense source id
+	// — must store the edge with a calPtr pointing back at the entry, under
+	// heavy churn in both modes and in every format.
 	for _, mode := range []DeleteMode{DeleteOnly, DeleteAndCompact} {
 		t.Run(mode.String(), func(t *testing.T) {
-			cfg := blocksConfig()
-			cfg.DeleteMode = mode
-			gt := MustNew(cfg)
-			r := &testRand{s: 999}
-			for i := 0; i < 25000; i++ {
-				src, dst := uint64(r.intn(40)), uint64(r.intn(2000))
-				if r.intn(3) == 0 {
-					gt.DeleteEdge(src, dst)
-				} else {
-					gt.InsertEdge(src, dst, 1)
-				}
-			}
-			c := gt.cal
-			checked := 0
-			for g := range c.groupHead {
-				for b := c.groupHead[g]; b != noBlock; b = c.next[b] {
-					for s := int32(0); s < c.used[b]; s++ {
-						e := &c.blockEntries(b)[s]
-						if !e.valid {
-							continue
-						}
-						cell := gt.eba.cellAt(e.owner)
-						if cell.state != cellOccupied {
-							t.Fatalf("CAL entry (%d,%d) owner cell not occupied", e.src, e.dst)
-						}
-						if cell.dst != e.dst {
-							t.Fatalf("owner cell dst %d != entry dst %d", cell.dst, e.dst)
-						}
-						if cell.calPtr != makeCALPtr(b, s) {
-							t.Fatalf("owner cell calPtr does not point back")
-						}
-						checked++
+			for _, repr := range []Representation{ReprBlocks, ReprSlice, ReprCuckoo, ReprAdaptive} {
+				cfg := tinyThresholds(DefaultConfig())
+				cfg.Repr, cfg.DeleteMode = repr, mode
+				gt := MustNew(cfg)
+				r := &testRand{s: 999}
+				for i := 0; i < 25000; i++ {
+					src, dst := uint64(r.intn(40)), uint64(r.intn(2000))
+					if r.intn(3) == 0 {
+						gt.DeleteEdge(src, dst)
+					} else {
+						gt.InsertEdge(src, dst, 1)
 					}
 				}
-			}
-			if uint64(checked) != gt.NumEdges() {
-				t.Fatalf("checked %d back-pointers, want %d", checked, gt.NumEdges())
+				c := gt.cal
+				checked := 0
+				for g := range c.groupHead {
+					for b := c.groupHead[g]; b != noBlock; b = c.next[b] {
+						for s := int32(0); s < c.used[b]; s++ {
+							e := &c.blockEntries(b)[s]
+							if e.src == calTombstone {
+								continue
+							}
+							p, found := gt.cont[e.src].calPtrOf(e.dst)
+							if !found {
+								t.Fatalf("%v: CAL entry (dense %d,%d) not stored by its container", repr, e.src, e.dst)
+							}
+							if p != c.ptr(b, s) {
+								t.Fatalf("%v: container calPtr %d does not point back at %d", repr, p, c.ptr(b, s))
+							}
+							checked++
+						}
+					}
+				}
+				if uint64(checked) != gt.NumEdges() {
+					t.Fatalf("%v: checked %d back-pointers, want %d", repr, checked, gt.NumEdges())
+				}
 			}
 		})
 	}

@@ -29,29 +29,6 @@ func TestArenaCrossesChunkBoundaries(t *testing.T) {
 	checkEquivalence(t, gt, ref)
 }
 
-func TestCellAddrRoundTripAcrossChunks(t *testing.T) {
-	gt := MustNew(DefaultConfig())
-	// Allocate past one chunk.
-	for i := 0; i < defaultBlocksPerChunk+10; i++ {
-		gt.eba.allocBlock(noBlock, 0)
-	}
-	for _, b := range []int32{0, 1, int32(defaultBlocksPerChunk - 1), int32(defaultBlocksPerChunk), int32(defaultBlocksPerChunk + 5)} {
-		for sb := 0; sb < gt.geo.subblocksPerBlock; sb += 3 {
-			for slot := 0; slot < gt.geo.subblockSize; slot += 2 {
-				addr := gt.eba.addrOf(b, sb, slot)
-				if got := gt.eba.blockOfAddr(addr); got != b {
-					t.Fatalf("blockOfAddr(%d) = %d, want %d", addr, got, b)
-				}
-				cell := gt.eba.cellAt(addr)
-				viaSlice := &gt.eba.subblockCells(b, sb)[slot]
-				if cell != viaSlice {
-					t.Fatalf("cellAt and subblockCells disagree for block %d sb %d slot %d", b, sb, slot)
-				}
-			}
-		}
-	}
-}
-
 func TestGrowHelper(t *testing.T) {
 	s := make([]int32, 0, 2)
 	s = grow(s, 3)

@@ -30,8 +30,9 @@ const (
 	DefaultCALBlockSize  = 256
 
 	// maxBlockCells caps PageWidth and CALBlockSize: storage is allocated
-	// in chunks of a thousand blocks, so a width near 2^62 — say, read from
-	// a crafted snapshot — would otherwise panic the first insert.
+	// in chunks of 1,024 edgeblocks or 256 CAL blocks, so a width near
+	// 2^62 — say, read from a crafted snapshot — would otherwise panic the
+	// first insert.
 	maxBlockCells = 1 << 16
 )
 

@@ -41,26 +41,13 @@ func (gt *GraphTinker) dropCALEntry(ptr calPtr, d uint32) {
 	case DeleteOnly:
 		gt.cal.invalidate(ptr)
 	case DeleteAndCompact:
-		gt.repointMovedCAL(gt.cal.removeCompact(ptr, d), ptr)
+		// The entry that backfilled the hole names its container by dense
+		// id; every format re-points its own pointer through its lookup.
+		if mv, moved := gt.cal.removeCompact(ptr, d); moved {
+			gt.cont[mv.src].repointCAL(mv.dst, ptr)
+		}
 	}
 	gt.stats.calPatches.Add(1)
-}
-
-// repointMovedCAL re-points whatever references the CAL entry that
-// backfilled a compacted hole: the owning EdgeblockArray cell when the
-// moved edge lives in the block format, otherwise the moved edge's own
-// container (slice/cuckoo entries carry the mirror pointer themselves).
-func (gt *GraphTinker) repointMovedCAL(mv movedCAL, p calPtr) {
-	if !mv.moved {
-		return
-	}
-	if mv.owner != invalidCellAddr {
-		gt.eba.cellAt(mv.owner).calPtr = p
-		return
-	}
-	if d, ok := gt.denseLookup(mv.src); ok && uint32(len(gt.cont)) > d {
-		gt.cont[d].repointCAL(mv.dst, p)
-	}
 }
 
 // DeleteBatch removes a batch of edges, returning how many were present.

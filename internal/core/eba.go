@@ -181,22 +181,6 @@ func (eba *edgeblockArray) setChild(b int32, sb int, child int32) {
 	eba.children[int(b)*eba.geo.subblocksPerBlock+sb] = child
 }
 
-// addrOf computes the absolute cell address of slot within subblock sb of
-// block b.
-func (eba *edgeblockArray) addrOf(b int32, sb, slot int) cellAddr {
-	return cellAddr(int(b)*eba.geo.pageWidth + sb*eba.geo.subblockSize + slot)
-}
-
-func (eba *edgeblockArray) cellAt(a cellAddr) *edgeCell {
-	cpc := eba.cellsPerChunk
-	return &eba.chunks[int(a)/cpc][int(a)%cpc]
-}
-
-// blockOfAddr recovers the block index a cell address belongs to.
-func (eba *edgeblockArray) blockOfAddr(a cellAddr) int32 {
-	return int32(int(a) / eba.geo.pageWidth)
-}
-
 // hasChildren reports whether any subblock of b has branched out.
 func (eba *edgeblockArray) hasChildren(b int32) bool {
 	for _, c := range eba.blockChildren(b) {

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Edge is a weighted directed edge between two raw (application-level)
 // vertex ids. GraphTinker stores out-edges keyed by Src.
@@ -39,23 +42,21 @@ type edgeCell struct {
 	state  cellState
 }
 
-// cellAddr is the absolute index of a cell inside the flat cell arena:
-// blockIndex*PageWidth + offsetWithinBlock.
-type cellAddr uint64
-
-const invalidCellAddr = cellAddr(1<<64 - 1)
-
-// calPtr addresses one slot of the CAL EdgeblockArray: block index in the
-// high 32 bits, slot within the block in the low 32 bits.
-type calPtr uint64
-
-const invalidCALPtr = calPtr(1<<64 - 1)
-
-func makeCALPtr(block int32, slot int32) calPtr {
-	return calPtr(uint64(uint32(block))<<32 | uint64(uint32(slot)))
+// edgeEntry is one stored edge of the slice and cuckoo formats: the
+// destination, the CAL mirror pointer (invalidCALPtr when CAL is off) and
+// the weight — 16 B with no padding. Both tiers hold the same record, so a
+// migration copies whole entries.
+type edgeEntry struct {
+	dst    uint64
+	calPtr calPtr
+	weight float32
 }
 
-func (p calPtr) block() int32 { return int32(uint32(p >> 32)) }
-func (p calPtr) slot() int32  { return int32(uint32(p)) }
+// calPtr is the flat index of one CAL slot: block*CALBlockSize + slot.
+// Thirty-two bits are what keep edgeEntry at 16 B; calArray.allocBlock
+// refuses to grow the mirror past them.
+type calPtr uint32
+
+const invalidCALPtr = calPtr(math.MaxUint32)
 
 func (p calPtr) valid() bool { return p != invalidCALPtr }

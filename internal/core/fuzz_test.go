@@ -102,8 +102,9 @@ func FuzzSnapshotReader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The stored config sizes allocations by design: without SGH the
 		// main region is indexed by raw source id (one mutated id near 2^32
-		// is gigabytes), and storage chunks hold a thousand blocks of
-		// PageWidth or CALBlockSize cells. Keep to configs that stay small.
+		// is gigabytes), and storage chunks hold 1,024 edgeblocks of
+		// PageWidth cells or 256 CAL blocks of CALBlockSize entries. Keep
+		// to configs that stay small.
 		if sf, err := openSnapshot(bytes.NewReader(data)); err == nil {
 			if c := sf.cfg; !c.EnableSGH || c.PageWidth > 1<<10 || c.CALBlockSize > 1<<10 {
 				return

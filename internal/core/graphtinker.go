@@ -331,18 +331,13 @@ func (gt *GraphTinker) findEdge(src, dst uint64) (float32, int, bool) {
 	return gt.cont[d].Find(dst)
 }
 
-// writeCell stores c at (blk, sb, slot), keeping occupancy and the CAL
-// owner back-pointer consistent.
+// writeCell stores c at (blk, sb, slot), keeping occupancy consistent.
 func (gt *GraphTinker) writeCell(blk int32, sb, slot int, c edgeCell) {
 	cells := gt.eba.subblockCells(blk, sb)
 	prev := cells[slot].state
 	cells[slot] = c
 	if prev != cellOccupied && c.state == cellOccupied {
 		gt.eba.incOcc(blk, sb)
-	}
-	if gt.cal != nil && c.calPtr.valid() {
-		gt.cal.setOwner(c.calPtr, gt.eba.addrOf(blk, sb, slot))
-		gt.stats.calPatches.Add(1)
 	}
 }
 

@@ -62,7 +62,11 @@ func (gt *GraphTinker) walkSubtree(blk int32, fn func(dst uint64, w float32) boo
 // V.B ablations measure). The callback returns false to stop.
 func (gt *GraphTinker) ForEachEdge(fn func(src, dst uint64, w float32) bool) {
 	if gt.cal != nil {
-		gt.cal.forEach(fn)
+		var toRaw []uint64
+		if gt.sgh != nil {
+			toRaw = gt.sgh.toRaw
+		}
+		gt.cal.forEach(toRaw, fn)
 		return
 	}
 	for d := 0; d < len(gt.cont); d++ {

@@ -52,11 +52,11 @@ func (c *blockContainer) Insert(dst uint64, w float32) (bool, int) {
 	}
 
 	// INSERT mode: mirror into the CAL first so the floating cell carries
-	// its CAL pointer; every placement (including RHH swaps) re-points the
-	// mirror's owner address via writeCell.
+	// its CAL pointer through every placement (RHH swaps and compaction
+	// pull-ups move the pointer with the cell; the mirror is not touched).
 	float := edgeCell{dst: dst, weight: w, calPtr: invalidCALPtr, state: cellOccupied}
 	if gt.cal != nil {
-		float.calPtr = gt.cal.append(c.d, gt.rawOf(c.d), dst, w, invalidCellAddr)
+		float.calPtr = gt.cal.append(c.d, dst, w)
 		gt.stats.calAppends.Add(1)
 	}
 	c.n++
@@ -151,9 +151,9 @@ func (c *blockContainer) calPtrOf(dst uint64) (calPtr, bool) {
 	return gt.eba.subblockCells(fr.block, fr.sb)[fr.slot].calPtr, true
 }
 
-// repointCAL re-points the owning cell's CAL pointer (block-owned mirror
-// entries normally repoint in O(1) through the owner cellAddr; this path
-// exists for completeness of the container interface surface).
+// repointCAL re-points the owning cell's CAL pointer after the mirror
+// compacted the entry into a new slot. It pays a FIND descent, whose cells
+// count in the probe statistics like any other.
 func (c *blockContainer) repointCAL(dst uint64, p calPtr) bool {
 	gt := c.host
 	if c.top() == noBlock {

@@ -1,6 +1,9 @@
 package core
 
-import "unsafe"
+import (
+	"math/bits"
+	"unsafe"
+)
 
 // cuckooContainer stores a heavy-hitter vertex's out-edges in a bucketized
 // cuckoo hash table (4 slots per bucket, 2 candidate buckets per edge, a
@@ -10,29 +13,29 @@ import "unsafe"
 // fetches regardless of degree, and unlike the hashed edgeblock tree it
 // grows no overflow generations.
 //
+// Slots hold the same 16-byte edgeEntry as the slice tier; which slots are
+// live is kept apart, in a 4-bit occupancy mask per bucket, so a slot needs
+// no flag (and no padding for one), clearing a table zeroes only the masks,
+// and a free slot is found with one bit scan.
+//
 // Determinism: every decision (bucket choice, victim rotation, growth) is a
 // pure function of the container state and the operation stream, and the
 // rotating victim selector is part of that state. The two seqlock replicas
-// replay the same stream and therefore hold bit-identical tables.
+// replay the same stream and therefore hold the same live slots.
 
 const (
 	cuckooSlotsPerBucket = 4
 	cuckooMaxKicks       = 64
 )
 
-type cuckooSlot struct {
-	dst    uint64
-	calPtr calPtr
-	weight float32
-	used   bool
-}
-
 type cuckooContainer struct {
 	host *GraphTinker
 	d    uint32
 	// slots holds (bucketMask+1) * cuckooSlotsPerBucket slots; bucket b owns
-	// slots[b*4 : b*4+4].
-	slots      []cuckooSlot
+	// slots[b*4 : b*4+4], and bit i of occ[b] is set while slot b*4+i is
+	// live (a clear bit leaves the slot's contents meaningless).
+	slots      []edgeEntry
+	occ        []uint8
 	bucketMask uint64
 	n          uint32
 	// kick rotates the victim slot chosen within a bucket during eviction.
@@ -60,11 +63,11 @@ func (c *cuckooContainer) reset(capacityHint int) {
 	want := buckets * cuckooSlotsPerBucket
 	if cap(c.slots) >= want {
 		c.slots = c.slots[:want]
-		for i := range c.slots {
-			c.slots[i] = cuckooSlot{}
-		}
+		c.occ = c.occ[:buckets]
+		clear(c.occ)
 	} else {
-		c.slots = make([]cuckooSlot, want)
+		c.slots = make([]edgeEntry, want)
+		c.occ = make([]uint8, buckets)
 	}
 	c.bucketMask = uint64(buckets - 1)
 	c.n = 0
@@ -91,15 +94,24 @@ func (c *cuckooContainer) altBucket(dst uint64, cur uint64) uint64 {
 	return b1
 }
 
+// live reports whether slot i holds an edge.
+func (c *cuckooContainer) live(i int) bool {
+	return c.occ[i/cuckooSlotsPerBucket]&(1<<(i%cuckooSlotsPerBucket)) != 0
+}
+
+// put stores e in slot i and marks the slot live.
+func (c *cuckooContainer) put(i int, e edgeEntry) {
+	c.slots[i] = e
+	c.occ[i/cuckooSlotsPerBucket] |= 1 << (i % cuckooSlotsPerBucket)
+}
+
 // emptyIn returns the index of a free slot in bucket b, or -1.
 func (c *cuckooContainer) emptyIn(b uint64) int {
-	base := int(b) * cuckooSlotsPerBucket
-	for i := 0; i < cuckooSlotsPerBucket; i++ {
-		if !c.slots[base+i].used {
-			return base + i
-		}
+	free := ^c.occ[b] & (1<<cuckooSlotsPerBucket - 1)
+	if free == 0 {
+		return -1
 	}
-	return -1
+	return int(b)*cuckooSlotsPerBucket + bits.TrailingZeros8(free)
 }
 
 // findSlot locates dst in either candidate bucket, returning its slot index
@@ -107,18 +119,13 @@ func (c *cuckooContainer) emptyIn(b uint64) int {
 func (c *cuckooContainer) findSlot(dst uint64) (int, int) {
 	b1, b2 := c.buckets(dst)
 	probe := 0
-	base := int(b1) * cuckooSlotsPerBucket
-	for i := 0; i < cuckooSlotsPerBucket; i++ {
-		probe++
-		if s := &c.slots[base+i]; s.used && s.dst == dst {
-			return base + i, probe
-		}
-	}
-	base = int(b2) * cuckooSlotsPerBucket
-	for i := 0; i < cuckooSlotsPerBucket; i++ {
-		probe++
-		if s := &c.slots[base+i]; s.used && s.dst == dst {
-			return base + i, probe
+	for _, b := range [2]uint64{b1, b2} {
+		base, occ := int(b)*cuckooSlotsPerBucket, c.occ[b]
+		for i := 0; i < cuckooSlotsPerBucket; i++ {
+			probe++
+			if occ&(1<<i) != 0 && c.slots[base+i].dst == dst {
+				return base + i, probe
+			}
 		}
 	}
 	return -1, probe
@@ -152,13 +159,10 @@ func (c *cuckooContainer) Insert(dst uint64, w float32) (bool, int) {
 	}
 	ptr := invalidCALPtr
 	if gt.cal != nil {
-		// Cuckoo entries move between buckets during evictions, so (like the
-		// slice format) the mirror's owner back-pointer stays invalid and
-		// consistency runs through the container's own lookup.
-		ptr = gt.cal.append(c.d, gt.rawOf(c.d), dst, w, invalidCellAddr)
+		ptr = gt.cal.append(c.d, dst, w)
 		gt.stats.calAppends.Add(1)
 	}
-	probe += c.place(cuckooSlot{dst: dst, calPtr: ptr, weight: w, used: true})
+	probe += c.place(edgeEntry{dst: dst, calPtr: ptr, weight: w})
 	c.n++
 	return true, probe
 }
@@ -168,7 +172,7 @@ func (c *cuckooContainer) Insert(dst uint64, w float32) (bool, int) {
 // crosses 15/16. Returns the slots inspected. The displaced element is
 // carried across a growth: grow rehashes the table's current contents and
 // the loop retries the floater in the larger table.
-func (c *cuckooContainer) place(s cuckooSlot) int {
+func (c *cuckooContainer) place(s edgeEntry) int {
 	if (c.n+1)*16 > uint32(len(c.slots))*15 {
 		c.grow()
 	}
@@ -178,12 +182,12 @@ func (c *cuckooContainer) place(s cuckooSlot) int {
 		b1, b2 := c.buckets(cur.dst)
 		probe += cuckooSlotsPerBucket
 		if i := c.emptyIn(b1); i >= 0 {
-			c.slots[i] = cur
+			c.put(i, cur)
 			return probe
 		}
 		probe += cuckooSlotsPerBucket
 		if i := c.emptyIn(b2); i >= 0 {
-			c.slots[i] = cur
+			c.put(i, cur)
 			return probe
 		}
 		b := b1
@@ -195,7 +199,7 @@ func (c *cuckooContainer) place(s cuckooSlot) int {
 			b = c.altBucket(cur.dst, b)
 			probe += cuckooSlotsPerBucket
 			if i := c.emptyIn(b); i >= 0 {
-				c.slots[i] = cur
+				c.put(i, cur)
 				placed = true
 				break
 			}
@@ -212,22 +216,23 @@ func (c *cuckooContainer) place(s cuckooSlot) int {
 // doubled again — the source snapshot stays untouched until a rehash
 // completes.
 func (c *cuckooContainer) grow() {
-	old := c.slots
+	old := *c
 	buckets := (int(c.bucketMask) + 1) * 2
 	for {
-		c.slots = make([]cuckooSlot, buckets*cuckooSlotsPerBucket)
+		c.slots = make([]edgeEntry, buckets*cuckooSlotsPerBucket)
+		c.occ = make([]uint8, buckets)
 		c.bucketMask = uint64(buckets - 1)
 		c.kick = 0
-		if c.rehash(old) {
+		if c.rehash(&old) {
 			return
 		}
 		buckets *= 2
 	}
 }
 
-func (c *cuckooContainer) rehash(old []cuckooSlot) bool {
-	for i := range old {
-		if old[i].used && !c.tryPlace(old[i]) {
+func (c *cuckooContainer) rehash(old *cuckooContainer) bool {
+	for i := range old.slots {
+		if old.live(i) && !c.tryPlace(old.slots[i]) {
 			return false
 		}
 	}
@@ -236,15 +241,15 @@ func (c *cuckooContainer) rehash(old []cuckooSlot) bool {
 
 // tryPlace is place without growth: it reports failure instead, so the
 // rehash loop can restart cleanly at a larger size.
-func (c *cuckooContainer) tryPlace(s cuckooSlot) bool {
+func (c *cuckooContainer) tryPlace(s edgeEntry) bool {
 	cur := s
 	b1, b2 := c.buckets(cur.dst)
 	if i := c.emptyIn(b1); i >= 0 {
-		c.slots[i] = cur
+		c.put(i, cur)
 		return true
 	}
 	if i := c.emptyIn(b2); i >= 0 {
-		c.slots[i] = cur
+		c.put(i, cur)
 		return true
 	}
 	b := b1
@@ -254,7 +259,7 @@ func (c *cuckooContainer) tryPlace(s cuckooSlot) bool {
 		cur, c.slots[vi] = c.slots[vi], cur
 		b = c.altBucket(cur.dst, b)
 		if i := c.emptyIn(b); i >= 0 {
-			c.slots[i] = cur
+			c.put(i, cur)
 			return true
 		}
 	}
@@ -269,7 +274,7 @@ func (c *cuckooContainer) Delete(dst uint64) (bool, int) {
 		return false, probe
 	}
 	ptr := c.slots[idx].calPtr
-	c.slots[idx] = cuckooSlot{}
+	c.occ[idx/cuckooSlotsPerBucket] &^= 1 << (idx % cuckooSlotsPerBucket)
 	c.n--
 	gt.dropCALEntry(ptr, c.d)
 	return true, probe
@@ -278,9 +283,10 @@ func (c *cuckooContainer) Delete(dst uint64) (bool, int) {
 func (c *cuckooContainer) Degree() uint32 { return c.n }
 
 func (c *cuckooContainer) Iterate(fn func(dst uint64, w float32) bool) bool {
-	for i := range c.slots {
-		if s := &c.slots[i]; s.used {
-			if !fn(s.dst, s.weight) {
+	for b, occ := range c.occ {
+		for ; occ != 0; occ &= occ - 1 {
+			e := &c.slots[b*cuckooSlotsPerBucket+bits.TrailingZeros8(occ)]
+			if !fn(e.dst, e.weight) {
 				return false
 			}
 		}
@@ -317,32 +323,40 @@ func (c *cuckooContainer) repointCAL(dst uint64, p calPtr) bool {
 
 // clear empties the table, retaining the slot buffer for reuse.
 func (c *cuckooContainer) clear() {
-	for i := range c.slots {
-		c.slots[i] = cuckooSlot{}
-	}
+	clear(c.occ)
 	c.n = 0
 	c.kick = 0
 }
 
-// collectEntries hands every live (dst, weight, calPtr) to a migration
-// target's bulk loader.
-func (c *cuckooContainer) collectEntries(fn func(dst uint64, w float32, ptr calPtr)) {
-	for i := range c.slots {
-		if s := &c.slots[i]; s.used {
-			fn(s.dst, s.weight, s.calPtr)
+// collectEntries hands every live entry to a migration target's bulk
+// loader.
+func (c *cuckooContainer) collectEntries(fn func(e edgeEntry)) {
+	for b, occ := range c.occ {
+		for ; occ != 0; occ &= occ - 1 {
+			fn(c.slots[b*cuckooSlotsPerBucket+bits.TrailingZeros8(occ)])
 		}
 	}
 }
 
-// bulkAdd places an edge during migration (the CAL mirror entry already
+// bulkAdd places an entry during migration (the CAL mirror entry already
 // exists).
-func (c *cuckooContainer) bulkAdd(dst uint64, w float32, ptr calPtr) {
-	c.place(cuckooSlot{dst: dst, calPtr: ptr, weight: w, used: true})
+func (c *cuckooContainer) bulkAdd(e edgeEntry) {
+	c.place(e)
 	c.n++
 }
 
-// memoryBytes counts the table header (allocated apart from the adaptor)
-// and its slot buffer.
+// occupied counts the live slots by their occupancy masks (CheckInvariants
+// holds it equal to n).
+func (c *cuckooContainer) occupied() uint32 {
+	var n int
+	for _, occ := range c.occ {
+		n += bits.OnesCount8(occ)
+	}
+	return uint32(n)
+}
+
+// memoryBytes counts the table header (allocated apart from the adaptor),
+// its slot buffer and its masks.
 func (c *cuckooContainer) memoryBytes() uint64 {
-	return uint64(unsafe.Sizeof(*c)) + uint64(cap(c.slots))*uint64(unsafe.Sizeof(cuckooSlot{}))
+	return uint64(unsafe.Sizeof(*c)) + uint64(cap(c.slots))*uint64(unsafe.Sizeof(edgeEntry{})) + uint64(cap(c.occ))
 }

@@ -14,21 +14,13 @@ import (
 // entry buffer is retained across promotions (entries[:0]), so a vertex
 // flapping around the thresholds re-migrates without allocating.
 
-// sliceEntry is one stored edge: the destination, the CAL mirror pointer
-// (invalidCALPtr when CAL is off) and the weight.
-type sliceEntry struct {
-	dst    uint64
-	calPtr calPtr
-	weight float32
-}
-
 type sliceContainer struct {
 	host *GraphTinker
 	d    uint32
 	// entries is sorted by dst and holds live edges only — the slice
 	// format always compacts, under either DeleteMode (tombstone decay is
 	// a hashed-block phenomenon; the CAL mirror still honours the mode).
-	entries []sliceEntry
+	entries []edgeEntry
 }
 
 var _ EdgeContainer = (*sliceContainer)(nil)
@@ -77,15 +69,12 @@ func (c *sliceContainer) Insert(dst uint64, w float32) (bool, int) {
 	}
 	ptr := invalidCALPtr
 	if gt.cal != nil {
-		// Slice (and cuckoo) entries move inside their container, so the
-		// CAL owner back-pointer stays invalid; consistency runs through
-		// the container's own lookup instead (see repointCAL).
-		ptr = gt.cal.append(c.d, gt.rawOf(c.d), dst, w, invalidCellAddr)
+		ptr = gt.cal.append(c.d, dst, w)
 		gt.stats.calAppends.Add(1)
 	}
-	c.entries = append(c.entries, sliceEntry{})
+	c.entries = append(c.entries, edgeEntry{})
 	copy(c.entries[pos+1:], c.entries[pos:])
-	c.entries[pos] = sliceEntry{dst: dst, calPtr: ptr, weight: w}
+	c.entries[pos] = edgeEntry{dst: dst, calPtr: ptr, weight: w}
 	return true, probe
 }
 
@@ -147,20 +136,20 @@ func (c *sliceContainer) repointCAL(dst uint64, p calPtr) bool {
 // clear empties the container, retaining the buffer for reuse.
 func (c *sliceContainer) clear() { c.entries = c.entries[:0] }
 
-// bulkAdd appends an edge during migration: no CAL append (the mirror
+// bulkAdd appends an entry during migration: no CAL append (the mirror
 // entry already exists), no degree accounting. Entries arrive unsorted;
 // the caller sorts once with sortEntries.
-func (c *sliceContainer) bulkAdd(dst uint64, w float32, ptr calPtr) {
-	c.entries = append(c.entries, sliceEntry{dst: dst, calPtr: ptr, weight: w})
+func (c *sliceContainer) bulkAdd(e edgeEntry) {
+	c.entries = append(c.entries, e)
 }
 
 // sortEntries restores dst order after a demotion, which hands over up to
 // CuckooDemoteDegree entries in hash order. The comparator captures
 // nothing, so the sort does not allocate.
 func (c *sliceContainer) sortEntries() {
-	slices.SortFunc(c.entries, func(a, b sliceEntry) int { return cmp.Compare(a.dst, b.dst) })
+	slices.SortFunc(c.entries, func(a, b edgeEntry) int { return cmp.Compare(a.dst, b.dst) })
 }
 
 func (c *sliceContainer) memoryBytes() uint64 {
-	return uint64(cap(c.entries)) * uint64(unsafe.Sizeof(sliceEntry{}))
+	return uint64(cap(c.entries)) * uint64(unsafe.Sizeof(edgeEntry{}))
 }

@@ -33,7 +33,7 @@ type Stats struct {
 
 	// CAL mirror.
 	CALAppends uint64 `json:"cal_appends"`
-	CALPatches uint64 `json:"cal_patches"` // weight patches + owner re-points + invalidations
+	CALPatches uint64 `json:"cal_patches"` // weight patches + mirrored deletes (tombstones or compactions)
 
 	// Seqlock mode machine of a Parallel's shards (see seqlock.go); all
 	// zero for a lone GraphTinker. A shard builds a second replica when a
