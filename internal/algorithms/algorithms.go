@@ -27,7 +27,7 @@ func BFS(root uint64) engine.Program {
 		ProcessEdge: func(srcVal float64, w float32) float64 {
 			return srcVal + 1
 		},
-		Reduce: math.Min,
+		Reduce: minReduce,
 		Apply: func(old, reduced float64) (float64, bool) {
 			if reduced < old {
 				return reduced, true
@@ -57,7 +57,7 @@ func SSSP(root uint64) engine.Program {
 		ProcessEdge: func(srcVal float64, w float32) float64 {
 			return srcVal + float64(w)
 		},
-		Reduce: math.Min,
+		Reduce: minReduce,
 		Apply: func(old, reduced float64) (float64, bool) {
 			if reduced < old {
 				return reduced, true
@@ -77,6 +77,12 @@ func SSSP(root uint64) engine.Program {
 		},
 	}
 }
+
+// minReduce is the Reduce of BFS, SSSP, CC and BFSWithParents. The
+// builtin min compiles to inline instructions where math.Min calls an
+// assembly routine. The two agree on NaN and signed zeros; they differ
+// only on NaN against -Inf, and no message of these programs is -Inf.
+func minReduce(a, b float64) float64 { return min(a, b) }
 
 // seedRoot pins the root's distance to zero and (re)activates it. Doing so
 // on every incremental run is idempotent and keeps the computation correct
@@ -101,7 +107,7 @@ func CC() engine.Program {
 		ProcessEdge: func(srcVal float64, w float32) float64 {
 			return srcVal
 		},
-		Reduce: math.Min,
+		Reduce: minReduce,
 		Apply: func(old, reduced float64) (float64, bool) {
 			if reduced < old {
 				return reduced, true

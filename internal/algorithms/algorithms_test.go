@@ -330,3 +330,23 @@ func TestQuickHybridEqualsStaticCC(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMinReduceMatchesMathMin pins that the shipped min reducer keeps
+// math.Min's answers on NaN and signed zeros. The one pair where they part
+// is NaN against -Inf (math.Min answers -Inf, the builtin NaN); no message
+// of these programs is ever -Inf or NaN.
+func TestMinReduceMatchesMathMin(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	vals := []float64{math.NaN(), negZero, 0, math.Inf(1), math.Inf(-1), 1, -1}
+	for _, a := range vals {
+		for _, b := range vals {
+			if math.IsNaN(a) && math.IsInf(b, -1) || math.IsInf(a, -1) && math.IsNaN(b) {
+				continue
+			}
+			got, want := minReduce(a, b), math.Min(a, b)
+			if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("minReduce(%g, %g) = %g, math.Min gives %g", a, b, got, want)
+			}
+		}
+	}
+}

@@ -67,7 +67,7 @@ func BFSWithParents(root uint64) engine.Program {
 			// One more hop: bump the distance field, keep the parent.
 			return scattered + packedFactor
 		},
-		Reduce: math.Min,
+		Reduce: minReduce,
 		Apply: func(old, reduced float64) (float64, bool) {
 			// Compare by distance only: a different parent at the same
 			// distance must not churn the frontier forever, and min-reduce

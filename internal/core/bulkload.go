@@ -68,7 +68,9 @@ func loadSection(ra io.ReaderAt, shard int, sec v2Section, g *GraphTinker, owner
 
 // bulkInsertRun inserts one source's complete edge run, choosing the
 // final container format up front from the run's degree. Only valid on a
-// replica that has never been published (see the file comment).
+// replica that has never been published (see the file comment), which is
+// also why the run's insert and update counts are added once at its end:
+// no one can snapshot the stats mid-run.
 func (gt *GraphTinker) bulkInsertRun(src uint64, run []Edge) {
 	gt.observe(src)
 	d := gt.denseOf(src)
@@ -77,17 +79,18 @@ func (gt *GraphTinker) bulkInsertRun(src uint64, run []Edge) {
 	if ac.kind == reprNone {
 		ac.initForDegree(gt, d, len(run))
 	}
+	var inserted uint64
 	for i := range run {
 		gt.observe(run[i].Dst)
 		isNew, _ := ac.Insert(run[i].Dst, run[i].Weight)
 		if isNew {
 			gt.props.degree[d]++
 			gt.numEdges++
-			gt.stats.inserts.Add(1)
-		} else {
-			gt.stats.updates.Add(1)
+			inserted++
 		}
 	}
+	gt.stats.inserts.Add(inserted)
+	gt.stats.updates.Add(uint64(len(run)) - inserted)
 }
 
 // cloneInto bulk-builds dst, an empty unpublished instance of the same

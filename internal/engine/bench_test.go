@@ -72,8 +72,11 @@ func BenchmarkVCEngine(b *testing.B) {
 }
 
 // TestRunAllocsIndependentOfFrontier pins that edge walks allocate nothing
-// per vertex: on a warmed engine, a from-scratch run over a two-hop star
-// allocates the same whether its frontier holds 512 or 4,096 vertices.
+// per vertex or per edge: on a warmed engine, a from-scratch run over a
+// two-hop star allocates the same whether its frontier holds 512 or 4,096
+// vertices, for every strategy in every mode. The sharded store has two
+// shards, so both star sizes fan every iteration past the first out to
+// the same goroutines.
 func TestRunAllocsIndependentOfFrontier(t *testing.T) {
 	star := func(fan uint64) []Edge {
 		var edges []Edge
@@ -86,17 +89,25 @@ func TestRunAllocsIndependentOfFrontier(t *testing.T) {
 		e.RunFromScratch()
 		return testing.AllocsPerRun(5, func() { e.RunFromScratch() })
 	}
-	for name, build := range map[string]func([]Edge) *Engine{
-		"sequential": func(edges []Edge) *Engine {
-			return MustNew(newStore(t, edges), minProgram(), Options{Mode: IncrementalProcessing})
-		},
-		"pull": func(edges []Edge) *Engine {
-			return MustNewVC(mirroredStore(t, edges), minProgram(), Options{Mode: IncrementalProcessing})
-		},
-	} {
-		small, large := allocs(build(star(512))), allocs(build(star(4096)))
-		if small != large {
-			t.Fatalf("%s: %v allocs at a 512-vertex frontier, %v at 4096", name, small, large)
+	for _, mode := range []Mode{FullProcessing, IncrementalProcessing, Hybrid} {
+		opts := Options{Mode: mode}
+		for name, build := range map[string]func([]Edge) *Engine{
+			"sequential": func(edges []Edge) *Engine {
+				return MustNew(newStore(t, edges), minProgram(), opts)
+			},
+			"sharded": func(edges []Edge) *Engine {
+				s := shardedStore(t, 2, edges)
+				t.Cleanup(s.Close)
+				return MustNewParallelEngine(s, minProgram(), opts)
+			},
+			"pull": func(edges []Edge) *Engine {
+				return MustNewVC(mirroredStore(t, edges), minProgram(), opts)
+			},
+		} {
+			small, large := allocs(build(star(512))), allocs(build(star(4096)))
+			if small != large {
+				t.Fatalf("%s/%v: %v allocs at a 512-vertex frontier, %v at 4096", name, mode, small, large)
+			}
 		}
 	}
 }

@@ -92,7 +92,7 @@ func TestDestinationBeyondPropertyArraysIgnored(t *testing.T) {
 	res := e.RunFromScratch()   // Resize picks the growth up front — so force staleness:
 	_ = res
 	// Direct unit check of the guard:
-	e.accumulate(1<<40, 1)
+	e.accumulate(1<<40, 1, e.prog.Reduce)
 	if len(e.touched) != 0 {
 		t.Fatalf("out-of-range accumulate recorded state")
 	}

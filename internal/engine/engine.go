@@ -272,8 +272,8 @@ func (e *Engine) scatterInput(src uint64) float64 {
 // applyPhase takes the iteration's counters, commits the buffered
 // properties and builds the next frontier.
 func (e *Engine) applyPhase(it *IterationStats) {
-	it.EdgesLoaded, it.EdgesProcessed, it.ActiveDegreeSum = e.loaded, e.processed, e.degreeSum
-	e.loaded, e.processed, e.degreeSum = 0, 0, 0
+	it.EdgesLoaded, it.EdgesProcessed, it.ActiveDegreeSum = e.loaded, e.processed, e.processed
+	e.loaded, e.processed = 0, 0
 	it.TouchedVertices = uint64(len(e.touched))
 	for _, v := range e.touched {
 		var newVal float64
@@ -301,7 +301,7 @@ type worker struct {
 	isTouched []bool
 	touched   []uint64
 
-	loaded, processed, degreeSum uint64
+	loaded, processed uint64
 
 	// srcVal is the ProcessEdge input of the vertex whose out-edges
 	// visitOut walks; dst the vertex whose in-edges visitIn walks (pull).
@@ -314,41 +314,44 @@ type worker struct {
 }
 
 // bind points the worker at its engine and builds the scatter visitors.
+// It must not be inlined: the compiler clones closures of an inlined body
+// into the caller without inlining the calls inside them, which would
+// leave contains, scatterInput and accumulate as real calls on every edge.
+//
+//go:noinline
 func (ws *worker) bind(e *Engine) {
 	ws.eng = e
 	ws.visitOut = func(dst uint64, w float32) bool {
 		ws.loaded++
 		ws.processed++
-		ws.accumulate(dst, e.prog.ProcessEdge(ws.srcVal, w))
+		ws.accumulate(dst, e.prog.ProcessEdge(ws.srcVal, w), e.prog.Reduce)
 		return true
 	}
 	ws.visitEdge = func(src, dst uint64, w float32) bool {
 		ws.loaded++
 		if e.cur.contains(src) {
 			ws.processed++
-			ws.accumulate(dst, e.prog.ProcessEdge(e.scatterInput(src), w))
+			ws.accumulate(dst, e.prog.ProcessEdge(e.scatterInput(src), w), e.prog.Reduce)
 		}
 		return true
 	}
 }
 
-// scatter is one worker's share of a scatter iteration. It sums the
-// out-degrees of its slice of the active list (the inference box's extra
-// heuristic input) and, in an incremental iteration, walks their out-edges
-// from the store's random-access path. A full iteration instead streams
-// one shard, or the whole store when shard < 0, and processes the edges
-// whose source is active — the contiguous-access processing phase.
+// scatter is one worker's share of a scatter iteration. In an incremental
+// iteration it walks the out-edges of its slice of the active list from
+// the store's random-access path. A full iteration instead streams one
+// shard, or the whole store when shard < 0, and processes the edges whose
+// source is active — the contiguous-access processing phase. Either way
+// the edges processed are exactly the out-edges of active vertices, so
+// the processed count is also the active out-degree sum.
 func (ws *worker) scatter(active []uint64, full bool, shard int) {
 	e := ws.eng
-	for _, u := range active {
-		ws.degreeSum += uint64(e.store.OutDegree(u))
-		if !full {
+	switch {
+	case !full:
+		for _, u := range active {
 			ws.srcVal = e.scatterInput(u)
 			e.store.ForEachOutEdge(u, ws.visitOut)
 		}
-	}
-	switch {
-	case !full:
 	case shard < 0:
 		e.store.ForEachEdge(ws.visitEdge)
 	default:
@@ -356,15 +359,19 @@ func (ws *worker) scatter(active []uint64, full bool, shard int) {
 	}
 }
 
-// accumulate reduces a message into the worker's buffer.
-func (ws *worker) accumulate(dst uint64, msg float64) {
+// accumulate reduces a message into the worker's buffer. Every edge
+// visitor inlines it, which needs it within the compiler's inlining
+// budget: reduce is the program's Reduce passed as a parameter because the
+// inliner charges a call through a parameter 17 where a call through a
+// struct field costs 57, more than this body has to spare.
+func (ws *worker) accumulate(dst uint64, msg float64, reduce func(a, b float64) float64) {
 	if dst >= uint64(len(ws.temp)) {
 		// A destination beyond the property arrays can only appear if the
 		// store mutated mid-run; ignore rather than corrupt.
 		return
 	}
 	if ws.isTouched[dst] {
-		ws.temp[dst] = ws.eng.prog.Reduce(ws.temp[dst], msg)
+		ws.temp[dst] = reduce(ws.temp[dst], msg)
 	} else {
 		ws.temp[dst] = msg
 		ws.isTouched[dst] = true

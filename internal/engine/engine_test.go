@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"graphtinker/internal/core"
+	"graphtinker/internal/rmat"
 )
 
 // minProgram is a minimal monotone program: distances along unweighted
@@ -337,16 +338,105 @@ func TestRunResultMerge(t *testing.T) {
 	}
 }
 
+// rmatEdges draws a Graph500-skewed edge stream over 2^scale vertices.
+func rmatEdges(t *testing.T, scale int, m uint64, seed uint64) []Edge {
+	t.Helper()
+	es, err := rmat.Generate(rmat.Graph500Params(scale, m>>uint(scale), seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]Edge, len(es))
+	for i, e := range es {
+		out[i] = Edge(e)
+	}
+	return out
+}
+
+// TestActiveDegreeSumCollected pins the identity the engine records
+// ActiveDegreeSum by: every strategy processes exactly the out-edges of the
+// active vertices. In every iteration ActiveDegreeSum equals
+// EdgesProcessed; in the first iteration after a batch it equals the
+// Σ OutDegree over the frontier the program's seeding rule gives; and
+// over a whole run it equals that sum plus Σ OutDegree over every vertex
+// an apply activated.
 func TestActiveDegreeSumCollected(t *testing.T) {
-	edges := []Edge{te(0, 1), te(0, 2), te(0, 3)}
-	for name, e := range map[string]*Engine{
-		"sequential": MustNew(newStore(t, edges), minProgram(), Options{Mode: IncrementalProcessing}),
-		"sharded":    MustNewParallelEngine(shardedStore(t, 2, edges), minProgram(), Options{Mode: IncrementalProcessing}),
-		"pull":       MustNewVC(mirroredStore(t, edges), minProgram(), Options{}),
-	} {
-		res := e.RunFromScratch()
-		if res.Iterations[0].ActiveDegreeSum != 3 {
-			t.Fatalf("%s: first-iteration degree sum = %d, want 3", name, res.Iterations[0].ActiveDegreeSum)
+	edges := rmatEdges(t, 9, 6144, 5)
+	initial, batch := edges[:4096], edges[4096:]
+	type store interface {
+		GraphStore
+		InsertBatch(edges []Edge) int
+	}
+	for _, mode := range []Mode{FullProcessing, IncrementalProcessing, Hybrid} {
+		for name, build := range map[string]func(p Program) (store, *Engine){
+			"sequential": func(p Program) (store, *Engine) {
+				s := newStore(t, initial)
+				return s, MustNew(s, p, Options{Mode: mode})
+			},
+			"sharded/1": func(p Program) (store, *Engine) {
+				s := shardedStore(t, 1, initial)
+				t.Cleanup(s.Close)
+				return s, MustNewParallelEngine(s, p, Options{Mode: mode})
+			},
+			"sharded/3": func(p Program) (store, *Engine) {
+				s := shardedStore(t, 3, initial)
+				t.Cleanup(s.Close)
+				return s, MustNewParallelEngine(s, p, Options{Mode: mode})
+			},
+			"pull": func(p Program) (store, *Engine) {
+				s := mirroredStore(t, initial)
+				return s, MustNewVC(s, p, Options{Mode: mode})
+			},
+		} {
+			// Both Apply hooks are set so the sharded strategy accepts the
+			// program; the apply phase calls ApplyVertex, which records
+			// every vertex it activates.
+			var activated []uint64
+			p := minProgram()
+			p.ApplyVertex = func(v uint64, old, reduced float64) (float64, bool) {
+				val, act := p.Apply(old, reduced)
+				if act {
+					activated = append(activated, v)
+				}
+				return val, act
+			}
+			s, e := build(p)
+			e.RunFromScratch()
+
+			s.InsertBatch(batch)
+			frontier := map[uint64]bool{0: true}
+			if mode != FullProcessing {
+				for _, b := range batch {
+					if e.Value(b.Src) < math.Inf(1) {
+						frontier[b.Src] = true
+					}
+				}
+			}
+			var seeded, total uint64
+			for u := range frontier {
+				seeded += uint64(s.OutDegree(u))
+			}
+			activated = activated[:0]
+			res := e.RunAfterBatch(batch)
+			for _, v := range activated {
+				total += uint64(s.OutDegree(v))
+			}
+			total += seeded
+
+			var sum uint64
+			for _, it := range res.Iterations {
+				if it.ActiveDegreeSum != it.EdgesProcessed {
+					t.Fatalf("%s/%v iter %d: ActiveDegreeSum %d, EdgesProcessed %d",
+						name, mode, it.Index, it.ActiveDegreeSum, it.EdgesProcessed)
+				}
+				sum += it.ActiveDegreeSum
+			}
+			if got := res.Iterations[0].ActiveDegreeSum; got != seeded || seeded == 0 {
+				t.Fatalf("%s/%v: first-iteration ActiveDegreeSum %d, Σ OutDegree over the %d seeds %d",
+					name, mode, got, len(frontier), seeded)
+			}
+			if sum != total {
+				t.Fatalf("%s/%v: run ActiveDegreeSum %d, Σ OutDegree over every frontier %d", name, mode, sum, total)
+			}
 		}
 	}
 }

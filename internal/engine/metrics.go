@@ -20,6 +20,9 @@ type IterationStats struct {
 	Active uint64 `json:"active"`
 	// ActiveDegreeSum is the total out-degree of the active vertices (the
 	// additional heuristic input Sec. IV.B says the inference box collects).
+	// Every strategy processes exactly the out-edges of the active
+	// vertices, so it is recorded from EdgesProcessed rather than probed
+	// per vertex, and it is known only once the iteration has run.
 	ActiveDegreeSum uint64 `json:"active_degree_sum"`
 	// PredictorT is the inference-box value T = A/E computed for this
 	// iteration (meaningful in hybrid mode; recorded in all modes).

@@ -61,7 +61,7 @@ const smallIterationCutoff = 512
 
 // scatterSharded fans one iteration out across the workers: worker w
 // streams shard w (full) or walks its slice of the active list
-// (incremental), and sums the out-degrees of its slice either way.
+// (incremental).
 func (e *Engine) scatterSharded(full bool) {
 	active, p := e.cur.list, len(e.workers)
 	small := len(active) < p*smallIterationCutoff/8
@@ -104,7 +104,6 @@ func (e *Engine) mergeWorkers() {
 		ws.touched = ws.touched[:0]
 		e.loaded += ws.loaded
 		e.processed += ws.processed
-		e.degreeSum += ws.degreeSum
-		ws.loaded, ws.processed, ws.degreeSum = 0, 0, 0
+		ws.loaded, ws.processed = 0, 0
 	}
 }

@@ -44,7 +44,7 @@ func NewVC(store InEdgeStore, prog Program, opts Options) (*VCEngine, error) {
 		ws.loaded++
 		if e.cur.contains(src) {
 			ws.processed++
-			ws.accumulate(ws.dst, e.prog.ProcessEdge(e.scatterInput(src), w))
+			ws.accumulate(ws.dst, e.prog.ProcessEdge(e.scatterInput(src), w), e.prog.Reduce)
 		}
 		return true
 	}
@@ -61,12 +61,10 @@ func MustNewVC(store InEdgeStore, prog Program, opts Options) *VCEngine {
 	return must(NewVC(store, prog, opts))
 }
 
-// gather is the pull iteration: sum the active out-degrees, then let every
-// vertex with in-edges reduce the messages of its active in-neighbours
-// into the global buffer, which the apply phase commits as for a scatter.
+// gather is the pull iteration: every vertex with in-edges reduces the
+// messages of its active in-neighbours into the global buffer, which the
+// apply phase commits as for a scatter. The in-edges processed are exactly
+// the out-edges of active vertices, seen from the other end.
 func (e *Engine) gather() {
-	for _, u := range e.cur.list {
-		e.degreeSum += uint64(e.store.OutDegree(u))
-	}
 	e.in.ForEachInSource(e.visitSource)
 }
