@@ -47,7 +47,7 @@ func main() {
 		symmetrize = flag.Bool("symmetrize", false, "emit both directions for -file edges")
 		batch      = flag.Int("batch", 100000, "edges per batch")
 		pagewidth  = flag.Int("pagewidth", core.DefaultPageWidth, "edgeblock PAGEWIDTH")
-		noCAL      = flag.Bool("no-cal", false, "disable the Coarse Adjacency List mirror")
+		withCAL    = flag.Bool("cal", false, "keep the Coarse Adjacency List mirror (a second copy of every edge)")
 		noSGH      = flag.Bool("no-sgh", false, "disable Scatter-Gather Hashing")
 		compact    = flag.Bool("compact", false, "use the delete-and-compact mechanism")
 		histograms = flag.Bool("histograms", false, "print probe/generation/degree histograms after loading")
@@ -111,7 +111,7 @@ func main() {
 
 	cfg := core.DefaultConfig()
 	cfg.PageWidth = *pagewidth
-	cfg.EnableCAL = !*noCAL
+	cfg.EnableCAL = *withCAL
 	cfg.EnableSGH = !*noSGH
 	if *compact {
 		cfg.DeleteMode = core.DeleteAndCompact

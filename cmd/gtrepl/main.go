@@ -137,8 +137,11 @@ func run(in io.Reader, out io.Writer) error {
 				g.NumEdges(), st.Inserts, st.Updates, st.Deletes, st.CellsInspected, st.RHHSwaps, st.Branches)
 		case "occupancy":
 			o := g.OccupancyReport()
-			fmt.Fprintf(out, "live=%d cells=%d fill=%.1f%% calFill=%.1f%% blocks=%d\n",
-				o.LiveEdges, o.CellsAllocated, 100*o.Fill(), 100*o.CALFill(), o.LiveBlocks)
+			fmt.Fprintf(out, "live=%d cells=%d fill=%.1f%% blocks=%d", o.LiveEdges, o.CellsAllocated, 100*o.Fill(), o.LiveBlocks)
+			if g.Config().EnableCAL {
+				fmt.Fprintf(out, " calFill=%.1f%%", 100*o.CALFill())
+			}
+			fmt.Fprintln(out)
 		default:
 			fmt.Fprintf(out, "unknown command %q (try help)\n", cmd)
 		}

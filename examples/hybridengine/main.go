@@ -1,8 +1,9 @@
 // Hybridengine traces the inference box of the paper's hybrid graph engine
 // (Sec. IV.B): for every iteration of a BFS run it prints the predictor
 // T = A/E (active vertices over edges loaded so far), the threshold, and
-// which edge-loading path the engine chose — full streaming from the CAL
-// array or incremental walks of the active vertices.
+// which edge-loading path the engine chose — a full sweep of the store
+// (which on the default store reads only the active sources' edges) or
+// incremental walks of the active vertices.
 //
 // The input graph is shaped to force both decisions within one run: a long
 // path (tiny frontiers -> incremental) that fans out into a dense bipartite

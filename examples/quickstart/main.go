@@ -10,9 +10,9 @@ import (
 )
 
 func main() {
-	// A GraphTinker instance with the paper's default configuration:
-	// PAGEWIDTH 64, subblocks of 8 cells, workblocks of 4 cells, SGH and
-	// CAL enabled, delete-only deletion.
+	// A GraphTinker instance with the default configuration: adaptive
+	// slice/cuckoo edge storage, SGH on, no CAL (one copy of each edge),
+	// delete-only deletion.
 	g, err := graphtinker.New(graphtinker.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)

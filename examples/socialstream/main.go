@@ -89,7 +89,11 @@ func main() {
 	fmt.Printf("\nstructure: %d edges, %d RHH swaps, %d branch-outs, max generation %d\n",
 		g.NumEdges(), st.RHHSwaps, st.Branches, st.MaxGeneration)
 	occ := g.OccupancyReport()
-	fmt.Printf("occupancy: edgeblock fill %.1f%%, CAL fill %.1f%%\n", 100*occ.Fill(), 100*occ.CALFill())
+	fmt.Printf("occupancy: edgeblock fill %.1f%%", 100*occ.Fill())
+	if g.Config().EnableCAL {
+		fmt.Printf(", CAL fill %.1f%%", 100*occ.CALFill())
+	}
+	fmt.Println()
 }
 
 func countComponents(eng *graphtinker.Engine) int {

@@ -109,11 +109,13 @@ func TestFacadeEdgeListIO(t *testing.T) {
 	}
 }
 
-// blocksConfig pins the paper's edgeblock tree, whose generations and
-// blocks the analysis and rebuild tests observe.
+// blocksConfig pins the paper's structure, the edgeblock tree with its CAL
+// mirror, whose generations and blocks the analysis and rebuild tests
+// observe.
 func blocksConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Repr = ReprBlocks
+	cfg.EnableCAL = true
 	return cfg
 }
 

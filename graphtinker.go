@@ -76,8 +76,10 @@ type MemoryFootprint = core.MemoryFootprint
 // Occupancy reports how compactly the structure stores its live edges.
 type Occupancy = core.Occupancy
 
-// DefaultConfig returns the paper's evaluation configuration (PAGEWIDTH 64,
-// subblock 8, workblock 4, SGH and CAL enabled, delete-only).
+// DefaultConfig returns the shipped configuration: adaptive slice/cuckoo
+// edge storage, SGH on, no CAL (one copy of each edge), delete-only, and
+// the paper's geometry (PAGEWIDTH 64, subblock 8, workblock 4) for when
+// ReprBlocks or EnableCAL is chosen.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
 // New constructs an empty graph with the given configuration.

@@ -87,7 +87,7 @@ func ExtMemory(opts Options) (Table, error) {
 			f2(r.gtFill), f2(r.defaultFill), f2(r.pw16Fill))
 	}
 	t.AddNote("GT is the paper's block tree: wide, partly-empty edgeblocks + CAL copy trade space for probe distance and stream contiguity")
-	t.AddNote("GT default is the adaptive slice/cuckoo representation with the same CAL")
+	t.AddNote("GT default is the adaptive slice/cuckoo representation, no CAL")
 	t.AddNote("fill is live edges over allocated edge slots: block cells, slice capacity and cuckoo slots, buffers kept for reuse included")
 	return t, nil
 }

@@ -279,11 +279,13 @@ func program(alg string, root uint64) (engine.Program, error) {
 }
 
 // gtConfig returns the paper's GraphTinker configuration, adjusted. It pins
-// ReprBlocks, so the figures and ablations measure the edgeblock tree the
-// paper describes rather than the adaptive default.
+// ReprBlocks and turns the CAL on, so the figures and ablations measure the
+// edgeblock tree and mirror the paper describes rather than the adaptive,
+// CAL-less default.
 func gtConfig(mutate ...func(*core.Config)) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Repr = core.ReprBlocks
+	cfg.EnableCAL = true
 	for _, m := range mutate {
 		m(&cfg)
 	}

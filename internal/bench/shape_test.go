@@ -246,9 +246,9 @@ func TestShapeRHHFlattensProbes(t *testing.T) {
 }
 
 // defaultBytesCeiling bounds ext-mem's "GT default" column at 1/128 (the
-// scale of results/gtbench_scale128.txt): its largest row, 61.8 B/edge on
-// RMAT_1M_10M with 16-byte slice, cuckoo and CAL entries, plus 10%.
-const defaultBytesCeiling = 68.0
+// scale of results/gtbench_scale128.txt): its largest row, 31.3 B/edge on
+// RMAT_1M_10M with 16-byte slice and cuckoo entries and no CAL, plus 10%.
+const defaultBytesCeiling = 34.5
 
 // TestShapeDefaultBytesFloor is ext-mem's floor: on every Table-1
 // stand-in at the committed table's scale the adaptive default spends
@@ -256,7 +256,7 @@ const defaultBytesCeiling = 68.0
 // defaultBytesCeiling, and fills at least half of the edge slots it
 // allocates (slice capacity and cuckoo slots, buffers kept for reuse
 // after a migration included). Smaller scales are dominated by fixed
-// costs (one CAL chunk is 1 MiB), so the ceiling is not checked there.
+// per-vertex and per-table costs, so the ceiling is not checked there.
 func TestShapeDefaultBytesFloor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape tests are slow for -short")

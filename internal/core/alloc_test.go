@@ -86,6 +86,42 @@ func TestReadPathAllocFree(t *testing.T) {
 	}
 }
 
+// TestEdgeWalkAllocFree pins the edge stream at zero allocations on a
+// default graph holding both slice and cuckoo vertices: the unfiltered
+// walk (ForEachEdge), the filtered one full processing uses
+// (ForEachActiveEdge), and the per-shard walk on a Parallel.
+func TestEdgeWalkAllocFree(t *testing.T) {
+	cfg := DefaultConfig()
+	g := MustNew(cfg)
+	p, err := NewParallel(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := benchEdges(4096, 8192, 99)
+	for i := 0; i <= cfg.CuckooPromoteDegree; i++ {
+		edges = append(edges, Edge{Src: 1 << 20, Dst: uint64(i), Weight: 1})
+	}
+	g.InsertBatch(edges)
+	p.InsertBatch(edges)
+	defer p.Close()
+	if st := g.Stats(); st.Promotions == 0 || g.NumEdges() <= uint64(cfg.CuckooPromoteDegree)+1 {
+		t.Fatalf("want slice and cuckoo vertices: %d promotions over %d edges", st.Promotions, g.NumEdges())
+	}
+	var seen uint64
+	visit := func(src, dst uint64, w float32) bool { seen++; return true }
+	even := func(src uint64) bool { return src%2 == 0 }
+	pinAllocs(t, "GraphTinker.ForEachEdge", 0, func() { g.ForEachEdge(visit) })
+	pinAllocs(t, "GraphTinker.ForEachActiveEdge", 0, func() { g.ForEachActiveEdge(even, visit) })
+	pinAllocs(t, "Parallel.ForEachActiveShardEdge", 0, func() {
+		for s := 0; s < p.NumShards(); s++ {
+			p.ForEachActiveShardEdge(s, even, visit)
+		}
+	})
+	if seen == 0 {
+		t.Fatalf("walks visited nothing")
+	}
+}
+
 // TestAdaptiveFlapAllocFree pins a full promote/demote cycle at the default
 // thresholds at zero allocations: the slice keeps its buffer across the
 // promotion, the table keeps its slots across the demotion, and the

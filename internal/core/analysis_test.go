@@ -13,11 +13,13 @@ func TestAnalyzeProbesEmptyGraph(t *testing.T) {
 	}
 }
 
-// blocksConfig is DefaultConfig pinned to the paper's edgeblock tree, for
-// tests of its mechanisms: RHH probes, generations and their counters.
+// blocksConfig is the paper's structure, as internal/bench's gtConfig pins
+// it for the figures: the edgeblock tree with its CAL mirror, for tests of
+// its mechanisms (RHH probes, generations and their counters).
 func blocksConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Repr = ReprBlocks
+	cfg.EnableCAL = true
 	return cfg
 }
 
@@ -138,8 +140,11 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	}
 
 	// An adaptive vertex outside its tier's degree window: a slice above
-	// the promote point, a table at the demote point.
-	ad := MustNew(tinyThresholds(DefaultConfig()))
+	// the promote point, a table at the demote point. The CAL is on for the
+	// slice-pointer case below.
+	adCfg := tinyThresholds(DefaultConfig())
+	adCfg.EnableCAL = true
+	ad := MustNew(adCfg)
 	for i := 0; i < 6; i++ {
 		ad.InsertEdge(1, uint64(i), 1)
 	}
@@ -157,7 +162,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	if v := ad.CheckInvariants(); len(v) != 1 {
 		t.Fatalf("table at the demote point: %v", v)
 	}
-	ad.cfg = tinyThresholds(DefaultConfig())
+	ad.cfg = adCfg
 
 	reported := func(what, want string) {
 		t.Helper()

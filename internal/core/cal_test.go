@@ -169,7 +169,7 @@ func TestCALLiveSetMatchesEdgeblockArray(t *testing.T) {
 	for _, mode := range []DeleteMode{DeleteOnly, DeleteAndCompact} {
 		t.Run(mode.String(), func(t *testing.T) {
 			cfg := DefaultConfig()
-			cfg.DeleteMode = mode
+			cfg.EnableCAL, cfg.DeleteMode = true, mode
 			gt := MustNew(cfg)
 			r := &testRand{s: 777}
 			type key struct{ src, dst uint64 }
@@ -214,7 +214,7 @@ func TestCALOwnerBackPointersConsistent(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			for _, repr := range []Representation{ReprBlocks, ReprSlice, ReprCuckoo, ReprAdaptive} {
 				cfg := tinyThresholds(DefaultConfig())
-				cfg.Repr, cfg.DeleteMode = repr, mode
+				cfg.EnableCAL, cfg.Repr, cfg.DeleteMode = true, repr, mode
 				gt := MustNew(cfg)
 				r := &testRand{s: 999}
 				for i := 0; i < 25000; i++ {

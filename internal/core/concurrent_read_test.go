@@ -221,7 +221,7 @@ func TestParallelTornReadDifferential(t *testing.T) {
 					counts[i] = 0
 				}
 				ph1 := phase.Load()
-				p.ForEachShardEdge(s, func(src, dst uint64, w float32) bool {
+				p.ForEachActiveShardEdge(s, nil, func(src, dst uint64, w float32) bool {
 					k := int(w) - 1
 					if k < 0 || k >= batches {
 						fail("scan observed an edge with an unknown batch tag")

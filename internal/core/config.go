@@ -12,6 +12,11 @@
 // pass: Scatter-Gather Hashing densifies source vertex ids so the main
 // region contains only non-empty vertices, and the Coarse Adjacency List
 // maintains a contiguous copy of all edges grouped by source-id range.
+//
+// That edgeblock tree is the paper's structure, selected by ReprBlocks with
+// the CAL on. The default keeps each vertex's edges in a dense sorted slice
+// or cuckoo table (ReprAdaptive) and no CAL: one copy of each edge, which
+// full-processing analytics stream directly, skipping inactive sources.
 package core
 
 import (
@@ -83,10 +88,12 @@ type Config struct {
 	// holds only non-empty vertices. Disabling it indexes the main region by
 	// raw source id directly (the ablation in Sec. V.B).
 	EnableSGH bool
-	// EnableCAL turns the Coarse Adjacency List mirror on. Disabling it
-	// removes the per-update CAL maintenance cost (the "GraphTinker without
-	// CAL" configuration of Fig. 8) and makes full-processing analytics fall
-	// back to scanning the EdgeblockArray.
+	// EnableCAL turns the Coarse Adjacency List mirror on: a second,
+	// contiguous copy of every edge that full-processing analytics stream
+	// whole. It is off by default, where each vertex's slice or cuckoo table
+	// is dense enough to stream directly and the walk skips inactive
+	// sources; the paper's figures turn it on over the block tree, and off
+	// for the "GraphTinker without CAL" configuration of Fig. 8.
 	EnableCAL bool
 	// CALGroupSize is the number of consecutive dense source ids that share
 	// one CAL group (the paper's example uses 1024).
@@ -130,16 +137,16 @@ type Config struct {
 	HashSeed uint64
 }
 
-// DefaultConfig returns the paper's evaluation configuration: PAGEWIDTH 64,
-// subblocks of 8 cells, workblocks of 4 cells, SGH and CAL enabled, and the
-// delete-only mechanism.
+// DefaultConfig returns the shipped configuration: the adaptive slice/cuckoo
+// representation with SGH on, no CAL, the delete-only mechanism, and the
+// paper's Sec. V.A geometry (PAGEWIDTH 64, subblocks of 8 cells, workblocks
+// of 4) and CAL sizes for when ReprBlocks or EnableCAL is chosen.
 func DefaultConfig() Config {
 	return Config{
 		PageWidth:           DefaultPageWidth,
 		SubblockSize:        DefaultSubblockSize,
 		WorkblockSize:       DefaultWorkblockSize,
 		EnableSGH:           true,
-		EnableCAL:           true,
 		CALGroupSize:        DefaultCALGroupSize,
 		CALBlockSize:        DefaultCALBlockSize,
 		DeleteMode:          DeleteOnly,

@@ -194,49 +194,52 @@ func TestEdgeContainerConformance(t *testing.T) {
 }
 
 // TestRepresentationDifferential runs every representation's full graph
-// surface (raw ids, CAL mirror, stats, invariants) against the
-// internal/testutil reference oracle under a mixed insert/delete stream.
+// surface (raw ids, stats, invariants, the edge stream with the CAL mirror
+// off and on) against the internal/testutil reference oracle under a mixed
+// insert/delete stream.
 func TestRepresentationDifferential(t *testing.T) {
 	for _, repr := range reprUnderTest {
 		for _, mode := range []DeleteMode{DeleteOnly, DeleteAndCompact} {
 			t.Run(repr.name+"/"+mode.String(), func(t *testing.T) {
-				cfg := repr.cfg()
-				cfg.DeleteMode = mode
-				gt := MustNew(cfg)
-				ref := newRefGraph()
-				r := &testRand{s: 0xC0FFEE}
-				for i := 0; i < 25000; i++ {
-					src, dst := uint64(r.intn(60)), uint64(r.intn(120))
-					if r.intn(3) == 2 {
-						if gt.DeleteEdge(src, dst) != ref.delete(src, dst) {
-							t.Fatalf("delete diverged at op %d", i)
+				for _, cal := range []bool{false, true} {
+					cfg := repr.cfg()
+					cfg.DeleteMode, cfg.EnableCAL = mode, cal
+					gt := MustNew(cfg)
+					ref := newRefGraph()
+					r := &testRand{s: 0xC0FFEE}
+					for i := 0; i < 25000; i++ {
+						src, dst := uint64(r.intn(60)), uint64(r.intn(120))
+						if r.intn(3) == 2 {
+							if gt.DeleteEdge(src, dst) != ref.delete(src, dst) {
+								t.Fatalf("delete diverged at op %d", i)
+							}
+						} else {
+							w := r.float32()
+							if gt.InsertEdge(src, dst, w) != ref.insert(src, dst, w) {
+								t.Fatalf("insert diverged at op %d", i)
+							}
 						}
-					} else {
-						w := r.float32()
-						if gt.InsertEdge(src, dst, w) != ref.insert(src, dst, w) {
-							t.Fatalf("insert diverged at op %d", i)
+						if i%5000 == 4999 {
+							checkEquivalence(t, gt, ref)
+							if v := gt.CheckInvariants(); len(v) != 0 {
+								t.Fatalf("invariants at op %d: %v", i, v)
+							}
 						}
 					}
-					if i%5000 == 4999 {
-						checkEquivalence(t, gt, ref)
-						if v := gt.CheckInvariants(); len(v) != 0 {
-							t.Fatalf("invariants at op %d: %v", i, v)
-						}
+					checkEquivalence(t, gt, ref)
+					if v := gt.CheckInvariants(); len(v) != 0 {
+						t.Fatalf("final invariants: %v", v)
 					}
-				}
-				checkEquivalence(t, gt, ref)
-				if v := gt.CheckInvariants(); len(v) != 0 {
-					t.Fatalf("final invariants: %v", v)
-				}
-				// Probe accounting must cover the whole structure under any
-				// representation: histogram totals equal the live edge count.
-				h := gt.AnalyzeProbes()
-				var total uint64
-				for _, n := range h.ByProbe {
-					total += n
-				}
-				if total != gt.NumEdges() {
-					t.Fatalf("probe histogram covers %d edges, graph holds %d", total, gt.NumEdges())
+					// Probe accounting must cover the whole structure under any
+					// representation: histogram totals equal the live edge count.
+					h := gt.AnalyzeProbes()
+					var total uint64
+					for _, n := range h.ByProbe {
+						total += n
+					}
+					if total != gt.NumEdges() {
+						t.Fatalf("probe histogram covers %d edges, graph holds %d", total, gt.NumEdges())
+					}
 				}
 			})
 		}

@@ -32,6 +32,7 @@ func TestDeleteOnlyLeavesTombstones(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DeleteMode = DeleteOnly
 	cfg.Repr = ReprBlocks // tombstone decay is a block-format phenomenon
+	cfg.EnableCAL = true  // ... and so is the mirror's
 	gt := MustNew(cfg)
 	for i := 0; i < 1000; i++ {
 		gt.InsertEdge(1, uint64(i), 1)
@@ -64,6 +65,7 @@ func TestDeleteAndCompactShrinks(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DeleteMode = DeleteAndCompact
 	cfg.Repr = ReprBlocks // block counts are the property under test
+	cfg.EnableCAL = true  // CAL block counts too
 	gt := MustNew(cfg)
 	for i := 0; i < 5000; i++ {
 		gt.InsertEdge(1, uint64(i), 1)

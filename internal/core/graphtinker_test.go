@@ -26,10 +26,10 @@ func TestConfigValidation(t *testing.T) {
 		{"non power of two workblock", func(c *Config) { c.WorkblockSize = 3 }},
 		{"page width below subblock", func(c *Config) { c.PageWidth = 4; c.SubblockSize = 8; c.WorkblockSize = 4 }},
 		{"subblock below workblock", func(c *Config) { c.SubblockSize = 4; c.WorkblockSize = 8 }},
-		{"zero CAL group", func(c *Config) { c.CALGroupSize = 0 }},
-		{"zero CAL block", func(c *Config) { c.CALBlockSize = 0 }},
+		{"zero CAL group", func(c *Config) { c.EnableCAL, c.CALGroupSize = true, 0 }},
+		{"zero CAL block", func(c *Config) { c.EnableCAL, c.CALBlockSize = true, 0 }},
 		{"huge page width", func(c *Config) { c.PageWidth = 1 << 40 }},
-		{"huge CAL block", func(c *Config) { c.CALBlockSize = 0x3030303030303030 }},
+		{"huge CAL block", func(c *Config) { c.EnableCAL, c.CALBlockSize = true, 0x3030303030303030 }},
 		{"negative vertex capacity", func(c *Config) { c.InitialVertexCapacity = -1 }},
 		{"bogus delete mode", func(c *Config) { c.DeleteMode = DeleteMode(99) }},
 		{"demote at promote", func(c *Config) { c.CuckooPromoteDegree = 64; c.CuckooDemoteDegree = 64 }},
@@ -373,7 +373,9 @@ func TestForEachSourceSkipsEmptied(t *testing.T) {
 }
 
 func TestEarlyStopIteration(t *testing.T) {
-	gt := MustNew(DefaultConfig())
+	calCfg := DefaultConfig()
+	calCfg.EnableCAL = true // the CAL stream first
+	gt := MustNew(calCfg)
 	for i := 0; i < 100; i++ {
 		gt.InsertEdge(uint64(i%5), uint64(i), 1)
 	}
@@ -445,7 +447,9 @@ func TestStatsAdd(t *testing.T) {
 }
 
 func TestMemoryFootprintGrows(t *testing.T) {
-	gt := MustNew(DefaultConfig())
+	cfg := DefaultConfig()
+	cfg.EnableCAL = true // every component, the mirror included
+	gt := MustNew(cfg)
 	before := gt.Memory().Total()
 	for i := 0; i < 10000; i++ {
 		gt.InsertEdge(uint64(i%100), uint64(i), 1)
@@ -494,7 +498,9 @@ func TestMemoryTracksHeap(t *testing.T) {
 }
 
 func TestOccupancyReport(t *testing.T) {
-	gt := MustNew(DefaultConfig())
+	cfg := DefaultConfig()
+	cfg.EnableCAL = true
+	gt := MustNew(cfg)
 	for i := 0; i < 1000; i++ {
 		gt.InsertEdge(uint64(i%10), uint64(i), 1)
 	}

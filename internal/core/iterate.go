@@ -1,5 +1,7 @@
 package core
 
+import "math/bits"
+
 // ForEachOutEdge visits every live out-edge of src (in unspecified order)
 // through the vertex's active edge container — for the block format this
 // walks the top-parent edgeblock and every descendant in the overflow
@@ -55,12 +57,21 @@ func (gt *GraphTinker) walkSubtree(blk int32, fn func(dst uint64, w float32) boo
 	return true
 }
 
-// ForEachEdge visits every live edge in the graph. With the CAL feature
-// enabled it streams the Coarse Adjacency List — the contiguous path
-// full-processing analytics rely on. Without CAL it falls back to scanning
-// the EdgeblockArray vertex by vertex (the configuration the Fig. 8 / Sec.
-// V.B ablations measure). The callback returns false to stop.
+// ForEachEdge visits every live edge in the graph (ForEachActiveEdge with
+// every source accepted). The callback returns false to stop.
 func (gt *GraphTinker) ForEachEdge(fn func(src, dst uint64, w float32) bool) {
+	gt.ForEachActiveEdge(nil, fn)
+}
+
+// ForEachActiveEdge is the streaming path full-processing analytics use:
+// it visits at least the out-edges of every source active accepts (every
+// source when active is nil), so the caller still filters. The default
+// store walks its vertices in dense-id order, skips the sources active
+// rejects, and reads each accepted vertex's slice entries or cuckoo slots
+// directly. Two paths the paper's figures measure stream every edge
+// instead: the Coarse Adjacency List when the CAL is on, and the block
+// tree (ReprBlocks) vertex by vertex. The callback returns false to stop.
+func (gt *GraphTinker) ForEachActiveEdge(active func(src uint64) bool, fn func(src, dst uint64, w float32) bool) {
 	if gt.cal != nil {
 		var toRaw []uint64
 		if gt.sgh != nil {
@@ -69,15 +80,39 @@ func (gt *GraphTinker) ForEachEdge(fn func(src, dst uint64, w float32) bool) {
 		gt.cal.forEach(toRaw, fn)
 		return
 	}
-	for d := 0; d < len(gt.cont); d++ {
-		if gt.cont[d].kind == reprNone {
+	if gt.cfg.Repr == ReprBlocks {
+		active = nil
+	}
+	for d := range gt.cont {
+		ac := &gt.cont[d]
+		if ac.kind == reprNone {
 			continue
 		}
 		src := gt.rawOf(uint32(d))
-		if !gt.cont[d].Iterate(func(dst uint64, w float32) bool {
-			return fn(src, dst, w)
-		}) {
-			return
+		if active != nil && !active(src) {
+			continue
+		}
+		switch ac.kind {
+		case reprSlice:
+			for i := range ac.slice.entries {
+				if e := &ac.slice.entries[i]; !fn(src, e.dst, e.weight) {
+					return
+				}
+			}
+		case reprCuckoo:
+			c := ac.cuckoo
+			for b, occ := range c.occ {
+				for ; occ != 0; occ &= occ - 1 {
+					if e := &c.slots[b*cuckooSlotsPerBucket+bits.TrailingZeros8(occ)]; !fn(src, e.dst, e.weight) {
+						return
+					}
+				}
+			}
+		case reprBlocks:
+			// The closure stays on the stack: Iterate does not retain it.
+			if !ac.blocks.Iterate(func(dst uint64, w float32) bool { return fn(src, dst, w) }) {
+				return
+			}
 		}
 	}
 }

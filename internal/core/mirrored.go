@@ -100,9 +100,15 @@ func (m *Mirrored) ForEachInEdge(v uint64, fn func(src uint64, w float32) bool) 
 	m.rev.ForEachOutEdge(v, fn)
 }
 
-// ForEachEdge streams all edges (from the forward CAL).
+// ForEachEdge streams all edges of the forward instance.
 func (m *Mirrored) ForEachEdge(fn func(src, dst uint64, w float32) bool) {
 	m.fwd.ForEachEdge(fn)
+}
+
+// ForEachActiveEdge streams the forward instance's out-edges of the
+// sources active accepts (see GraphTinker.ForEachActiveEdge).
+func (m *Mirrored) ForEachActiveEdge(active func(src uint64) bool, fn func(src, dst uint64, w float32) bool) {
+	m.fwd.ForEachActiveEdge(active, fn)
 }
 
 // ForEachInSource visits every vertex with at least one in-edge.

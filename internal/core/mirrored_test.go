@@ -119,7 +119,7 @@ func TestParallelShardSurface(t *testing.T) {
 		if p.Shard(s) == nil {
 			t.Fatalf("Shard(%d) nil", s)
 		}
-		p.ForEachShardEdge(s, func(src, dst uint64, w float32) bool {
+		p.ForEachActiveShardEdge(s, nil, func(src, dst uint64, w float32) bool {
 			total++
 			return true
 		})

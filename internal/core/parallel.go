@@ -18,13 +18,14 @@ import (
 // contention-adaptive seqlock — an atomic version counter over one replica,
 // or over a double-buffered pair once a reader has overlapped a writer (see
 // seqlock.go) — and every query (FindEdge, OutDegree, ForEachOutEdge,
-// ForEachEdge, ForEachShardEdge, NumEdges, MaxVertexID, AnalyzeProbes)
-// snapshots the version, reads a pinned replica, and retries only on a torn
-// observation. A query never sees a half-applied batch. On a shard whose
-// readers and writers have not met, a query that lands inside a batch apply
-// waits for that apply — once: the overlap makes the shard keep a second
-// replica, and from then on a query issued mid-batch sees the shard's last
-// published state without waiting. Mutators (InsertBatch, DeleteBatch,
+// ForEachEdge, ForEachActiveEdge, ForEachActiveShardEdge, NumEdges,
+// MaxVertexID, AnalyzeProbes) snapshots the version, reads a pinned
+// replica, and retries only on a torn observation. A query never sees a
+// half-applied batch. On a shard whose readers and writers have not met, a
+// query that lands inside a batch apply waits for that apply — once: the
+// overlap makes the shard keep a second replica, and from then on a query
+// issued mid-batch sees the shard's last published state without waiting.
+// Mutators (InsertBatch, DeleteBatch,
 // ApplyOps, InsertEdge, DeleteEdge, ApplyShard) keep mutual exclusion per
 // shard via a writer mutex; they apply in place while nobody reads, and
 // otherwise write the off replica, publish it by bumping the version, and
@@ -382,23 +383,26 @@ func (p *Parallel) ForEachOutEdge(src uint64, fn func(dst uint64, w float32) boo
 	g.ForEachOutEdge(src, fn)
 }
 
-// ForEachEdge streams all edges shard by shard. The walk is
-// per-shard-consistent: each shard is scanned on one pinned replica, so a
-// scan never observes a half-applied batch, and a concurrent pipeline can
-// be mutating shard j while shard i streams.
+// ForEachEdge streams all edges shard by shard (ForEachActiveEdge with
+// every source accepted).
 func (p *Parallel) ForEachEdge(fn func(src, dst uint64, w float32) bool) {
+	p.ForEachActiveEdge(nil, fn)
+}
+
+// ForEachActiveEdge streams shard by shard at least the out-edges of every
+// source active accepts (nil accepts all; see
+// GraphTinker.ForEachActiveEdge). The walk is per-shard-consistent: each
+// shard is scanned on one pinned replica, so a scan never observes a
+// half-applied batch, and a concurrent pipeline can be mutating shard j
+// while shard i streams.
+func (p *Parallel) ForEachActiveEdge(active func(src uint64) bool, fn func(src, dst uint64, w float32) bool) {
 	stopped := false
-	for i := range p.sc {
-		if stopped {
-			return
-		}
-		p.ForEachShardEdge(i, func(src, dst uint64, w float32) bool {
-			if !fn(src, dst, w) {
-				stopped = true
-				return false
-			}
-			return true
-		})
+	visit := func(src, dst uint64, w float32) bool {
+		stopped = !fn(src, dst, w)
+		return !stopped
+	}
+	for i := 0; i < len(p.sc) && !stopped; i++ {
+		p.ForEachActiveShardEdge(i, active, visit)
 	}
 }
 
@@ -406,14 +410,15 @@ func (p *Parallel) ForEachEdge(fn func(src, dst uint64, w float32) bool) {
 // surface).
 func (p *Parallel) NumShards() int { return len(p.sc) }
 
-// ForEachShardEdge streams the live edges held by one shard on a pinned
-// replica. Safe to call concurrently for distinct (or even the same)
-// shards, and never blocks a writer for longer than the scan itself.
-func (p *Parallel) ForEachShardEdge(shard int, fn func(src, dst uint64, w float32) bool) {
+// ForEachActiveShardEdge is ForEachActiveEdge over one shard, on a pinned
+// replica (nil active streams every edge the shard holds). Safe to call
+// concurrently for distinct (or even the same) shards, and never blocks a
+// writer for longer than the scan itself.
+func (p *Parallel) ForEachActiveShardEdge(shard int, active func(src uint64) bool, fn func(src, dst uint64, w float32) bool) {
 	sc := &p.sc[shard]
 	g, idx := sc.pinRead()
 	defer sc.unpin(idx)
-	g.ForEachEdge(fn)
+	g.ForEachActiveEdge(active, fn)
 }
 
 // Stats merges the counters of every shard. The per-shard counters are

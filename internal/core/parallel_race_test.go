@@ -83,7 +83,7 @@ func TestParallelConcurrentWritersAndReaders(t *testing.T) {
 					})
 				}
 				if r.intn(16) == 0 {
-					p.ForEachShardEdge(r.intn(p.NumShards()), func(src, dst uint64, w float32) bool {
+					p.ForEachActiveShardEdge(r.intn(p.NumShards()), nil, func(src, dst uint64, w float32) bool {
 						return false // touch-and-stop keeps the scan cheap
 					})
 				}

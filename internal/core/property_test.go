@@ -81,6 +81,7 @@ func quickCfg(t *testing.T) *quick.Config {
 
 func TestQuickEquivalenceDeleteOnly(t *testing.T) {
 	cfg := DefaultConfig()
+	cfg.EnableCAL = true // ForEachEdge streams the mirror
 	prop := func(script opScript) bool { return applyScript(cfg, script) }
 	if err := quick.Check(prop, quickCfg(t)); err != nil {
 		t.Fatal(err)
@@ -89,7 +90,7 @@ func TestQuickEquivalenceDeleteOnly(t *testing.T) {
 
 func TestQuickEquivalenceDeleteAndCompact(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.DeleteMode = DeleteAndCompact
+	cfg.EnableCAL, cfg.DeleteMode = true, DeleteAndCompact
 	prop := func(script opScript) bool { return applyScript(cfg, script) }
 	if err := quick.Check(prop, quickCfg(t)); err != nil {
 		t.Fatal(err)
@@ -174,7 +175,7 @@ func TestQuickCALCompactStaysDense(t *testing.T) {
 	// Under delete-and-compact, after any op sequence the CAL fill is 100%:
 	// every reachable slot is live.
 	cfg := DefaultConfig()
-	cfg.DeleteMode = DeleteAndCompact
+	cfg.EnableCAL, cfg.DeleteMode = true, DeleteAndCompact
 	prop := func(script opScript) bool {
 		gt := MustNew(cfg)
 		for _, op := range script.Ops {

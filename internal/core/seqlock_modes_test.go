@@ -268,7 +268,7 @@ func TestSeqlockModeMachineDifferential(t *testing.T) {
 				p.FindEdge(uint64(i%40), uint64(i%400))
 				if i%16 == 0 {
 					seen := make(map[[2]uint64]struct{})
-					p.ForEachShardEdge(s, func(src, dst uint64, w float32) bool {
+					p.ForEachActiveShardEdge(s, nil, func(src, dst uint64, w float32) bool {
 						k := [2]uint64{src, dst}
 						if _, dup := seen[k]; dup {
 							panic(fmt.Sprintf("shard %d scan yielded edge %v twice", s, k))
@@ -396,7 +396,7 @@ func TestSeqlockTornReadAcrossModes(t *testing.T) {
 		for i := range counts {
 			counts[i] = 0
 		}
-		p.ForEachShardEdge(s, func(src, dst uint64, w float32) bool {
+		p.ForEachActiveShardEdge(s, nil, func(src, dst uint64, w float32) bool {
 			counts[int(w)-1]++
 			return true
 		})

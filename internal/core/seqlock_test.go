@@ -114,8 +114,8 @@ func TestReaderPanicDoesNotWedgeWriters(t *testing.T) {
 	mustPanic("ForEachEdge", func() {
 		p.ForEachEdge(func(src, dst uint64, w float32) bool { panic("reader exploded") })
 	})
-	mustPanic("ForEachShardEdge", func() {
-		p.ForEachShardEdge(p.ShardOf(batch[0].Src), func(src, dst uint64, w float32) bool { panic("reader exploded") })
+	mustPanic("ForEachActiveShardEdge", func() {
+		p.ForEachActiveShardEdge(p.ShardOf(batch[0].Src), nil, func(src, dst uint64, w float32) bool { panic("reader exploded") })
 	})
 	mustPanic("ForEachOutEdge", func() {
 		p.ForEachOutEdge(batch[0].Src, func(dst uint64, w float32) bool { panic("reader exploded") })
@@ -255,7 +255,7 @@ func FuzzSeqlockInterleave(f *testing.F) {
 					for i := range counts {
 						counts[i] = 0
 					}
-					p.ForEachShardEdge(s, func(src, dst uint64, w float32) bool {
+					p.ForEachActiveShardEdge(s, nil, func(src, dst uint64, w float32) bool {
 						k := int(w) - 1
 						if k < 0 || k >= batches {
 							panic("scan observed an edge with an unknown batch tag")

@@ -39,6 +39,61 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotCarriesCALSetting reopens v2 files in both directions: one
+// written with the CAL on reopens with the mirror rebuilt and its
+// invariants whole, and one written by the default reopens without it —
+// through the lone-graph and the sharded reader alike.
+func TestSnapshotCarriesCALSetting(t *testing.T) {
+	for _, cal := range []bool{true, false} {
+		cfg := DefaultConfig()
+		cfg.EnableCAL = cal
+		p, err := NewParallel(cfg, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newRefGraph()
+		r := &testRand{s: 41}
+		for i := 0; i < 6000; i++ {
+			src, dst := uint64(r.intn(150)), uint64(r.intn(900))
+			if r.intn(4) == 0 {
+				p.DeleteEdge(src, dst)
+				ref.delete(src, dst)
+			} else {
+				p.InsertEdge(src, dst, 1)
+				ref.insert(src, dst, 1)
+			}
+		}
+		var buf bytes.Buffer
+		if err := p.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		lone, err := ReadSnapshot(bytes.NewReader(buf.Bytes()), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sharded, err := ReadParallelSnapshot(bytes.NewReader(buf.Bytes()), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs := []*GraphTinker{lone}
+		for i := 0; i < sharded.NumShards(); i++ {
+			graphs = append(graphs, sharded.Shard(i))
+		}
+		for _, g := range graphs {
+			if g.Config().EnableCAL != cal || (g.cal != nil) != cal {
+				t.Fatalf("written with CAL %v, reopened with EnableCAL %v (mirror built: %v)", cal, g.Config().EnableCAL, g.cal != nil)
+			}
+			if v := g.CheckInvariants(); len(v) != 0 {
+				t.Fatalf("CAL %v: invariants after reopen: %v", cal, v)
+			}
+		}
+		checkEquivalence(t, lone, ref)
+		if lone.OccupancyReport().CALLiveEdges != map[bool]uint64{true: ref.numEdges()}[cal] {
+			t.Fatalf("CAL %v: mirror holds %d edges, graph %d", cal, lone.OccupancyReport().CALLiveEdges, ref.numEdges())
+		}
+	}
+}
+
 func TestSnapshotEmptyGraph(t *testing.T) {
 	gt := MustNew(DefaultConfig())
 	var buf bytes.Buffer

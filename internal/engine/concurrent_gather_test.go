@@ -1,7 +1,7 @@
 package engine
 
 // The parallel engine's gather phase reads the sharded store through
-// OutDegree / ForEachOutEdge / ForEachShardEdge / ForEachEdge — all
+// OutDegree / ForEachOutEdge / ForEachActiveShardEdge / ForEachActiveEdge — all
 // lock-free seqlock readers since the core migration. This test runs
 // full engine iterations while a writer churns batches into the store:
 // the gather must never block on the writer, observe a half-applied

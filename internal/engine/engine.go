@@ -12,8 +12,8 @@ type Mode uint8
 const (
 	// FullProcessing is the store-and-static-compute model: every run
 	// re-initializes all vertex properties and every iteration streams the
-	// whole edge set (from the CAL EdgeblockArray when the store is
-	// GraphTinker).
+	// edge set (on a default GraphTinker, only the active sources' edges;
+	// with the CAL on, or on STINGER, every edge).
 	FullProcessing Mode = iota
 	// IncrementalProcessing keeps properties across runs, seeds the
 	// inconsistent vertices of the batch, and loads only the out-edges of
@@ -307,6 +307,7 @@ type worker struct {
 	// visitOut walks; dst the vertex whose in-edges visitIn walks (pull).
 	srcVal      float64
 	dst         uint64
+	active      func(src uint64) bool
 	visitOut    func(dst uint64, w float32) bool
 	visitEdge   func(src, dst uint64, w float32) bool
 	visitIn     func(src uint64, w float32) bool
@@ -321,6 +322,7 @@ type worker struct {
 //go:noinline
 func (ws *worker) bind(e *Engine) {
 	ws.eng = e
+	ws.active = func(src uint64) bool { return e.cur.contains(src) }
 	ws.visitOut = func(dst uint64, w float32) bool {
 		ws.loaded++
 		ws.processed++
@@ -340,10 +342,12 @@ func (ws *worker) bind(e *Engine) {
 // scatter is one worker's share of a scatter iteration. In an incremental
 // iteration it walks the out-edges of its slice of the active list from
 // the store's random-access path. A full iteration instead streams one
-// shard, or the whole store when shard < 0, and processes the edges whose
+// shard, or the whole store when shard < 0, handing the store the frontier
+// (the dense mode of a Ligra-style edge map), and processes the edges whose
 // source is active — the contiguous-access processing phase. Either way
 // the edges processed are exactly the out-edges of active vertices, so
-// the processed count is also the active out-degree sum.
+// the processed count is also the active out-degree sum; the edges loaded
+// are those plus whatever the store could not skip.
 func (ws *worker) scatter(active []uint64, full bool, shard int) {
 	e := ws.eng
 	switch {
@@ -353,9 +357,9 @@ func (ws *worker) scatter(active []uint64, full bool, shard int) {
 			e.store.ForEachOutEdge(u, ws.visitOut)
 		}
 	case shard < 0:
-		e.store.ForEachEdge(ws.visitEdge)
+		e.store.ForEachActiveEdge(ws.active, ws.visitEdge)
 	default:
-		e.shards.ForEachShardEdge(shard, ws.visitEdge)
+		e.shards.ForEachActiveShardEdge(shard, ws.active, ws.visitEdge)
 	}
 }
 

@@ -112,7 +112,11 @@ func TestMustNewPanics(t *testing.T) {
 }
 
 func TestStaticRunOnPath(t *testing.T) {
-	store := newStore(t, pathEdges(5))
+	// With the CAL on the store streams every edge in a full iteration.
+	cfg := core.DefaultConfig()
+	cfg.EnableCAL = true
+	store := core.MustNew(cfg)
+	store.InsertBatch(pathEdges(5))
 	e := MustNew(store, minProgram(), Options{Mode: FullProcessing})
 	res := e.RunFromScratch()
 	if !res.Converged {

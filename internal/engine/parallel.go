@@ -23,8 +23,9 @@ type ShardedStore interface {
 	GraphStore
 	// NumShards reports how many shards back the store.
 	NumShards() int
-	// ForEachShardEdge streams the live edges of one shard.
-	ForEachShardEdge(shard int, fn func(src, dst uint64, w float32) bool)
+	// ForEachActiveShardEdge is GraphStore.ForEachActiveEdge over one
+	// shard.
+	ForEachActiveShardEdge(shard int, active func(src uint64) bool, fn func(src, dst uint64, w float32) bool)
 }
 
 // ParallelEngine is the Engine NewParallelEngine builds; the name stays

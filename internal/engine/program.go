@@ -17,9 +17,11 @@ import "graphtinker/internal/core"
 type Edge = core.Edge
 
 // GraphStore is the read surface the engine needs from a dynamic graph
-// structure. Both core.GraphTinker and stinger.Stinger satisfy it: the
-// former streams ForEachEdge from its CAL EdgeblockArray (contiguous), the
-// latter by scanning its logical vertex array and block chains.
+// structure. core.GraphTinker, core.Parallel, core.Mirrored and
+// stinger.Stinger satisfy it. A default GraphTinker streams a full
+// iteration by walking only the active sources' slices and cuckoo tables;
+// with the CAL on it streams the whole Coarse Adjacency List (contiguous),
+// and STINGER scans its logical vertex array and block chains.
 type GraphStore interface {
 	// NumEdges is the number of live edges ("E", the denominator of the
 	// inference-box predictor).
@@ -32,9 +34,12 @@ type GraphStore interface {
 	// ForEachOutEdge visits the out-edges of one vertex (the random-access
 	// path incremental processing uses). The callback returns false to stop.
 	ForEachOutEdge(src uint64, fn func(dst uint64, w float32) bool)
-	// ForEachEdge visits every live edge (the streaming path full
-	// processing uses). The callback returns false to stop.
-	ForEachEdge(fn func(src, dst uint64, w float32) bool)
+	// ForEachActiveEdge is the streaming path full processing uses: it
+	// visits at least the out-edges of every source active accepts, and
+	// may visit others (a store that cannot skip a source streams every
+	// edge), so the engine still checks each edge's source. The callback
+	// returns false to stop.
+	ForEachActiveEdge(active func(src uint64) bool, fn func(src, dst uint64, w float32) bool)
 }
 
 // SeedContext is handed to a Program's seeding hooks so they can inspect

@@ -54,12 +54,20 @@ func TestSequentialEngineOverMirroredStore(t *testing.T) {
 }
 
 func TestEngineOverEveryStoreAgreesOnEdgesLoadedSemantics(t *testing.T) {
-	// FP iterations load exactly the live edge count from any store.
-	edges := []Edge{te(0, 1), te(1, 2), te(2, 3)}
+	// A full-processing iteration loads every live edge from a store that
+	// streams them all (STINGER, a GraphTinker with the CAL on) and exactly
+	// the active sources' out-edges from one that skips the rest (a default
+	// GraphTinker, Parallel or Mirrored). Values agree on every store.
+	edges := append([]Edge{te(0, 1), te(1, 2), te(2, 3)}, randomTestEdges(1500, 96, 91)...)
+	calCfg := core.DefaultConfig()
+	calCfg.EnableCAL = true
 	stores := map[string]GraphStore{}
 	g := core.MustNew(core.DefaultConfig())
 	g.InsertBatch(edges)
 	stores["graphtinker"] = g
+	gc := core.MustNew(calCfg)
+	gc.InsertBatch(edges)
+	stores["graphtinker+cal"] = gc
 	st := stinger.MustNew(stinger.DefaultConfig())
 	for _, e := range edges {
 		st.InsertEdge(e.Src, e.Dst, e.Weight)
@@ -71,17 +79,31 @@ func TestEngineOverEveryStoreAgreesOnEdgesLoadedSemantics(t *testing.T) {
 	m := core.MustNewMirrored(core.DefaultConfig())
 	m.InsertBatch(edges)
 	stores["mirrored"] = m
+	streamsAll := map[string]bool{"graphtinker+cal": true, "stinger": true}
 
+	want := MustNew(g, minProgram(), Options{Mode: FullProcessing})
+	want.RunFromScratch()
 	for name, store := range stores {
 		e := MustNew(store, minProgram(), Options{Mode: FullProcessing})
 		res := e.RunFromScratch()
+		skipped := false
 		for _, it := range res.Iterations {
-			if it.EdgesLoaded != uint64(len(edges)) {
-				t.Fatalf("%s: iteration %d loaded %d edges, want %d", name, it.Index, it.EdgesLoaded, len(edges))
+			wantLoaded := it.EdgesProcessed
+			if streamsAll[name] {
+				wantLoaded = store.NumEdges()
 			}
+			if it.EdgesLoaded != wantLoaded {
+				t.Fatalf("%s: iteration %d loaded %d edges, want %d", name, it.Index, it.EdgesLoaded, wantLoaded)
+			}
+			skipped = skipped || it.EdgesLoaded < store.NumEdges()
 		}
-		if e.Value(3) != 3 {
-			t.Fatalf("%s: val[3] = %g", name, e.Value(3))
+		if !skipped && !streamsAll[name] {
+			t.Fatalf("%s: no iteration skipped an inactive source", name)
+		}
+		for v := uint64(0); v < want.NumVertices(); v++ {
+			if e.Value(v) != want.Value(v) {
+				t.Fatalf("%s: val[%d] = %g, want %g", name, v, e.Value(v), want.Value(v))
+			}
 		}
 	}
 }

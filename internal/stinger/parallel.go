@@ -122,8 +122,10 @@ func (p *Parallel) FindEdge(src, dst uint64) (float32, bool) {
 // NumShards reports the shard count.
 func (p *Parallel) NumShards() int { return len(p.shards) }
 
-// ForEachShardEdge streams the live edges held by one shard (read-only).
-func (p *Parallel) ForEachShardEdge(shard int, fn func(src, dst uint64, w float32) bool) {
+// ForEachActiveShardEdge streams every live edge held by one shard
+// (read-only); like Stinger.ForEachActiveEdge it leaves the filtering to
+// the caller.
+func (p *Parallel) ForEachActiveShardEdge(shard int, _ func(src uint64) bool, fn func(src, dst uint64, w float32) bool) {
 	p.shards[shard].ForEachEdge(fn)
 }
 
@@ -167,6 +169,12 @@ func (p *Parallel) ForEachEdge(fn func(src, dst uint64, w float32) bool) {
 			return true
 		})
 	}
+}
+
+// ForEachActiveEdge streams every edge (ForEachEdge), leaving the filtering
+// to the caller.
+func (p *Parallel) ForEachActiveEdge(_ func(src uint64) bool, fn func(src, dst uint64, w float32) bool) {
+	p.ForEachEdge(fn)
 }
 
 // Stats merges the counters of every shard. Safe to call mid-batch: the

@@ -27,7 +27,7 @@ func TestParallelReadSurface(t *testing.T) {
 	}
 	total := 0
 	for s := 0; s < par.NumShards(); s++ {
-		par.ForEachShardEdge(s, func(src, dst uint64, w float32) bool {
+		par.ForEachActiveShardEdge(s, nil, func(src, dst uint64, w float32) bool {
 			total++
 			return true
 		})

@@ -441,6 +441,13 @@ func (st *Stinger) ForEachEdge(fn func(src, dst uint64, w float32) bool) {
 	}
 }
 
+// ForEachActiveEdge is the engine's streaming path. STINGER keeps no
+// index that could skip a source, so it streams every edge (ForEachEdge)
+// and leaves the filtering to the caller.
+func (st *Stinger) ForEachActiveEdge(_ func(src uint64) bool, fn func(src, dst uint64, w float32) bool) {
+	st.ForEachEdge(fn)
+}
+
 // Edges returns a snapshot of all live edges.
 func (st *Stinger) Edges() []Edge {
 	out := make([]Edge, 0, st.numEdges)
