@@ -69,7 +69,7 @@ func main() {
 		perfEdges  = flag.Int("perf-edges", 4096, "edges per batch in the perf sweep")
 		perfShards = flag.Int("perf-shards", 4, "shard count for the perf sweep's parallel probes")
 		perfTime   = flag.Duration("perf-time", 200*time.Millisecond, "minimum measurement time per perf probe")
-		perfRepr   = flag.String("repr", "", "edge-container representation for the perf sweep: adaptive|slice|blocks|cuckoo (default adaptive)")
+		perfRepr   = flag.String("repr", "", "edge-container representation for the perf sweep: adaptive|blocks (default adaptive)")
 	)
 	flag.Parse()
 

@@ -6,7 +6,7 @@
 //
 //	gtload -dataset Hollywood-2009 -scale 256
 //	gtload -rmat-scale 18 -edge-factor 16
-//	gtload -dataset RMAT_2M_32M -scale 128 -pagewidth 128 -no-cal
+//	gtload -dataset RMAT_2M_32M -scale 128 -compact
 //	gtload -rmat-scale 20 -shards 8 -stream -metrics-out stream.json
 //	gtload -rmat-scale 18 -wal-dir ./primary -replicate-addr :7000
 //	gtload -follow ./replica -primary-addr localhost:7000 -wait-lsn 4194304
@@ -46,8 +46,6 @@ func main() {
 		fileBase   = flag.Uint64("file-base", 0, "subtract this from ids in -file (1 for Matrix Market)")
 		symmetrize = flag.Bool("symmetrize", false, "emit both directions for -file edges")
 		batch      = flag.Int("batch", 100000, "edges per batch")
-		pagewidth  = flag.Int("pagewidth", core.DefaultPageWidth, "edgeblock PAGEWIDTH")
-		withCAL    = flag.Bool("cal", false, "keep the Coarse Adjacency List mirror (a second copy of every edge)")
 		noSGH      = flag.Bool("no-sgh", false, "disable Scatter-Gather Hashing")
 		compact    = flag.Bool("compact", false, "use the delete-and-compact mechanism")
 		histograms = flag.Bool("histograms", false, "print probe/generation/degree histograms after loading")
@@ -110,8 +108,6 @@ func main() {
 	}
 
 	cfg := core.DefaultConfig()
-	cfg.PageWidth = *pagewidth
-	cfg.EnableCAL = *withCAL
 	cfg.EnableSGH = !*noSGH
 	if *compact {
 		cfg.DeleteMode = core.DeleteAndCompact
@@ -254,11 +250,8 @@ func main() {
 	fmt.Printf("branch-outs:         %d (max generation %d)\n", st.Branches, st.MaxGeneration)
 	fmt.Printf("blocks allocated:    %d\n", st.BlocksAllocated)
 	fmt.Printf("edgeblock fill:      %.1f%%\n", 100*occ.Fill())
-	if cfg.EnableCAL {
-		fmt.Printf("CAL fill:            %.1f%%\n", 100*occ.CALFill())
-	}
-	fmt.Printf("memory:              %.1f MB (EBA %.1f, CAL %.1f, SGH %.1f, props %.1f)\n",
-		mb(mem.Total()), mb(mem.EdgeblockArrayBytes), mb(mem.CALBytes), mb(mem.SGHBytes), mb(mem.VertexPropsBytes))
+	fmt.Printf("memory:              %.1f MB (containers %.1f, SGH %.1f, props %.1f)\n",
+		mb(mem.Total()), mb(mem.ContainerBytes), mb(mem.SGHBytes), mb(mem.VertexPropsBytes))
 
 	if *metricsOut != "" {
 		doc := struct {

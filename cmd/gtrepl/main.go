@@ -137,11 +137,7 @@ func run(in io.Reader, out io.Writer) error {
 				g.NumEdges(), st.Inserts, st.Updates, st.Deletes, st.CellsInspected, st.RHHSwaps, st.Branches)
 		case "occupancy":
 			o := g.OccupancyReport()
-			fmt.Fprintf(out, "live=%d cells=%d fill=%.1f%% blocks=%d", o.LiveEdges, o.CellsAllocated, 100*o.Fill(), o.LiveBlocks)
-			if g.Config().EnableCAL {
-				fmt.Fprintf(out, " calFill=%.1f%%", 100*o.CALFill())
-			}
-			fmt.Fprintln(out)
+			fmt.Fprintf(out, "live=%d cells=%d fill=%.1f%% blocks=%d\n", o.LiveEdges, o.CellsAllocated, 100*o.Fill(), o.LiveBlocks)
 		default:
 			fmt.Fprintf(out, "unknown command %q (try help)\n", cmd)
 		}

@@ -89,11 +89,7 @@ func main() {
 	fmt.Printf("\nstructure: %d edges, %d RHH swaps, %d branch-outs, max generation %d\n",
 		g.NumEdges(), st.RHHSwaps, st.Branches, st.MaxGeneration)
 	occ := g.OccupancyReport()
-	fmt.Printf("occupancy: edgeblock fill %.1f%%", 100*occ.Fill())
-	if g.Config().EnableCAL {
-		fmt.Printf(", CAL fill %.1f%%", 100*occ.CALFill())
-	}
-	fmt.Println()
+	fmt.Printf("occupancy: edgeblock fill %.1f%%\n", 100*occ.Fill())
 }
 
 func countComponents(eng *graphtinker.Engine) int {

@@ -49,15 +49,14 @@ const (
 // Config.Repr.
 type Representation = core.Representation
 
-// Edge-container representations. The default, ReprAdaptive, keeps every
-// vertex in a sorted slice and moves heavy hitters to a cuckoo table and
-// back as their degree crosses the Config thresholds; the other values pin
-// one format. ReprBlocks is the paper's hashed edgeblock tree.
+// Edge-container representations, two of them. The default, ReprAdaptive,
+// keeps every vertex in a sorted slice and moves heavy hitters to a cuckoo
+// table and back as their degree crosses the Config thresholds, with one
+// copy of each edge. ReprBlocks is the paper's hashed edgeblock tree, the
+// only representation the CAL (Config.EnableCAL) can mirror.
 const (
 	ReprAdaptive = core.ReprAdaptive
-	ReprSlice    = core.ReprSlice
 	ReprBlocks   = core.ReprBlocks
-	ReprCuckoo   = core.ReprCuckoo
 )
 
 // Graph is a single GraphTinker instance. It is not safe for concurrent
@@ -79,7 +78,7 @@ type Occupancy = core.Occupancy
 // DefaultConfig returns the shipped configuration: adaptive slice/cuckoo
 // edge storage, SGH on, no CAL (one copy of each edge), delete-only, and
 // the paper's geometry (PAGEWIDTH 64, subblock 8, workblock 4) for when
-// ReprBlocks or EnableCAL is chosen.
+// ReprBlocks (and EnableCAL) is chosen.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
 // New constructs an empty graph with the given configuration.

@@ -3,21 +3,23 @@ package core
 import "slices"
 
 // adaptiveContainer is the per-vertex adaptor over the three edge formats.
-// Each dense vertex id owns one (GraphTinker.cont); the kind tag selects the
-// active format and the hot paths dispatch on it with a switch — no
-// interface value is ever formed on the operation paths, so reads stay
-// allocation-free.
+// Each dense vertex id owns one (GraphTinker.cont); it holds the vertex's
+// (host, dense id) binding once, for whichever format is active, and the
+// kind tag selects that format. The hot paths dispatch on the tag with a
+// switch — no interface value is ever formed on the operation paths, so
+// reads stay allocation-free. The adaptor also keeps the vertex's degree
+// (the host's props.degree), which is the block tree's only live count.
 //
-// Under Config.Repr == ReprAdaptive a vertex lives in one of two tiers and
+// Under ReprAdaptive (the default) a vertex lives in one of two tiers and
 // migrates when its degree crosses the configured thresholds:
 //
 //	slice  --(degree > CuckooPromoteDegree)-->  cuckoo
 //	cuckoo --(degree <= CuckooDemoteDegree)-->  slice
 //
 // Promote and demote points are separated (hysteresis) so a vertex
-// oscillating around one degree does not migrate on every operation. A
-// forced Repr pins every vertex to one format and never migrates; the
-// paper's edgeblock tree is reached only that way (ReprBlocks).
+// oscillating around one degree does not migrate on every operation. Under
+// ReprBlocks every vertex lives in the paper's edgeblock tree and never
+// migrates; a slice or cuckoo vertex therefore implies ReprAdaptive.
 //
 // Migration runs inside the mutation that crossed the threshold, which
 // under the Parallel wrapper means inside a write no reader can see (an
@@ -29,10 +31,11 @@ import "slices"
 // allocation-free: the slice keeps its entry buffer across promotions and
 // the cuckoo table keeps its slot buffer across demotions.
 type adaptiveContainer struct {
-	kind   reprKind
+	host   *GraphTinker
 	slice  sliceContainer
-	blocks blockContainer
 	cuckoo *cuckooContainer // nil until the vertex first needs it
+	d      uint32
+	kind   reprKind
 }
 
 var _ EdgeContainer = (*adaptiveContainer)(nil)
@@ -49,56 +52,66 @@ func (ac *adaptiveContainer) init(gt *GraphTinker, d uint32) {
 // (bulkload.go). The chosen kind is exactly what sequential insertion of
 // `degree` edges through the adaptive thresholds settles on, so the
 // CheckInvariants kind/degree windows hold and a bulk-loaded replica is
-// interchangeable with an op-by-op one. A forced Repr pins the format as
-// init does, with the slice buffer and cuckoo table pre-sized for the run.
+// interchangeable with an op-by-op one; the slice buffer or cuckoo table is
+// pre-sized for the run.
 func (ac *adaptiveContainer) initForDegree(gt *GraphTinker, d uint32, degree int) {
-	ac.slice = sliceContainer{host: gt, d: d}
-	ac.blocks = blockContainer{host: gt, d: d}
-	ac.kind = gt.cfg.Repr.initialKind()
-	if gt.cfg.Repr == ReprAdaptive && degree > gt.cfg.CuckooPromoteDegree {
+	ac.host, ac.d = gt, d
+	switch {
+	case gt.cfg.Repr == ReprBlocks:
+		ac.kind = reprBlocks
+	case degree > gt.cfg.CuckooPromoteDegree:
 		ac.kind = reprCuckoo
-	}
-	switch ac.kind {
-	case reprCuckoo:
-		ac.cuckoo = newCuckooContainer(gt, d, degree)
-	case reprSlice:
+		ac.cuckoo = newCuckooContainer(gt.cfg.HashSeed, degree)
+	default:
+		ac.kind = reprSlice
 		if degree > 0 {
 			ac.slice.entries = make([]edgeEntry, 0, degree)
 		}
 	}
 }
 
-func (ac *adaptiveContainer) host() *GraphTinker { return ac.blocks.host }
+// blocks binds the block-tree format to this vertex.
+func (ac *adaptiveContainer) blocks() blockContainer {
+	return blockContainer{host: ac.host, d: ac.d}
+}
 
 func (ac *adaptiveContainer) Insert(dst uint64, w float32) (bool, int) {
+	gt := ac.host
 	var isNew bool
 	var probe int
 	switch ac.kind {
 	case reprSlice:
-		isNew, probe = ac.slice.Insert(dst, w)
-		if isNew {
-			ac.maybePromote()
-		}
+		isNew, probe = ac.slice.insert(gt, dst, w)
 	case reprBlocks:
-		isNew, probe = ac.blocks.Insert(dst, w)
+		isNew, probe = ac.blocks().insert(dst, w)
 	case reprCuckoo:
-		isNew, probe = ac.cuckoo.Insert(dst, w)
+		isNew, probe = ac.cuckoo.insert(gt, dst, w)
+	}
+	if isNew {
+		gt.props.degree[ac.d]++
+		if ac.kind == reprSlice && len(ac.slice.entries) > gt.cfg.CuckooPromoteDegree {
+			ac.sliceToCuckoo(gt)
+		}
 	}
 	return isNew, probe
 }
 
 func (ac *adaptiveContainer) Delete(dst uint64) (bool, int) {
+	gt := ac.host
 	var removed bool
 	var probe int
 	switch ac.kind {
 	case reprSlice:
-		removed, probe = ac.slice.Delete(dst)
+		removed, probe = ac.slice.delete(gt, dst)
 	case reprBlocks:
-		removed, probe = ac.blocks.Delete(dst)
+		removed, probe = ac.blocks().delete(dst)
 	case reprCuckoo:
-		removed, probe = ac.cuckoo.Delete(dst)
-		if removed {
-			ac.maybeDemote()
+		removed, probe = ac.cuckoo.delete(gt, dst)
+	}
+	if removed {
+		gt.props.degree[ac.d]--
+		if ac.kind == reprCuckoo && int(ac.cuckoo.n) <= gt.cfg.CuckooDemoteDegree {
+			ac.cuckooToSlice(gt)
 		}
 	}
 	return removed, probe
@@ -107,24 +120,27 @@ func (ac *adaptiveContainer) Delete(dst uint64) (bool, int) {
 func (ac *adaptiveContainer) Find(dst uint64) (float32, int, bool) {
 	switch ac.kind {
 	case reprSlice:
-		return ac.slice.Find(dst)
+		return ac.slice.find(ac.host, dst)
 	case reprBlocks:
-		return ac.blocks.Find(dst)
+		return ac.blocks().find(dst)
 	case reprCuckoo:
-		return ac.cuckoo.Find(dst)
+		return ac.cuckoo.find(ac.host, dst)
 	default:
 		return 0, 0, false
 	}
 }
 
+// Degree is the live count of the active format: the slice length, the
+// table's count, or (for the block tree, which keeps none) the vertex's
+// degree.
 func (ac *adaptiveContainer) Degree() uint32 {
 	switch ac.kind {
 	case reprSlice:
-		return ac.slice.Degree()
+		return uint32(len(ac.slice.entries))
 	case reprBlocks:
-		return ac.blocks.Degree()
+		return ac.host.props.degree[ac.d]
 	case reprCuckoo:
-		return ac.cuckoo.Degree()
+		return ac.cuckoo.n
 	default:
 		return 0
 	}
@@ -133,53 +149,27 @@ func (ac *adaptiveContainer) Degree() uint32 {
 func (ac *adaptiveContainer) Iterate(fn func(dst uint64, w float32) bool) bool {
 	switch ac.kind {
 	case reprSlice:
-		return ac.slice.Iterate(fn)
+		return ac.slice.iterate(fn)
 	case reprBlocks:
-		return ac.blocks.Iterate(fn)
+		return ac.blocks().iterate(fn)
 	case reprCuckoo:
-		return ac.cuckoo.Iterate(fn)
+		return ac.cuckoo.iterate(fn)
 	default:
 		return true
 	}
 }
 
 func (ac *adaptiveContainer) Snapshot() []Edge {
-	switch ac.kind {
-	case reprSlice:
-		return ac.slice.Snapshot()
-	case reprBlocks:
-		return ac.blocks.Snapshot()
-	case reprCuckoo:
-		return ac.cuckoo.Snapshot()
-	default:
+	if ac.kind == reprNone {
 		return nil
 	}
-}
-
-func (ac *adaptiveContainer) calPtrOf(dst uint64) (calPtr, bool) {
-	switch ac.kind {
-	case reprSlice:
-		return ac.slice.calPtrOf(dst)
-	case reprBlocks:
-		return ac.blocks.calPtrOf(dst)
-	case reprCuckoo:
-		return ac.cuckoo.calPtrOf(dst)
-	default:
-		return invalidCALPtr, false
-	}
-}
-
-func (ac *adaptiveContainer) repointCAL(dst uint64, p calPtr) bool {
-	switch ac.kind {
-	case reprSlice:
-		return ac.slice.repointCAL(dst, p)
-	case reprBlocks:
-		return ac.blocks.repointCAL(dst, p)
-	case reprCuckoo:
-		return ac.cuckoo.repointCAL(dst, p)
-	default:
-		return false
-	}
+	src := ac.host.rawOf(ac.d)
+	out := make([]Edge, 0, ac.Degree())
+	ac.Iterate(func(dst uint64, w float32) bool {
+		out = append(out, Edge{Src: src, Dst: dst, Weight: w})
+		return true
+	})
+	return out
 }
 
 // memoryBytes is the retained footprint of the container-owned buffers
@@ -194,34 +184,13 @@ func (ac *adaptiveContainer) memoryBytes() uint64 {
 	return n
 }
 
-// maybePromote moves a slice vertex into the cuckoo table when an insertion
-// pushed its degree past the promote threshold. Only the adaptive
-// representation migrates.
-func (ac *adaptiveContainer) maybePromote() {
-	gt := ac.host()
-	if gt.cfg.Repr == ReprAdaptive && int(ac.slice.Degree()) > gt.cfg.CuckooPromoteDegree {
-		ac.sliceToCuckoo(gt)
-	}
-}
-
-// maybeDemote moves a cuckoo vertex back into the slice when a deletion
-// dropped its degree to the demote threshold.
-func (ac *adaptiveContainer) maybeDemote() {
-	gt := ac.host()
-	if gt.cfg.Repr == ReprAdaptive && int(ac.cuckoo.Degree()) <= gt.cfg.CuckooDemoteDegree {
-		ac.cuckooToSlice(gt)
-	}
-}
-
 // sliceToCuckoo streams the slice entries into a cuckoo table sized for the
 // current degree, retaining the slice buffer for a later demotion. Both
-// formats hold the same edgeEntry, CAL pointer included, and the mirror
-// points at no container, so whole entries move and the mirror needs no
-// patching.
+// formats hold the same edgeEntry, so whole entries move.
 func (ac *adaptiveContainer) sliceToCuckoo(gt *GraphTinker) {
 	deg := len(ac.slice.entries)
 	if ac.cuckoo == nil {
-		ac.cuckoo = newCuckooContainer(gt, ac.slice.d, deg)
+		ac.cuckoo = newCuckooContainer(gt.cfg.HashSeed, deg)
 	} else {
 		ac.cuckoo.reset(deg)
 	}

@@ -166,7 +166,8 @@ func (gt *GraphTinker) DegreeHistogram() []uint64 {
 // CheckInvariants performs a full structural self-check, returning a list
 // of violations (empty when healthy). It verifies that block/subblock
 // occupancy counters match the cells and cuckoo occupancy masks their live
-// counts, that every live CAL entry resolves through its container, that
+// counts, that every vertex's format fits the representation and its
+// degree, that every live CAL entry resolves through its block tree, that
 // per-vertex degrees match reachable live cells, and that every live edge
 // is findable along its tree-hash path. Intended for tests and debugging,
 // not hot paths.
@@ -227,23 +228,17 @@ func (gt *GraphTinker) CheckInvariants() []string {
 			}
 		}
 		if ac.kind != reprNone {
-			if got, want := ac.Degree(), gt.props.degree[uint32(d)]; got != want {
-				report("vertex dense=%d: container degree %d != props degree %d", d, got, want)
+			deg := int(gt.props.degree[uint32(d)])
+			if got := ac.Degree(); int(got) != deg {
+				report("vertex dense=%d: container degree %d != props degree %d", d, got, deg)
 			}
-			if gt.cfg.Repr == ReprAdaptive {
-				deg := int(gt.props.degree[uint32(d)])
-				switch ac.kind {
-				case reprSlice:
-					if deg > gt.cfg.CuckooPromoteDegree {
-						report("vertex dense=%d: slice format at degree %d > promote threshold %d", d, deg, gt.cfg.CuckooPromoteDegree)
-					}
-				case reprBlocks:
-					report("vertex dense=%d: blocks format under the adaptive representation", d)
-				case reprCuckoo:
-					if deg <= gt.cfg.CuckooDemoteDegree {
-						report("vertex dense=%d: cuckoo format at degree %d <= demote threshold %d", d, deg, gt.cfg.CuckooDemoteDegree)
-					}
-				}
+			switch {
+			case (ac.kind == reprBlocks) != (gt.cfg.Repr == ReprBlocks):
+				report("vertex dense=%d: %v format under the %v representation", d, ac.kind, gt.cfg.Repr)
+			case ac.kind == reprSlice && deg > gt.cfg.CuckooPromoteDegree:
+				report("vertex dense=%d: slice format at degree %d > promote threshold %d", d, deg, gt.cfg.CuckooPromoteDegree)
+			case ac.kind == reprCuckoo && deg <= gt.cfg.CuckooDemoteDegree:
+				report("vertex dense=%d: cuckoo format at degree %d <= demote threshold %d", d, deg, gt.cfg.CuckooDemoteDegree)
 			}
 		}
 	}
@@ -277,9 +272,8 @@ func (gt *GraphTinker) CheckInvariants() []string {
 		if gt.cal.liveEdges != gt.numEdges {
 			report("CAL live %d != numEdges %d", gt.cal.liveEdges, gt.numEdges)
 		}
-		// Every live entry resolves through its container, whatever the
-		// format: the container stores the edge, and its pointer for the
-		// edge is this slot.
+		// Every live entry resolves through its vertex's block tree: a cell
+		// stores the edge, and its pointer for the edge is this slot.
 		calSeen := uint64(0)
 		for g := range gt.cal.groupHead {
 			for b := gt.cal.groupHead[g]; b != noBlock; b = gt.cal.next[b] {
@@ -289,9 +283,9 @@ func (gt *GraphTinker) CheckInvariants() []string {
 						continue
 					}
 					calSeen++
-					if uint32(len(gt.cont)) <= e.src || gt.cont[e.src].kind == reprNone {
-						report("CAL entry (dense %d,%d) has no source container", e.src, e.dst)
-					} else if p, found := gt.cont[e.src].calPtrOf(e.dst); !found {
+					if uint32(len(gt.cont)) <= e.src || gt.cont[e.src].kind != reprBlocks {
+						report("CAL entry (dense %d,%d) has no block-tree source", e.src, e.dst)
+					} else if p, found := gt.cont[e.src].blocks().calPtrOf(e.dst); !found {
 						report("CAL entry (dense %d,%d) not stored in its container", e.src, e.dst)
 					} else if p != gt.cal.ptr(b, s) {
 						report("CAL entry (dense %d,%d) container pointer broken", e.src, e.dst)

@@ -140,10 +140,8 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	}
 
 	// An adaptive vertex outside its tier's degree window: a slice above
-	// the promote point, a table at the demote point. The CAL is on for the
-	// slice-pointer case below.
+	// the promote point, a table at the demote point.
 	adCfg := tinyThresholds(DefaultConfig())
-	adCfg.EnableCAL = true
 	ad := MustNew(adCfg)
 	for i := 0; i < 6; i++ {
 		ad.InsertEdge(1, uint64(i), 1)
@@ -178,7 +176,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	tab.occ[0] ^= 1
 	reported("flipped mask bit", "cuckoo occupancy masks")
 	tab.occ[0] ^= 1
-	// A slice entry of vertex 1 whose CAL pointer names another slot.
-	ad.cont[0].slice.entries[0].calPtr ^= 1
-	reported("wrong slice calPtr", "container pointer broken")
+	// A slice vertex in a ReprBlocks store.
+	ad.cfg.Repr = ReprBlocks
+	reported("slice under blocks", "slice format under the blocks representation")
 }

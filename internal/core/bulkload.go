@@ -14,13 +14,13 @@ package core
 // one replica and leaves the shard in SINGLE mode.
 //
 // Edges still go through the containers' real Insert path (not the
-// migration-only bulkAdd paths), so the CAL mirror, the containers'
-// pointers into it, and the degree/count bookkeeping come out exactly as
-// sequential insertion would leave them. What the bulk path skips is the
-// migration churn: each source's run carries its final degree, so
-// initForDegree picks the container format (and the cuckoo geometry) the
-// degree lands in up front instead of promoting slice → cuckoo on the
-// way up.
+// migration-only bulkAdd paths), so the degree/count bookkeeping and, for
+// the block tree, the CAL mirror and the cells' pointers into it come out
+// exactly as sequential insertion would leave them. What the bulk path
+// skips is the migration churn: each source's run carries its final
+// degree, so initForDegree picks the container format (and the cuckoo
+// geometry) the degree lands in up front instead of promoting slice →
+// cuckoo on the way up.
 
 import (
 	"fmt"
@@ -82,13 +82,11 @@ func (gt *GraphTinker) bulkInsertRun(src uint64, run []Edge) {
 	var inserted uint64
 	for i := range run {
 		gt.observe(run[i].Dst)
-		isNew, _ := ac.Insert(run[i].Dst, run[i].Weight)
-		if isNew {
-			gt.props.degree[d]++
-			gt.numEdges++
+		if isNew, _ := ac.Insert(run[i].Dst, run[i].Weight); isNew {
 			inserted++
 		}
 	}
+	gt.numEdges += inserted
 	gt.stats.inserts.Add(inserted)
 	gt.stats.updates.Add(uint64(len(run)) - inserted)
 }
@@ -126,15 +124,12 @@ func (gt *GraphTinker) cloneInto(dst *GraphTinker) {
 // a bulk load of n sources (the section header's count) does not re-grow
 // them log(n) times. A hint only — ensureDense still extends on demand.
 func (gt *GraphTinker) reserveVertices(n int) {
-	if n <= cap(gt.topBlock) {
-		gt.props.reserve(n)
+	gt.props.reserve(n)
+	if n <= cap(gt.cont) {
 		return
 	}
-	tb := make([]int32, len(gt.topBlock), n)
-	copy(tb, gt.topBlock)
-	gt.topBlock = tb
-	ct := make([]adaptiveContainer, len(gt.cont), n)
-	copy(ct, gt.cont)
-	gt.cont = ct
-	gt.props.reserve(n)
+	gt.cont = append(make([]adaptiveContainer, 0, n), gt.cont...)
+	if gt.cfg.Repr == ReprBlocks {
+		gt.topBlock = append(make([]int32, 0, n), gt.topBlock...)
+	}
 }

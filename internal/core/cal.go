@@ -15,13 +15,13 @@ import (
 // each group owns a chain of CAL blocks whose slots are filled strictly in
 // arrival order, so edges of many vertices pack into the same block. A CAL
 // entry is 16 B: the destination, the weight and the dense source id (edges
-// in a block belong to different vertices of the group). The edge's
-// container keeps the entry's calPtr, so an update or delete patches the
-// copy in O(1). When delete-and-compact moves an entry, the entry's dense
-// id and destination name its container, which re-points itself through
-// its own lookup (repointCAL) — the mirror holds no address into any
-// container, which is what lets every container format move its entries
-// freely.
+// in a block belong to different vertices of the group). Only the block
+// tree (ReprBlocks) is mirrored: the edge's cell keeps the entry's calPtr,
+// so an update or delete patches the copy in O(1). When delete-and-compact
+// moves an entry, the entry's dense id and destination name its cell, which
+// the block tree re-points through a FIND (repointCAL) — the mirror holds
+// no address into the tree, which is what lets Robin Hood swaps and
+// compaction move cells freely.
 type calEntry struct {
 	dst    uint64 // raw destination vertex id
 	src    uint32 // dense source id; calTombstone marks a delete-only tombstone
@@ -123,7 +123,7 @@ func (c *calArray) entryAt(p calPtr) *calEntry {
 
 // append inserts a copy of the edge at the last unoccupied slot of the last
 // assigned block of the source's group, growing the chain when the tail
-// block is full, and returns the CAL pointer the container must remember.
+// block is full, and returns the CAL pointer the block cell must remember.
 func (c *calArray) append(dense uint32, dst uint64, w float32) calPtr {
 	g := c.groupOf(dense)
 	c.ensureGroup(g)

@@ -30,12 +30,16 @@ func TestCALPtrPacking(t *testing.T) {
 	}
 }
 
-// TestEntryLayout pins every per-edge record of the default path at 16 B,
-// and the 32-bit CAL pointer's bound: the last slot below it is reachable,
-// and the first block past it panics instead of wrapping a pointer.
+// TestEntryLayout pins every per-edge record at 16 B, the per-vertex
+// adaptor at 48 B at most, and the 32-bit CAL pointer's bound: the last
+// slot below it is reachable, and the first block past it panics instead
+// of wrapping a pointer.
 func TestEntryLayout(t *testing.T) {
 	if got := unsafe.Sizeof(edgeEntry{}); got != 16 {
 		t.Errorf("edgeEntry is %d B, want 16", got)
+	}
+	if got := unsafe.Sizeof(adaptiveContainer{}); got > 48 {
+		t.Errorf("adaptiveContainer is %d B, want at most 48", got)
 	}
 	if got := unsafe.Sizeof(calEntry{}); got != 16 {
 		t.Errorf("calEntry is %d B, want 16", got)
@@ -168,8 +172,8 @@ func TestCALLiveSetMatchesEdgeblockArray(t *testing.T) {
 	// of the EdgeblockArray, under both delete modes.
 	for _, mode := range []DeleteMode{DeleteOnly, DeleteAndCompact} {
 		t.Run(mode.String(), func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.EnableCAL, cfg.DeleteMode = true, mode
+			cfg := blocksConfig()
+			cfg.DeleteMode = mode
 			gt := MustNew(cfg)
 			r := &testRand{s: 777}
 			type key struct{ src, dst uint64 }
@@ -207,47 +211,45 @@ func TestCALLiveSetMatchesEdgeblockArray(t *testing.T) {
 }
 
 func TestCALOwnerBackPointersConsistent(t *testing.T) {
-	// Every valid CAL entry's owner — the container of its dense source id
+	// Every valid CAL entry's owner — the block tree of its dense source id
 	// — must store the edge with a calPtr pointing back at the entry, under
-	// heavy churn in both modes and in every format.
+	// heavy churn in both modes.
 	for _, mode := range []DeleteMode{DeleteOnly, DeleteAndCompact} {
 		t.Run(mode.String(), func(t *testing.T) {
-			for _, repr := range []Representation{ReprBlocks, ReprSlice, ReprCuckoo, ReprAdaptive} {
-				cfg := tinyThresholds(DefaultConfig())
-				cfg.EnableCAL, cfg.Repr, cfg.DeleteMode = true, repr, mode
-				gt := MustNew(cfg)
-				r := &testRand{s: 999}
-				for i := 0; i < 25000; i++ {
-					src, dst := uint64(r.intn(40)), uint64(r.intn(2000))
-					if r.intn(3) == 0 {
-						gt.DeleteEdge(src, dst)
-					} else {
-						gt.InsertEdge(src, dst, 1)
-					}
+			cfg := blocksConfig()
+			cfg.DeleteMode = mode
+			gt := MustNew(cfg)
+			r := &testRand{s: 999}
+			for i := 0; i < 25000; i++ {
+				src, dst := uint64(r.intn(40)), uint64(r.intn(2000))
+				if r.intn(3) == 0 {
+					gt.DeleteEdge(src, dst)
+				} else {
+					gt.InsertEdge(src, dst, 1)
 				}
-				c := gt.cal
-				checked := 0
-				for g := range c.groupHead {
-					for b := c.groupHead[g]; b != noBlock; b = c.next[b] {
-						for s := int32(0); s < c.used[b]; s++ {
-							e := &c.blockEntries(b)[s]
-							if e.src == calTombstone {
-								continue
-							}
-							p, found := gt.cont[e.src].calPtrOf(e.dst)
-							if !found {
-								t.Fatalf("%v: CAL entry (dense %d,%d) not stored by its container", repr, e.src, e.dst)
-							}
-							if p != c.ptr(b, s) {
-								t.Fatalf("%v: container calPtr %d does not point back at %d", repr, p, c.ptr(b, s))
-							}
-							checked++
+			}
+			c := gt.cal
+			checked := 0
+			for g := range c.groupHead {
+				for b := c.groupHead[g]; b != noBlock; b = c.next[b] {
+					for s := int32(0); s < c.used[b]; s++ {
+						e := &c.blockEntries(b)[s]
+						if e.src == calTombstone {
+							continue
 						}
+						p, found := gt.cont[e.src].blocks().calPtrOf(e.dst)
+						if !found {
+							t.Fatalf("CAL entry (dense %d,%d) not stored by its block tree", e.src, e.dst)
+						}
+						if p != c.ptr(b, s) {
+							t.Fatalf("cell calPtr %d does not point back at %d", p, c.ptr(b, s))
+						}
+						checked++
 					}
 				}
-				if uint64(checked) != gt.NumEdges() {
-					t.Fatalf("%v: checked %d back-pointers, want %d", repr, checked, gt.NumEdges())
-				}
+			}
+			if uint64(checked) != gt.NumEdges() {
+				t.Fatalf("checked %d back-pointers, want %d", checked, gt.NumEdges())
 			}
 		})
 	}

@@ -88,12 +88,13 @@ type Config struct {
 	// holds only non-empty vertices. Disabling it indexes the main region by
 	// raw source id directly (the ablation in Sec. V.B).
 	EnableSGH bool
-	// EnableCAL turns the Coarse Adjacency List mirror on: a second,
-	// contiguous copy of every edge that full-processing analytics stream
-	// whole. It is off by default, where each vertex's slice or cuckoo table
-	// is dense enough to stream directly and the walk skips inactive
-	// sources; the paper's figures turn it on over the block tree, and off
-	// for the "GraphTinker without CAL" configuration of Fig. 8.
+	// EnableCAL turns the Coarse Adjacency List mirror of the block tree
+	// on: a second, contiguous copy of every edge that full-processing
+	// analytics stream whole. It is valid with ReprBlocks only, whose
+	// edgeblocks are too sparse to stream quickly; the paper's figures turn
+	// it on, and off for the "GraphTinker without CAL" configuration of
+	// Fig. 8. The default's slices and cuckoo tables are dense enough to
+	// stream directly, skipping inactive sources, and have no mirror.
 	EnableCAL bool
 	// CALGroupSize is the number of consecutive dense source ids that share
 	// one CAL group (the paper's example uses 1024).
@@ -105,14 +106,13 @@ type Config struct {
 	// DeleteMode selects the deletion mechanism.
 	DeleteMode DeleteMode
 
-	// Repr selects the per-vertex edge representation. The zero value is
-	// ReprAdaptive: every vertex starts in the inline sorted-slice format,
-	// moves to the cuckoo table when its degree passes
+	// Repr selects the per-vertex edge representation, one of two. The
+	// zero value is ReprAdaptive: every vertex starts in the inline
+	// sorted-slice format, moves to the cuckoo table when its degree passes
 	// CuckooPromoteDegree, and back when it falls to CuckooDemoteDegree.
-	// The other values force a single format for every vertex (no
-	// migration). ReprBlocks is the paper's edgeblock tree: the figure
-	// harness pins it, and the conformance suite and gtbench's -repr A/B
-	// flag force each format in turn.
+	// ReprBlocks puts every vertex in the paper's edgeblock tree (no
+	// migration), optionally with the CAL: the figure harness pins it with
+	// the CAL on, and gtbench's -repr flag selects either.
 	Repr Representation
 
 	// Adaptive-representation degree thresholds. Zero means "use the
@@ -140,7 +140,8 @@ type Config struct {
 // DefaultConfig returns the shipped configuration: the adaptive slice/cuckoo
 // representation with SGH on, no CAL, the delete-only mechanism, and the
 // paper's Sec. V.A geometry (PAGEWIDTH 64, subblocks of 8 cells, workblocks
-// of 4) and CAL sizes for when ReprBlocks or EnableCAL is chosen.
+// of 4) and CAL sizes, which take effect once ReprBlocks (and EnableCAL)
+// is chosen.
 func DefaultConfig() Config {
 	return Config{
 		PageWidth:           DefaultPageWidth,
@@ -194,7 +195,15 @@ func (c Config) Validate() error {
 	if c.SubblockSize >= 1<<16 {
 		return fmt.Errorf("core: SubblockSize %d exceeds the probe-distance field range", c.SubblockSize)
 	}
+	switch c.Repr {
+	case ReprAdaptive, ReprBlocks:
+	default:
+		return fmt.Errorf("core: unknown Representation %d", c.Repr)
+	}
 	if c.EnableCAL {
+		if c.Repr != ReprBlocks {
+			return fmt.Errorf("core: EnableCAL needs Repr %v (the CAL mirrors the block tree only), have %v", ReprBlocks, c.Repr)
+		}
 		if c.CALGroupSize <= 0 {
 			return fmt.Errorf("core: CALGroupSize %d must be positive", c.CALGroupSize)
 		}
@@ -209,11 +218,6 @@ func (c Config) Validate() error {
 	case DeleteOnly, DeleteAndCompact:
 	default:
 		return fmt.Errorf("core: unknown DeleteMode %d", c.DeleteMode)
-	}
-	switch c.Repr {
-	case ReprAdaptive, ReprSlice, ReprBlocks, ReprCuckoo:
-	default:
-		return fmt.Errorf("core: unknown Representation %d", c.Repr)
 	}
 	if c.CuckooDemoteDegree < 0 || c.CuckooDemoteDegree >= c.CuckooPromoteDegree {
 		return fmt.Errorf("core: CuckooDemoteDegree %d must be in [0, CuckooPromoteDegree %d) for hysteresis",

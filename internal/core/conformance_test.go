@@ -1,11 +1,13 @@
 package core
 
-// Representation-conformance harness. Every edge-container format (and the
-// adaptive adaptor at forced migration thresholds) must behave identically:
-// this file drives each through the EdgeContainer interface against a map
-// oracle, through the full graph surface against the internal/testutil
-// differential oracle, pins the exact adaptive promote/demote boundaries,
-// and cross-checks all implementations against each other under fuzzing.
+// Representation-conformance harness. Every edge-container format must
+// behave identically: this file drives each through the EdgeContainer
+// interface against a map oracle, through the full graph surface against
+// the internal/testutil differential oracle, pins the exact adaptive
+// promote/demote boundaries, and cross-checks all configurations against
+// each other under fuzzing. The slice and cuckoo tiers are reached through
+// adaptive threshold presets that keep a vertex in one tier (sliceOnly) or
+// move it to the other almost at once (cuckooHeavy).
 //
 // The rest of the package participates through testConfig: suites built on
 // it (seqlock, concurrent-read, race) honour the GT_REPR environment
@@ -14,18 +16,20 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"testing"
 )
 
 // testConfig is DefaultConfig with the representation overridden by the
-// GT_REPR environment variable (adaptive|slice|blocks|cuckoo). The CI
-// conformance matrix sets GT_REPR per job so the seqlock and race suites
-// exercise every container format; locally it defaults to adaptive. The
-// adaptive representation runs at tinyThresholds: at the default promote
-// point test-sized graphs would never leave the slice, and the suites
-// would never see a migration inside an in-place apply, a shadow apply or
-// a clone.
+// GT_REPR environment variable (adaptive|blocks). The CI conformance matrix
+// sets GT_REPR per job so the seqlock and race suites exercise both;
+// locally it defaults to adaptive. GT_REPR=blocks runs the figures'
+// configuration, the block tree with its CAL mirror, so the concurrency
+// suites cover the mirror too. The adaptive representation runs at
+// tinyThresholds: at the default promote point test-sized graphs would
+// never leave the slice, and the suites would never see a migration inside
+// an in-place apply, a shadow apply or a clone.
 func testConfig(tb testing.TB) Config {
 	cfg := DefaultConfig()
 	if s := os.Getenv("GT_REPR"); s != "" {
@@ -35,7 +39,9 @@ func testConfig(tb testing.TB) Config {
 		}
 		cfg.Repr = r
 	}
-	if cfg.Repr == ReprAdaptive {
+	if cfg.Repr == ReprBlocks {
+		cfg.EnableCAL = true
+	} else {
 		cfg = tinyThresholds(cfg)
 	}
 	return cfg
@@ -49,16 +55,33 @@ func tinyThresholds(cfg Config) Config {
 	return cfg
 }
 
-// reprUnderTest enumerates the conformance table: the three concrete
-// formats (pinned via Config.Repr, under which the adaptor never migrates)
-// plus the adaptive adaptor at forced tiny thresholds.
+// sliceOnly keeps every adaptive vertex in the sorted slice: the promote
+// point is out of reach.
+func sliceOnly(cfg Config) Config {
+	cfg.CuckooPromoteDegree = math.MaxInt
+	return cfg
+}
+
+// cuckooHeavy moves an adaptive vertex into the cuckoo table at degree 3
+// and back only at degree 1, so nearly every operation runs on the table.
+// It is the lowest valid pair: a zero demote point means the default.
+func cuckooHeavy(cfg Config) Config {
+	cfg.CuckooPromoteDegree = 2
+	cfg.CuckooDemoteDegree = 1
+	return cfg
+}
+
+// reprUnderTest enumerates the conformance table: the block tree
+// (ReprBlocks, under which the adaptor never migrates), the slice and
+// cuckoo tiers through their presets, and the adaptive adaptor at forced
+// tiny thresholds.
 var reprUnderTest = []struct {
 	name string
 	cfg  func() Config
 }{
-	{"slice", func() Config { c := DefaultConfig(); c.Repr = ReprSlice; return c }},
+	{"slice", func() Config { return sliceOnly(DefaultConfig()) }},
 	{"blocks", func() Config { c := DefaultConfig(); c.Repr = ReprBlocks; return c }},
-	{"cuckoo", func() Config { c := DefaultConfig(); c.Repr = ReprCuckoo; return c }},
+	{"cuckoo", func() Config { return cuckooHeavy(DefaultConfig()) }},
 	{"adaptive", func() Config { return tinyThresholds(DefaultConfig()) }},
 }
 
@@ -203,6 +226,9 @@ func TestRepresentationDifferential(t *testing.T) {
 			t.Run(repr.name+"/"+mode.String(), func(t *testing.T) {
 				for _, cal := range []bool{false, true} {
 					cfg := repr.cfg()
+					if cal && cfg.Repr != ReprBlocks {
+						continue // the CAL mirrors the block tree only
+					}
 					cfg.DeleteMode, cfg.EnableCAL = mode, cal
 					gt := MustNew(cfg)
 					ref := newRefGraph()
@@ -331,10 +357,10 @@ func (c Config) withDeleteMode(m DeleteMode) Config {
 	return c
 }
 
-// FuzzEdgeContainer cross-checks all three container formats plus the
-// adaptive adaptor against each other and the reference oracle on one
-// fuzzed op stream, under both delete modes, with invariants checked at
-// the end.
+// FuzzEdgeContainer cross-checks all three container formats (the block
+// tree and the two tier presets) plus the adaptive adaptor against each
+// other and the reference oracle on one fuzzed op stream, under both
+// delete modes, with invariants checked at the end.
 func FuzzEdgeContainer(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{2, 9, 9, 0, 9, 9, 2, 9, 9})

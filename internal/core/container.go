@@ -13,31 +13,35 @@ package core
 //     generations). Only ReprBlocks uses it: it is the structure the paper
 //     describes, and the one its figures and ablations measure.
 //
-// adaptiveContainer (adaptive.go) is the per-vertex adaptor: it routes
-// operations to the active format and migrates between the slice and the
-// cuckoo table when the degree crosses the Config thresholds (with
-// hysteresis). Every vertex owns
-// one adaptiveContainer in GraphTinker.cont; the hot paths dispatch on its
-// kind tag directly — the interface is the architectural and testing
-// boundary, not a virtual-dispatch layer in the middle of a probe loop.
+// adaptiveContainer (adaptive.go) is the per-vertex adaptor and the one
+// EdgeContainer implementation: it holds the vertex's (host, dense id)
+// binding, routes operations to the active format, and under ReprAdaptive
+// migrates between the slice and the cuckoo table when the degree crosses
+// the Config thresholds (with hysteresis). The concrete formats take the
+// host from the adaptor. Every vertex owns one adaptiveContainer in
+// GraphTinker.cont; the hot paths dispatch on its kind tag directly — the
+// interface is the architectural and testing boundary, not a
+// virtual-dispatch layer in the middle of a probe loop.
 //
 // The containers share the host instance's arenas and counters: block
-// storage lives in the host's edgeblockArray, every format mirrors its
-// edges into the host's CAL, and probe work lands in the host's stats.
-// Migration happens inside the mutation path (and therefore inside the
-// Parallel writer's shadow-replica apply), so the seqlock read protocol is
-// untouched: readers of a pinned replica never observe a half-migrated
-// vertex. The gtlint containeriface check keeps the boundary honest — no
-// code outside the container files may type-assert a concrete
-// implementation.
+// storage lives in the host's edgeblockArray, the block tree mirrors its
+// edges into the host's CAL when that is on, and probe work lands in the
+// host's stats. The slice and cuckoo formats have no mirror: they are
+// streamed directly. Migration happens inside the mutation path (and
+// therefore inside the Parallel writer's shadow-replica apply), so the
+// seqlock read protocol is untouched: readers of a pinned replica never
+// observe a half-migrated vertex. The gtlint containeriface check keeps the
+// boundary honest — no code outside the container files may type-assert a
+// concrete implementation.
 
 import "fmt"
 
 // EdgeContainer is the per-vertex edge-set abstraction. Implementations
 // are bound to one (host GraphTinker, dense vertex id) pair and maintain
-// the host's CAL mirror and statistics as they mutate. The probe return of
-// the mutating and lookup calls is the number of entries inspected — the
-// probe-distance metric the instrumentation layer records.
+// the vertex's degree, the host's statistics and, for the block tree, the
+// host's CAL mirror as they mutate. The probe return of the mutating and
+// lookup calls is the number of entries inspected — the probe-distance
+// metric the instrumentation layer records.
 type EdgeContainer interface {
 	// Insert adds or updates edge (d, dst); isNew is false when an
 	// existing edge had its weight patched.
@@ -62,27 +66,21 @@ type Representation uint8
 const (
 	// ReprAdaptive (the default) starts every vertex as a sorted slice and
 	// moves it to the cuckoo table and back as its degree crosses the
-	// Config thresholds.
-	ReprAdaptive Representation = iota
-	// ReprSlice forces the inline sorted-slice container for every vertex.
-	ReprSlice
-	// ReprBlocks forces the paper's hashed edgeblock-tree container — the
-	// structure the paper's figures measure.
-	ReprBlocks
-	// ReprCuckoo forces the bucketized cuckoo container.
-	ReprCuckoo
+	// Config thresholds. It keeps one copy of each edge: no CAL.
+	ReprAdaptive Representation = 0
+	// ReprBlocks is the paper's hashed edgeblock-tree container for every
+	// vertex, optionally mirrored into the CAL — the structure the paper's
+	// figures measure. It keeps its value 2 so that no other number
+	// aliases it.
+	ReprBlocks Representation = 2
 )
 
 func (r Representation) String() string {
 	switch r {
 	case ReprAdaptive:
 		return "adaptive"
-	case ReprSlice:
-		return "slice"
 	case ReprBlocks:
 		return "blocks"
-	case ReprCuckoo:
-		return "cuckoo"
 	default:
 		return fmt.Sprintf("Representation(%d)", uint8(r))
 	}
@@ -95,14 +93,10 @@ func ParseRepresentation(s string) (Representation, error) {
 	switch s {
 	case "", "adaptive":
 		return ReprAdaptive, nil
-	case "slice":
-		return ReprSlice, nil
 	case "blocks":
 		return ReprBlocks, nil
-	case "cuckoo":
-		return ReprCuckoo, nil
 	default:
-		return 0, fmt.Errorf("core: unknown representation %q (adaptive|slice|blocks|cuckoo)", s)
+		return 0, fmt.Errorf("core: unknown representation %q (adaptive|blocks)", s)
 	}
 }
 
@@ -139,20 +133,5 @@ func (k reprKind) String() string {
 		return "cuckoo"
 	default:
 		return fmt.Sprintf("reprKind(%d)", uint8(k))
-	}
-}
-
-// initialKind maps a forced Representation to the kind every vertex starts
-// (and stays) in; ReprAdaptive starts in the slice.
-func (r Representation) initialKind() reprKind {
-	switch r {
-	case ReprSlice, ReprAdaptive:
-		return reprSlice
-	case ReprBlocks:
-		return reprBlocks
-	case ReprCuckoo:
-		return reprCuckoo
-	default:
-		return reprSlice
 	}
 }

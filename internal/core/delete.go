@@ -20,19 +20,17 @@ func (gt *GraphTinker) deleteEdge(src, dst uint64) (bool, int) {
 	if !ok || uint32(len(gt.cont)) <= d || gt.cont[d].kind == reprNone {
 		return false, 0
 	}
-	ac := &gt.cont[d]
-	removed, probe := ac.Delete(dst)
+	removed, probe := gt.cont[d].Delete(dst)
 	if !removed {
 		return false, probe
 	}
-	gt.props.degree[d]--
 	gt.numEdges--
 	gt.stats.deletes.Add(1)
 	return true, probe
 }
 
-// dropCALEntry removes the mirror copy of a deleted edge according to the
-// configured deletion mechanism. Shared by every container format.
+// dropCALEntry removes the mirror copy of a deleted block-tree edge
+// according to the configured deletion mechanism.
 func (gt *GraphTinker) dropCALEntry(ptr calPtr, d uint32) {
 	if gt.cal == nil || !ptr.valid() {
 		return
@@ -41,10 +39,10 @@ func (gt *GraphTinker) dropCALEntry(ptr calPtr, d uint32) {
 	case DeleteOnly:
 		gt.cal.invalidate(ptr)
 	case DeleteAndCompact:
-		// The entry that backfilled the hole names its container by dense
-		// id; every format re-points its own pointer through its lookup.
+		// The entry that backfilled the hole names its vertex by dense id;
+		// the block tree re-points that edge's cell through a FIND.
 		if mv, moved := gt.cal.removeCompact(ptr, d); moved {
-			gt.cont[mv.src].repointCAL(mv.dst, ptr)
+			gt.cont[mv.src].blocks().repointCAL(mv.dst, ptr)
 		}
 	}
 	gt.stats.calPatches.Add(1)

@@ -43,18 +43,17 @@ type edgeCell struct {
 }
 
 // edgeEntry is one stored edge of the slice and cuckoo formats: the
-// destination, the CAL mirror pointer (invalidCALPtr when CAL is off) and
-// the weight — 16 B with no padding. Both tiers hold the same record, so a
-// migration copies whole entries.
+// destination and the weight — 16 B, four of them alignment padding. Both
+// tiers hold the same record, so a migration copies whole entries. Neither
+// tier has a CAL copy to point at: the mirror belongs to the block tree.
 type edgeEntry struct {
 	dst    uint64
-	calPtr calPtr
 	weight float32
 }
 
 // calPtr is the flat index of one CAL slot: block*CALBlockSize + slot.
-// Thirty-two bits are what keep edgeEntry at 16 B; calArray.allocBlock
-// refuses to grow the mirror past them.
+// It is 32 bits wide; calArray.allocBlock refuses to grow the mirror past
+// them.
 type calPtr uint32
 
 const invalidCALPtr = calPtr(math.MaxUint32)

@@ -20,7 +20,8 @@ type GraphTinker struct {
 	cal *calArray      // nil when Config.EnableCAL is false
 
 	// topBlock maps a dense source id to its top-parent edgeblock in the
-	// main region (noBlock while the vertex is not in the block format).
+	// main region (noBlock until the vertex's first edge). It grows under
+	// ReprBlocks only and stays empty otherwise.
 	topBlock []int32
 
 	// cont maps a dense source id to its per-vertex edge container — the
@@ -70,8 +71,10 @@ func New(cfg Config) (*GraphTinker, error) {
 		gt.cal = newCALArray(cfg.CALGroupSize, cfg.CALBlockSize)
 	}
 	if cfg.InitialVertexCapacity > 0 {
-		gt.topBlock = make([]int32, 0, cfg.InitialVertexCapacity)
 		gt.cont = make([]adaptiveContainer, 0, cfg.InitialVertexCapacity)
+		if cfg.Repr == ReprBlocks {
+			gt.topBlock = make([]int32, 0, cfg.InitialVertexCapacity)
+		}
 	}
 	return gt, nil
 }
@@ -111,7 +114,7 @@ func (gt *GraphTinker) denseLookup(raw uint64) (uint32, bool) {
 	if gt.sgh != nil {
 		return gt.sgh.lookup(raw)
 	}
-	if raw < uint64(len(gt.topBlock)) {
+	if raw < uint64(len(gt.cont)) {
 		return uint32(raw), true
 	}
 	return 0, false
@@ -126,9 +129,11 @@ func (gt *GraphTinker) rawOf(dense uint32) uint64 {
 }
 
 func (gt *GraphTinker) ensureDense(d uint32) {
-	for uint32(len(gt.topBlock)) <= d {
-		gt.topBlock = append(gt.topBlock, noBlock)
+	for uint32(len(gt.cont)) <= d {
 		gt.cont = append(gt.cont, adaptiveContainer{})
+		if gt.cfg.Repr == ReprBlocks {
+			gt.topBlock = append(gt.topBlock, noBlock)
+		}
 	}
 	gt.props.ensure(d)
 }
@@ -447,7 +452,6 @@ func (gt *GraphTinker) insertEdge(src, dst uint64, w float32) (bool, int) {
 		gt.stats.updates.Add(1)
 		return false, probe
 	}
-	gt.props.degree[d]++
 	gt.numEdges++
 	gt.stats.inserts.Add(1)
 	return true, probe

@@ -26,10 +26,13 @@ func TestConfigValidation(t *testing.T) {
 		{"non power of two workblock", func(c *Config) { c.WorkblockSize = 3 }},
 		{"page width below subblock", func(c *Config) { c.PageWidth = 4; c.SubblockSize = 8; c.WorkblockSize = 4 }},
 		{"subblock below workblock", func(c *Config) { c.SubblockSize = 4; c.WorkblockSize = 8 }},
-		{"zero CAL group", func(c *Config) { c.EnableCAL, c.CALGroupSize = true, 0 }},
-		{"zero CAL block", func(c *Config) { c.EnableCAL, c.CALBlockSize = true, 0 }},
+		{"zero CAL group", func(c *Config) { c.Repr, c.EnableCAL, c.CALGroupSize = ReprBlocks, true, 0 }},
+		{"zero CAL block", func(c *Config) { c.Repr, c.EnableCAL, c.CALBlockSize = ReprBlocks, true, 0 }},
 		{"huge page width", func(c *Config) { c.PageWidth = 1 << 40 }},
-		{"huge CAL block", func(c *Config) { c.EnableCAL, c.CALBlockSize = true, 0x3030303030303030 }},
+		{"huge CAL block", func(c *Config) { c.Repr, c.EnableCAL, c.CALBlockSize = ReprBlocks, true, 0x3030303030303030 }},
+		{"CAL on adaptive", func(c *Config) { c.EnableCAL = true }},
+		{"unknown representation", func(c *Config) { c.Repr = Representation(1) }},
+		{"unknown representation 3", func(c *Config) { c.Repr = Representation(3) }},
 		{"negative vertex capacity", func(c *Config) { c.InitialVertexCapacity = -1 }},
 		{"bogus delete mode", func(c *Config) { c.DeleteMode = DeleteMode(99) }},
 		{"demote at promote", func(c *Config) { c.CuckooPromoteDegree = 64; c.CuckooDemoteDegree = 64 }},
@@ -203,8 +206,8 @@ func TestSGHDisabledIndexesByRawID(t *testing.T) {
 		t.Fatalf("NonEmptySources = %d, want 4", got)
 	}
 	// Without SGH the main-region table spans the raw id space.
-	if len(gt.topBlock) < 1001 {
-		t.Fatalf("raw-indexed main region should span max raw id; len=%d", len(gt.topBlock))
+	if len(gt.cont) < 1001 {
+		t.Fatalf("raw-indexed main region should span max raw id; len=%d", len(gt.cont))
 	}
 }
 
@@ -373,9 +376,7 @@ func TestForEachSourceSkipsEmptied(t *testing.T) {
 }
 
 func TestEarlyStopIteration(t *testing.T) {
-	calCfg := DefaultConfig()
-	calCfg.EnableCAL = true // the CAL stream first
-	gt := MustNew(calCfg)
+	gt := MustNew(blocksConfig()) // the CAL stream first
 	for i := 0; i < 100; i++ {
 		gt.InsertEdge(uint64(i%5), uint64(i), 1)
 	}
@@ -447,9 +448,7 @@ func TestStatsAdd(t *testing.T) {
 }
 
 func TestMemoryFootprintGrows(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.EnableCAL = true // every component, the mirror included
-	gt := MustNew(cfg)
+	gt := MustNew(blocksConfig()) // every component, the mirror included
 	before := gt.Memory().Total()
 	for i := 0; i < 10000; i++ {
 		gt.InsertEdge(uint64(i%100), uint64(i), 1)
@@ -478,10 +477,17 @@ func TestMemoryTracksHeap(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
-	for _, repr := range []Representation{ReprAdaptive, ReprSlice, ReprBlocks, ReprCuckoo} {
-		t.Run(repr.String(), func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.Repr = repr
+	for _, repr := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"adaptive", DefaultConfig()},
+		{"slice", sliceOnly(DefaultConfig())},
+		{"blocks", func() Config { c := DefaultConfig(); c.Repr = ReprBlocks; return c }()},
+		{"cuckoo", cuckooHeavy(DefaultConfig())},
+	} {
+		t.Run(repr.name, func(t *testing.T) {
+			cfg := repr.cfg
 			base := heap()
 			g := MustNew(cfg)
 			for _, e := range edges {
@@ -489,7 +495,7 @@ func TestMemoryTracksHeap(t *testing.T) {
 			}
 			grown := float64(heap() - base)
 			counted := float64(g.Memory().Total())
-			t.Logf("%s: Memory %.1f B/edge, heap %.1f B/edge", repr, counted/float64(g.NumEdges()), grown/float64(g.NumEdges()))
+			t.Logf("%s: Memory %.1f B/edge, heap %.1f B/edge", repr.name, counted/float64(g.NumEdges()), grown/float64(g.NumEdges()))
 			if counted < 0.9*grown || counted > 1.1*grown {
 				t.Fatalf("Memory().Total() = %.0f B, heap grew %.0f B (%+.1f%%)", counted, grown, 100*(counted/grown-1))
 			}
@@ -498,9 +504,7 @@ func TestMemoryTracksHeap(t *testing.T) {
 }
 
 func TestOccupancyReport(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.EnableCAL = true
-	gt := MustNew(cfg)
+	gt := MustNew(blocksConfig())
 	for i := 0; i < 1000; i++ {
 		gt.InsertEdge(uint64(i%10), uint64(i), 1)
 	}

@@ -68,20 +68,14 @@ func (gt *GraphTinker) ForEachEdge(fn func(src, dst uint64, w float32) bool) {
 // source when active is nil), so the caller still filters. The default
 // store walks its vertices in dense-id order, skips the sources active
 // rejects, and reads each accepted vertex's slice entries or cuckoo slots
-// directly. Two paths the paper's figures measure stream every edge
-// instead: the Coarse Adjacency List when the CAL is on, and the block
-// tree (ReprBlocks) vertex by vertex. The callback returns false to stop.
+// directly. The paper's structure (ReprBlocks) streams every edge instead,
+// as its figures measure: from the Coarse Adjacency List when the CAL is
+// on, else through the block tree vertex by vertex. The callback returns
+// false to stop.
 func (gt *GraphTinker) ForEachActiveEdge(active func(src uint64) bool, fn func(src, dst uint64, w float32) bool) {
-	if gt.cal != nil {
-		var toRaw []uint64
-		if gt.sgh != nil {
-			toRaw = gt.sgh.toRaw
-		}
-		gt.cal.forEach(toRaw, fn)
-		return
-	}
 	if gt.cfg.Repr == ReprBlocks {
-		active = nil
+		gt.forEachBlockEdge(fn)
+		return
 	}
 	for d := range gt.cont {
 		ac := &gt.cont[d]
@@ -108,11 +102,31 @@ func (gt *GraphTinker) ForEachActiveEdge(active func(src uint64) bool, fn func(s
 					}
 				}
 			}
-		case reprBlocks:
-			// The closure stays on the stack: Iterate does not retain it.
-			if !ac.blocks.Iterate(func(dst uint64, w float32) bool { return fn(src, dst, w) }) {
-				return
-			}
+		}
+	}
+}
+
+// forEachBlockEdge streams every edge of a ReprBlocks store: the CAL
+// group by group when it is on, else each vertex's block tree in dense-id
+// order.
+func (gt *GraphTinker) forEachBlockEdge(fn func(src, dst uint64, w float32) bool) {
+	if gt.cal != nil {
+		var toRaw []uint64
+		if gt.sgh != nil {
+			toRaw = gt.sgh.toRaw
+		}
+		gt.cal.forEach(toRaw, fn)
+		return
+	}
+	for d := range gt.cont {
+		ac := &gt.cont[d]
+		if ac.kind == reprNone {
+			continue
+		}
+		src := gt.rawOf(uint32(d))
+		// The closure stays on the stack: iterate does not retain it.
+		if !ac.blocks().iterate(func(dst uint64, w float32) bool { return fn(src, dst, w) }) {
+			return
 		}
 	}
 }

@@ -1,9 +1,10 @@
 package core
 
-// Configuration-matrix soak test: every combination of SGH, CAL, delete
-// mode and a few geometries, against the reference graph, with structural
-// invariants checked at the end. This is the single test most likely to
-// catch a cross-feature interaction bug.
+// Configuration-matrix soak test: every combination of SGH, CAL (on the
+// block tree, the only representation it mirrors; off on the default),
+// delete mode and a few geometries, against the reference graph, with
+// structural invariants checked at the end. This is the single test most
+// likely to catch a cross-feature interaction bug.
 
 import (
 	"fmt"
@@ -24,7 +25,9 @@ func TestConfigMatrixSoak(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						cfg := DefaultConfig()
 						cfg.EnableSGH = sgh
-						cfg.EnableCAL = cal
+						if cal {
+							cfg.Repr, cfg.EnableCAL = ReprBlocks, true // the CAL mirrors the block tree only
+						}
 						cfg.DeleteMode = mode
 						cfg.PageWidth, cfg.SubblockSize, cfg.WorkblockSize = geo.pw, geo.sb, geo.wb
 						gt := MustNew(cfg)

@@ -80,8 +80,7 @@ func quickCfg(t *testing.T) *quick.Config {
 }
 
 func TestQuickEquivalenceDeleteOnly(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.EnableCAL = true // ForEachEdge streams the mirror
+	cfg := blocksConfig() // ForEachEdge streams the mirror
 	prop := func(script opScript) bool { return applyScript(cfg, script) }
 	if err := quick.Check(prop, quickCfg(t)); err != nil {
 		t.Fatal(err)
@@ -89,8 +88,8 @@ func TestQuickEquivalenceDeleteOnly(t *testing.T) {
 }
 
 func TestQuickEquivalenceDeleteAndCompact(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.EnableCAL, cfg.DeleteMode = true, DeleteAndCompact
+	cfg := blocksConfig()
+	cfg.DeleteMode = DeleteAndCompact
 	prop := func(script opScript) bool { return applyScript(cfg, script) }
 	if err := quick.Check(prop, quickCfg(t)); err != nil {
 		t.Fatal(err)
@@ -174,8 +173,8 @@ func TestQuickDegreeNeverNegative(t *testing.T) {
 func TestQuickCALCompactStaysDense(t *testing.T) {
 	// Under delete-and-compact, after any op sequence the CAL fill is 100%:
 	// every reachable slot is live.
-	cfg := DefaultConfig()
-	cfg.EnableCAL, cfg.DeleteMode = true, DeleteAndCompact
+	cfg := blocksConfig()
+	cfg.DeleteMode = DeleteAndCompact
 	prop := func(script opScript) bool {
 		gt := MustNew(cfg)
 		for _, op := range script.Ops {

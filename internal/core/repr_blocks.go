@@ -1,25 +1,27 @@
 package core
 
-// blockContainer is the paper's hashed edgeblock tree as an EdgeContainer:
-// a top-parent edgeblock in the host's main region (GraphTinker.topBlock),
-// Robin Hood placement within subblocks, and Tree-Based Hashing descent
-// into child edgeblocks on congestion. The storage itself lives in the
-// host's shared edgeblockArray arena — this type binds the (host, dense
-// id) pair and carries the container-side live count; the traversal
+// blockContainer is the paper's hashed edgeblock tree as one vertex's edge
+// format: a top-parent edgeblock in the host's main region
+// (GraphTinker.topBlock), Robin Hood placement within subblocks, and
+// Tree-Based Hashing descent into child edgeblocks on congestion. The
+// storage itself lives in the host's shared edgeblockArray arena — this
+// type only binds the (host, dense id) pair, built from the adaptor's on
+// each call, and the vertex's degree is the adaptor's; the traversal
 // helpers (findCell, placeInSubblock, compactHole, ...) stay methods of
 // GraphTinker because they address the shared arena.
+//
+// The block tree is the only format the CAL mirrors: each cell keeps the
+// flat index of its CAL copy, so an update or delete patches the copy in
+// O(1), and calPtrOf/repointCAL resolve a CAL entry back to its cell.
 
 type blockContainer struct {
 	host *GraphTinker
 	d    uint32
-	n    uint32 // live edges (mirrors props.degree, kept container-local)
 }
 
-var _ EdgeContainer = (*blockContainer)(nil)
+func (c blockContainer) top() int32 { return c.host.topBlock[c.d] }
 
-func (c *blockContainer) top() int32 { return c.host.topBlock[c.d] }
-
-func (c *blockContainer) Find(dst uint64) (float32, int, bool) {
+func (c blockContainer) find(dst uint64) (float32, int, bool) {
 	gt := c.host
 	if c.top() == noBlock {
 		return 0, 0, false
@@ -31,7 +33,7 @@ func (c *blockContainer) Find(dst uint64) (float32, int, bool) {
 	return gt.eba.subblockCells(fr.block, fr.sb)[fr.slot].weight, fr.cells, true
 }
 
-func (c *blockContainer) Insert(dst uint64, w float32) (bool, int) {
+func (c blockContainer) insert(dst uint64, w float32) (bool, int) {
 	gt := c.host
 	if c.top() == noBlock {
 		gt.topBlock[c.d] = gt.eba.allocBlock(noBlock, 0)
@@ -59,7 +61,6 @@ func (c *blockContainer) Insert(dst uint64, w float32) (bool, int) {
 		float.calPtr = gt.cal.append(c.d, dst, w)
 		gt.stats.calAppends.Add(1)
 	}
-	c.n++
 
 	// Settle the floating cell by the Robin Hood / Tree-Based Hashing
 	// descent.
@@ -86,7 +87,7 @@ func (c *blockContainer) Insert(dst uint64, w float32) (bool, int) {
 	}
 }
 
-func (c *blockContainer) Delete(dst uint64) (bool, int) {
+func (c blockContainer) delete(dst uint64) (bool, int) {
 	gt := c.host
 	if c.top() == noBlock {
 		return false, 0
@@ -114,13 +115,10 @@ func (c *blockContainer) Delete(dst uint64) (bool, int) {
 		gt.dropCALEntry(ptr, c.d)
 		gt.compactHole(fr.block, fr.sb, fr.slot)
 	}
-	c.n--
 	return true, fr.cells
 }
 
-func (c *blockContainer) Degree() uint32 { return c.n }
-
-func (c *blockContainer) Iterate(fn func(dst uint64, w float32) bool) bool {
+func (c blockContainer) iterate(fn func(dst uint64, w float32) bool) bool {
 	blk := c.top()
 	if blk == noBlock {
 		return true
@@ -128,18 +126,8 @@ func (c *blockContainer) Iterate(fn func(dst uint64, w float32) bool) bool {
 	return c.host.walkSubtree(blk, fn)
 }
 
-func (c *blockContainer) Snapshot() []Edge {
-	src := c.host.rawOf(c.d)
-	out := make([]Edge, 0, c.n)
-	c.Iterate(func(dst uint64, w float32) bool {
-		out = append(out, Edge{Src: src, Dst: dst, Weight: w})
-		return true
-	})
-	return out
-}
-
 // calPtrOf resolves the CAL pointer stored in the owning cell of dst.
-func (c *blockContainer) calPtrOf(dst uint64) (calPtr, bool) {
+func (c blockContainer) calPtrOf(dst uint64) (calPtr, bool) {
 	gt := c.host
 	if c.top() == noBlock {
 		return invalidCALPtr, false
@@ -154,7 +142,7 @@ func (c *blockContainer) calPtrOf(dst uint64) (calPtr, bool) {
 // repointCAL re-points the owning cell's CAL pointer after the mirror
 // compacted the entry into a new slot. It pays a FIND descent, whose cells
 // count in the probe statistics like any other.
-func (c *blockContainer) repointCAL(dst uint64, p calPtr) bool {
+func (c blockContainer) repointCAL(dst uint64, p calPtr) bool {
 	gt := c.host
 	if c.top() == noBlock {
 		return false

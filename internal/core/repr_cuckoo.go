@@ -29,8 +29,9 @@ const (
 )
 
 type cuckooContainer struct {
-	host *GraphTinker
-	d    uint32
+	// seed is the host's HashSeed, which the bucket hashes mix in; the
+	// adaptor passes the host itself to the operations.
+	seed uint64
 	// slots holds (bucketMask+1) * cuckooSlotsPerBucket slots; bucket b owns
 	// slots[b*4 : b*4+4], and bit i of occ[b] is set while slot b*4+i is
 	// live (a clear bit leaves the slot's contents meaningless).
@@ -43,10 +44,8 @@ type cuckooContainer struct {
 	kick uint32
 }
 
-var _ EdgeContainer = (*cuckooContainer)(nil)
-
-func newCuckooContainer(gt *GraphTinker, d uint32, capacityHint int) *cuckooContainer {
-	c := &cuckooContainer{host: gt, d: d}
+func newCuckooContainer(seed uint64, capacityHint int) *cuckooContainer {
+	c := &cuckooContainer{seed: seed}
 	c.reset(capacityHint)
 	return c
 }
@@ -76,9 +75,8 @@ func (c *cuckooContainer) reset(capacityHint int) {
 
 // buckets returns the two candidate buckets of dst (always distinct).
 func (c *cuckooContainer) buckets(dst uint64) (uint64, uint64) {
-	seed := c.host.cfg.HashSeed
-	b1 := mix64(dst^seed) & c.bucketMask
-	b2 := mix64(dst*0x9e3779b97f4a7c15+seed) & c.bucketMask
+	b1 := mix64(dst^c.seed) & c.bucketMask
+	b2 := mix64(dst*0x9e3779b97f4a7c15+c.seed) & c.bucketMask
 	if b2 == b1 {
 		b2 = (b1 + 1) & c.bucketMask
 	}
@@ -131,8 +129,7 @@ func (c *cuckooContainer) findSlot(dst uint64) (int, int) {
 	return -1, probe
 }
 
-func (c *cuckooContainer) Find(dst uint64) (float32, int, bool) {
-	gt := c.host
+func (c *cuckooContainer) find(gt *GraphTinker, dst uint64) (float32, int, bool) {
 	idx, probe := c.findSlot(dst)
 	gt.stats.cellsInspected.Add(uint64(probe))
 	// Each candidate bucket is one contiguous fetch (a bucket is exactly one
@@ -144,25 +141,14 @@ func (c *cuckooContainer) Find(dst uint64) (float32, int, bool) {
 	return c.slots[idx].weight, probe, true
 }
 
-func (c *cuckooContainer) Insert(dst uint64, w float32) (bool, int) {
-	gt := c.host
+func (c *cuckooContainer) insert(gt *GraphTinker, dst uint64, w float32) (bool, int) {
 	idx, probe := c.findSlot(dst)
 	gt.stats.cellsInspected.Add(uint64(probe))
 	if idx >= 0 {
-		s := &c.slots[idx]
-		s.weight = w
-		if gt.cal != nil && s.calPtr.valid() {
-			gt.cal.patchWeight(s.calPtr, w)
-			gt.stats.calPatches.Add(1)
-		}
+		c.slots[idx].weight = w
 		return false, probe
 	}
-	ptr := invalidCALPtr
-	if gt.cal != nil {
-		ptr = gt.cal.append(c.d, dst, w)
-		gt.stats.calAppends.Add(1)
-	}
-	probe += c.place(edgeEntry{dst: dst, calPtr: ptr, weight: w})
+	probe += c.place(edgeEntry{dst: dst, weight: w})
 	c.n++
 	return true, probe
 }
@@ -266,23 +252,18 @@ func (c *cuckooContainer) tryPlace(s edgeEntry) bool {
 	return false
 }
 
-func (c *cuckooContainer) Delete(dst uint64) (bool, int) {
-	gt := c.host
+func (c *cuckooContainer) delete(gt *GraphTinker, dst uint64) (bool, int) {
 	idx, probe := c.findSlot(dst)
 	gt.stats.cellsInspected.Add(uint64(probe))
 	if idx < 0 {
 		return false, probe
 	}
-	ptr := c.slots[idx].calPtr
 	c.occ[idx/cuckooSlotsPerBucket] &^= 1 << (idx % cuckooSlotsPerBucket)
 	c.n--
-	gt.dropCALEntry(ptr, c.d)
 	return true, probe
 }
 
-func (c *cuckooContainer) Degree() uint32 { return c.n }
-
-func (c *cuckooContainer) Iterate(fn func(dst uint64, w float32) bool) bool {
+func (c *cuckooContainer) iterate(fn func(dst uint64, w float32) bool) bool {
 	for b, occ := range c.occ {
 		for ; occ != 0; occ &= occ - 1 {
 			e := &c.slots[b*cuckooSlotsPerBucket+bits.TrailingZeros8(occ)]
@@ -291,33 +272,6 @@ func (c *cuckooContainer) Iterate(fn func(dst uint64, w float32) bool) bool {
 			}
 		}
 	}
-	return true
-}
-
-func (c *cuckooContainer) Snapshot() []Edge {
-	src := c.host.rawOf(c.d)
-	out := make([]Edge, 0, c.n)
-	c.Iterate(func(dst uint64, w float32) bool {
-		out = append(out, Edge{Src: src, Dst: dst, Weight: w})
-		return true
-	})
-	return out
-}
-
-func (c *cuckooContainer) calPtrOf(dst uint64) (calPtr, bool) {
-	idx, _ := c.findSlot(dst)
-	if idx < 0 {
-		return invalidCALPtr, false
-	}
-	return c.slots[idx].calPtr, true
-}
-
-func (c *cuckooContainer) repointCAL(dst uint64, p calPtr) bool {
-	idx, _ := c.findSlot(dst)
-	if idx < 0 {
-		return false
-	}
-	c.slots[idx].calPtr = p
 	return true
 }
 
@@ -338,8 +292,7 @@ func (c *cuckooContainer) collectEntries(fn func(e edgeEntry)) {
 	}
 }
 
-// bulkAdd places an entry during migration (the CAL mirror entry already
-// exists).
+// bulkAdd places an entry during migration.
 func (c *cuckooContainer) bulkAdd(e edgeEntry) {
 	c.place(e)
 	c.n++

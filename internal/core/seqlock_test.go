@@ -298,8 +298,7 @@ func FuzzSeqlockInterleave(f *testing.F) {
 // one apply), the second is promoted under held pins, the rest run beside
 // readers.
 func TestParallelStatsExactlyOnceAcrossMigrations(t *testing.T) {
-	cfg := tinyThresholds(testConfig(t))
-	cfg.Repr = ReprAdaptive // migrations are the subject regardless of GT_REPR
+	cfg := tinyThresholds(DefaultConfig()) // migrations are the subject regardless of GT_REPR
 	p, err := NewParallel(cfg, 2)
 	if err != nil {
 		t.Fatal(err)

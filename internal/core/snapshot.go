@@ -338,12 +338,18 @@ type snapshotFile struct {
 	flatOff int64
 }
 
-// config is the configuration to load under: override when given.
+// config is the configuration to load under: override when given, else
+// the stored one. The file stores the CAL flag but not Repr, so a stored
+// configuration loads on the default representation, which has no mirror:
+// its CAL flag is dropped. The mirror is derived data, so nothing is lost;
+// an override with ReprBlocks and EnableCAL rebuilds it.
 func (f *snapshotFile) config(override *Config) Config {
 	if override != nil {
 		return *override
 	}
-	return f.cfg
+	cfg := f.cfg
+	cfg.EnableCAL = false
+	return cfg
 }
 
 // openSnapshot is the one magic/version dispatch every reader goes

@@ -114,7 +114,7 @@ func TestMustNewPanics(t *testing.T) {
 func TestStaticRunOnPath(t *testing.T) {
 	// With the CAL on the store streams every edge in a full iteration.
 	cfg := core.DefaultConfig()
-	cfg.EnableCAL = true
+	cfg.Repr, cfg.EnableCAL = core.ReprBlocks, true
 	store := core.MustNew(cfg)
 	store.InsertBatch(pathEdges(5))
 	e := MustNew(store, minProgram(), Options{Mode: FullProcessing})

@@ -60,7 +60,7 @@ func TestEngineOverEveryStoreAgreesOnEdgesLoadedSemantics(t *testing.T) {
 	// GraphTinker, Parallel or Mirrored). Values agree on every store.
 	edges := append([]Edge{te(0, 1), te(1, 2), te(2, 3)}, randomTestEdges(1500, 96, 91)...)
 	calCfg := core.DefaultConfig()
-	calCfg.EnableCAL = true
+	calCfg.Repr, calCfg.EnableCAL = core.ReprBlocks, true
 	stores := map[string]GraphStore{}
 	g := core.MustNew(core.DefaultConfig())
 	g.InsertBatch(edges)
