@@ -76,42 +76,63 @@ func (ac *adaptiveContainer) blocks() blockContainer {
 }
 
 func (ac *adaptiveContainer) Insert(dst uint64, w float32) (bool, int) {
+	var t opTally
+	isNew, probe := ac.insert(&t, dst, w)
+	ac.host.stats.addTally(&t)
+	return isNew, probe
+}
+
+func (ac *adaptiveContainer) Delete(dst uint64) (bool, int) {
+	var t opTally
+	removed, probe := ac.delete(&t, dst)
+	ac.host.stats.addTally(&t)
+	return removed, probe
+}
+
+// insert is Insert counting probes and migrations into t rather than the
+// host's counters: a batch's apply phase runs it beside other vertices'
+// ops (see apply.go). The block tree still counts into the host; it only
+// ever applies as one partition.
+func (ac *adaptiveContainer) insert(t *opTally, dst uint64, w float32) (bool, int) {
 	gt := ac.host
 	var isNew bool
 	var probe int
 	switch ac.kind {
 	case reprSlice:
-		isNew, probe = ac.slice.insert(gt, dst, w)
+		isNew, probe = ac.slice.insert(t, dst, w)
 	case reprBlocks:
 		isNew, probe = ac.blocks().insert(dst, w)
 	case reprCuckoo:
-		isNew, probe = ac.cuckoo.insert(gt, dst, w)
+		isNew, probe = ac.cuckoo.insert(t, dst, w)
 	}
 	if isNew {
 		gt.props.degree[ac.d]++
 		if ac.kind == reprSlice && len(ac.slice.entries) > gt.cfg.CuckooPromoteDegree {
-			ac.sliceToCuckoo(gt)
+			ac.sliceToCuckoo()
+			t.promotions++
 		}
 	}
 	return isNew, probe
 }
 
-func (ac *adaptiveContainer) Delete(dst uint64) (bool, int) {
+// delete is Delete counting into t, as insert.
+func (ac *adaptiveContainer) delete(t *opTally, dst uint64) (bool, int) {
 	gt := ac.host
 	var removed bool
 	var probe int
 	switch ac.kind {
 	case reprSlice:
-		removed, probe = ac.slice.delete(gt, dst)
+		removed, probe = ac.slice.delete(t, dst)
 	case reprBlocks:
 		removed, probe = ac.blocks().delete(dst)
 	case reprCuckoo:
-		removed, probe = ac.cuckoo.delete(gt, dst)
+		removed, probe = ac.cuckoo.delete(t, dst)
 	}
 	if removed {
 		gt.props.degree[ac.d]--
 		if ac.kind == reprCuckoo && int(ac.cuckoo.n) <= gt.cfg.CuckooDemoteDegree {
-			ac.cuckooToSlice(gt)
+			ac.cuckooToSlice()
+			t.demotions++
 		}
 	}
 	return removed, probe
@@ -187,10 +208,10 @@ func (ac *adaptiveContainer) memoryBytes() uint64 {
 // sliceToCuckoo streams the slice entries into a cuckoo table sized for the
 // current degree, retaining the slice buffer for a later demotion. Both
 // formats hold the same edgeEntry, so whole entries move.
-func (ac *adaptiveContainer) sliceToCuckoo(gt *GraphTinker) {
+func (ac *adaptiveContainer) sliceToCuckoo() {
 	deg := len(ac.slice.entries)
 	if ac.cuckoo == nil {
-		ac.cuckoo = newCuckooContainer(gt.cfg.HashSeed, deg)
+		ac.cuckoo = newCuckooContainer(ac.host.cfg.HashSeed, deg)
 	} else {
 		ac.cuckoo.reset(deg)
 	}
@@ -199,17 +220,15 @@ func (ac *adaptiveContainer) sliceToCuckoo(gt *GraphTinker) {
 	}
 	ac.slice.clear()
 	ac.kind = reprCuckoo
-	gt.stats.promotions.Add(1)
 }
 
 // cuckooToSlice copies the live slots into the retained slice buffer (grown
 // once to the degree when it is too small), sorts them once, and clears the
 // table, keeping its slot buffer for a later promotion.
-func (ac *adaptiveContainer) cuckooToSlice(gt *GraphTinker) {
+func (ac *adaptiveContainer) cuckooToSlice() {
 	ac.slice.entries = slices.Grow(ac.slice.entries, int(ac.cuckoo.n))
 	ac.cuckoo.collectEntries(ac.slice.bulkAdd)
 	ac.slice.sortEntries()
 	ac.cuckoo.clear()
 	ac.kind = reprSlice
-	gt.stats.demotions.Add(1)
 }

@@ -190,3 +190,22 @@ func TestParallelInsertBatchSteadyAllocFree(t *testing.T) {
 		t.Fatalf("batches beside a reader left DUAL mode: %+v", st)
 	}
 }
+
+// TestBatchApplySteadyAllocFree pins a lone instance's batch calls at zero
+// steady-state allocations on the parallel path: after the first batch
+// builds the hand-off and sizes its scratch, handing chunks to the helper
+// pool allocates nothing.
+func TestBatchApplySteadyAllocFree(t *testing.T) {
+	g, edges := allocGraph(t)
+	ops := make([]EdgeOp, 0, 2*len(edges))
+	for _, e := range edges {
+		ops = append(ops, DeleteOp(e.Src, e.Dst), InsertOp(e.Src, e.Dst, 2))
+	}
+	g.ApplyOps(ops) // warm: the hand-off and its scratch
+	pinAllocs(t, "GraphTinker.InsertBatch steady", 0, func() { g.InsertBatch(edges) })
+	pinAllocs(t, "GraphTinker.DeleteBatch steady", 0, func() {
+		g.DeleteBatch(edges)
+		g.InsertBatch(edges)
+	})
+	pinAllocs(t, "GraphTinker.ApplyOps steady", 0, func() { g.ApplyOps(ops) })
+}

@@ -1,0 +1,282 @@
+package core
+
+// Batched apply. ApplyOps, InsertBatch and DeleteBatch run a batch in two
+// phases, a chunk of at most applyChunk ops at a time:
+//
+//  1. Resolve, on the caller, in op order. Everything an op shares with
+//     other vertices changes here exactly as the op-by-op loop changed it:
+//     the raw-id high-water mark, the SGH map's dense ids, the growth of
+//     cont and props, a new source's container binding. It leaves one dense
+//     id per op, or noDense for a delete whose source holds no container
+//     (a no-op, as DeleteEdge's miss).
+//  2. Apply. The chunk's ops are split into partitions by dense id, and
+//     each partition's ops run in op order on whichever goroutine claims
+//     it: the caller, or a helper from a process-wide pool. An op now
+//     touches only its own vertex's container and degree and its
+//     partition's tally, so partitions are independent, and every op of a
+//     vertex runs in order on one goroutine. Containers, migration points,
+//     counters and snapshot bytes are therefore the op-by-op result's.
+//
+// ReprBlocks applies as one partition (the edgeblock array, the CAL and the
+// free list are shared), as does a chunk below parallelMinOps: the same
+// loop, on the caller alone.
+
+import (
+	"runtime"
+	"sync/atomic"
+	"time"
+)
+
+const (
+	// applyChunk bounds the resolve scratch (4 B an op) whatever the batch
+	// size.
+	applyChunk = 4096
+	// parallelMinOps is the smallest chunk handed to helpers: below it
+	// waking one costs more than it saves (see BenchmarkApplyOpsBatchSize).
+	parallelMinOps = 1024
+	// maxApplyParts caps the partitions of one chunk. A claimer scans the
+	// chunk's ids for its partition, so more partitions cost more scans.
+	maxApplyParts = 64
+	// noDense is the dense id of a source with no edge container: the
+	// delete ops phase 2 skips.
+	noDense = ^uint32(0)
+)
+
+// opTally counts what a run of ops did. One goroutine owns it, so the
+// fields are plain, and fold adds it to the instance once per batch: an
+// atomic add per op on one shared cache line would be contended across
+// cores.
+type opTally struct {
+	inserted, updated, deleted, cells, promotions, demotions uint64
+	_                                                        [2]uint64 // one cache line per partition's tally
+}
+
+// addTally adds a tally's counts to the counters, skipping zeros.
+func (s *statsCounters) addTally(t *opTally) {
+	for _, c := range [...]struct {
+		ctr *atomic.Uint64
+		n   uint64
+	}{{&s.inserts, t.inserted}, {&s.updates, t.updated}, {&s.deletes, t.deleted},
+		{&s.cellsInspected, t.cells}, {&s.promotions, t.promotions}, {&s.demotions, t.demotions}} {
+		if c.n != 0 {
+			c.ctr.Add(c.n)
+		}
+	}
+}
+
+// fold adds a tally to the live-edge count and the counters.
+func (gt *GraphTinker) fold(t *opTally) {
+	gt.numEdges += t.inserted - t.deleted
+	gt.stats.addTally(t)
+}
+
+// opSource is a batch read in place: ops, or edges that are all inserts or
+// all deletes (InsertBatch, DeleteBatch), so neither is ever copied.
+type opSource struct {
+	ops   []EdgeOp
+	edges []Edge
+	del   bool
+}
+
+func (s *opSource) len() int { return len(s.ops) + len(s.edges) }
+
+func (s *opSource) at(i int) (*Edge, bool) {
+	if s.ops != nil {
+		return &s.ops[i].Edge, s.ops[i].Del
+	}
+	return &s.edges[i], s.del
+}
+
+// ApplyOps applies an ordered op sequence to one instance, returning how
+// many inserts were new and how many deletes hit a live edge. It is the
+// one op-apply loop: every seqlock replica, WAL replay into a session's
+// graph and every sharded sink end up here, in the two phases the file
+// comment describes. The ops are read, never kept: pooled helpers see them
+// only until ApplyOps returns.
+//
+//gtlint:noretain ops
+func (gt *GraphTinker) ApplyOps(ops []EdgeOp) (inserted, deleted int) {
+	return gt.apply(opSource{ops: ops})
+}
+
+// applyOne runs one op through both phases on the caller.
+func (gt *GraphTinker) applyOne(e *Edge, del bool) opTally {
+	var t opTally
+	gt.applyOp(e, del, gt.resolve(e, del), &t)
+	gt.fold(&t)
+	return t
+}
+
+// resolve is phase 1 for one op: the dense id it applies to, observing its
+// ids and binding its source's container on an insert.
+func (gt *GraphTinker) resolve(e *Edge, del bool) uint32 {
+	if del {
+		return gt.bound(e.Src)
+	}
+	gt.observe(e.Src)
+	gt.observe(e.Dst)
+	d := gt.denseOf(e.Src)
+	gt.ensureDense(d)
+	if ac := &gt.cont[d]; ac.kind == reprNone {
+		ac.init(gt, d)
+	}
+	return d
+}
+
+// applyOp is phase 2 for one op resolved to d, counting into t. It records
+// the op's latency when a recorder is attached.
+func (gt *GraphTinker) applyOp(e *Edge, del bool, d uint32, t *opTally) {
+	var start time.Time
+	if gt.rec != nil {
+		start = time.Now()
+	}
+	var hit bool
+	probe := 0
+	switch {
+	case !del:
+		hit, probe = gt.cont[d].insert(t, e.Dst, e.Weight)
+	case d != noDense:
+		hit, probe = gt.cont[d].delete(t, e.Dst)
+	}
+	switch {
+	case !hit && !del:
+		t.updated++
+	case hit && del:
+		t.deleted++
+	case hit:
+		t.inserted++
+	}
+	switch {
+	case gt.rec == nil:
+	case del:
+		gt.rec.RecordDelete(time.Since(start), probe)
+	default:
+		gt.rec.RecordInsert(time.Since(start), probe)
+	}
+}
+
+// applyJob is an instance's phase-2 hand-off, reused by every chunk. A
+// chunk is published by storing a new claim word, and partitions are
+// claimed from it by compare-and-swap; a helper holding a task of an older
+// epoch fails its first claim and never reads the batch.
+type applyJob struct {
+	gt    *GraphTinker
+	claim atomic.Uint64 // epoch<<32 | partitions<<16 | next partition
+	left  atomic.Int32  // partitions of this epoch not yet applied
+	done  chan struct{} // a helper that applies a chunk's last partition signals here
+	src   opSource      // the batch, from publication until the caller's wait returns
+	lo    int           // the chunk's offset in src
+	dense []uint32      // phase 1's dense id per op of the chunk
+	tally []opTally     // per partition, folded once per batch; grown to the most partitions used
+	epoch uint32
+}
+
+// applyTask offers one chunk of a job to a helper.
+type applyTask struct {
+	j     *applyJob
+	epoch uint32
+}
+
+// applyTasks carries chunks to the helper pool. A post never blocks: a
+// full channel means every helper is busy, and the caller applies the
+// partitions itself.
+var (
+	applyTasks   = make(chan applyTask, maxApplyParts)
+	applyHelpers atomic.Int32
+)
+
+// helpersFor returns how many helpers a chunk may ask for, GOMAXPROCS−1,
+// first starting whichever of them the pool lacks. Helpers live for the
+// process, parked on applyTasks.
+func helpersFor() int {
+	want := int32(min(runtime.GOMAXPROCS(0)-1, maxApplyParts/4-1))
+	for n := applyHelpers.Load(); n < want; n = applyHelpers.Load() {
+		if applyHelpers.CompareAndSwap(n, n+1) {
+			go applyHelper()
+		}
+	}
+	return int(want)
+}
+
+func applyHelper() {
+	for t := range applyTasks {
+		if t.j.work(t.epoch) {
+			t.j.done <- struct{}{}
+		}
+	}
+}
+
+// apply runs a batch through both phases a chunk at a time and folds what
+// it did into the instance.
+//
+//gtlint:noretain src
+func (gt *GraphTinker) apply(src opSource) (inserted, deleted int) {
+	if gt.job == nil {
+		gt.job = &applyJob{gt: gt, done: make(chan struct{}, 1), tally: make([]opTally, 1)}
+	}
+	j := gt.job
+	//gtlint:ignore bufretain helpers read the batch only between a chunk's publication and the wait below; it is cleared before return
+	j.src = src
+	used := 1 // partitions whose tallies this batch may have touched
+	for j.lo = 0; j.lo < src.len(); j.lo += applyChunk {
+		n := min(src.len()-j.lo, applyChunk)
+		j.dense = j.dense[:0]
+		for i := j.lo; i < j.lo+n; i++ {
+			j.dense = append(j.dense, gt.resolve(src.at(i)))
+		}
+		helpers, parts := 0, 1
+		if n >= parallelMinOps && gt.cfg.Repr != ReprBlocks {
+			helpers = helpersFor()
+		}
+		for helpers > 0 && parts < 4*(helpers+1) {
+			parts <<= 1
+		}
+		if used = max(used, parts); len(j.tally) < used {
+			j.tally = append(j.tally, make([]opTally, used-len(j.tally))...)
+		}
+		j.epoch++
+		j.left.Store(int32(parts))
+		j.claim.Store(uint64(j.epoch)<<32 | uint64(parts)<<16)
+		for range min(helpers, parts-1) {
+			select {
+			case applyTasks <- applyTask{j, j.epoch}:
+			default:
+			}
+		}
+		if !j.work(j.epoch) {
+			<-j.done
+		}
+	}
+	j.src = opSource{}
+	for p := range j.tally[:used] {
+		t := &j.tally[p]
+		inserted += int(t.inserted)
+		deleted += int(t.deleted)
+		gt.fold(t)
+		*t = opTally{}
+	}
+	return inserted, deleted
+}
+
+// work claims and applies partitions of the given epoch until none is
+// left, and reports whether it applied the one that completed the chunk.
+func (j *applyJob) work(epoch uint32) (last bool) {
+	for {
+		w := j.claim.Load()
+		p, parts := uint32(w&0xffff), uint32(w>>16&0xffff)
+		if uint32(w>>32) != epoch || p >= parts {
+			return last
+		}
+		if j.claim.CompareAndSwap(w, w+1) {
+			// Groups of 16 consecutive dense ids share a partition, so
+			// neighbouring degree counters stay on one core.
+			for k, d := range j.dense {
+				if d>>4&(parts-1) == p {
+					e, del := j.src.at(j.lo + k)
+					j.gt.applyOp(e, del, d, &j.tally[p])
+				}
+			}
+			last = j.left.Add(-1) == 0
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -41,6 +42,26 @@ func BenchmarkInsertNoCAL(b *testing.B) {
 		g.InsertBatch(edges)
 	}
 	b.SetBytes(int64(len(edges)))
+}
+
+// BenchmarkApplyOpsBatchSize measures the steady cost per edge op of an
+// InsertBatch plus a DeleteBatch of the same edges on a preloaded graph, by
+// batch size: the evidence for parallelMinOps. Compare it against a build
+// with the cutoff above every size.
+func BenchmarkApplyOpsBatchSize(b *testing.B) {
+	g := MustNew(DefaultConfig())
+	g.InsertBatch(benchEdges(1_000_000, 1<<16, 3))
+	fresh := benchEdges(1<<20, 1<<16, 5)
+	for _, size := range []int{128, 256, 512, 1024, 2048, 4096} {
+		b.Run(fmt.Sprint(size), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				batch := fresh[i*size%(len(fresh)-size):][:size]
+				g.InsertBatch(batch)
+				g.DeleteBatch(batch)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*size*b.N), "ns/edgeop")
+		})
+	}
 }
 
 func BenchmarkFindEdgeHit(b *testing.B) {

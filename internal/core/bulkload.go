@@ -69,8 +69,8 @@ func loadSection(ra io.ReaderAt, shard int, sec v2Section, g *GraphTinker, owner
 // bulkInsertRun inserts one source's complete edge run, choosing the
 // final container format up front from the run's degree. Only valid on a
 // replica that has never been published (see the file comment), which is
-// also why the run's insert and update counts are added once at its end:
-// no one can snapshot the stats mid-run.
+// also why the run's counts are folded in once at its end: no one can
+// snapshot the stats mid-run.
 func (gt *GraphTinker) bulkInsertRun(src uint64, run []Edge) {
 	gt.observe(src)
 	d := gt.denseOf(src)
@@ -79,16 +79,15 @@ func (gt *GraphTinker) bulkInsertRun(src uint64, run []Edge) {
 	if ac.kind == reprNone {
 		ac.initForDegree(gt, d, len(run))
 	}
-	var inserted uint64
+	var t opTally
 	for i := range run {
 		gt.observe(run[i].Dst)
-		if isNew, _ := ac.Insert(run[i].Dst, run[i].Weight); isNew {
-			inserted++
+		if isNew, _ := ac.insert(&t, run[i].Dst, run[i].Weight); isNew {
+			t.inserted++
 		}
 	}
-	gt.numEdges += inserted
-	gt.stats.inserts.Add(inserted)
-	gt.stats.updates.Add(uint64(len(run)) - inserted)
+	t.updated = uint64(len(run)) - t.inserted
+	gt.fold(&t)
 }
 
 // cloneInto bulk-builds dst, an empty unpublished instance of the same

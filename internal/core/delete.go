@@ -1,32 +1,9 @@
 package core
 
-import "time"
-
 // DeleteEdge removes edge (src, dst) using the configured deletion
 // mechanism (Sec. III.C). It returns false when the edge is not stored.
 func (gt *GraphTinker) DeleteEdge(src, dst uint64) bool {
-	if gt.rec == nil {
-		removed, _ := gt.deleteEdge(src, dst)
-		return removed
-	}
-	start := time.Now()
-	removed, cells := gt.deleteEdge(src, dst)
-	gt.rec.RecordDelete(time.Since(start), cells)
-	return removed
-}
-
-func (gt *GraphTinker) deleteEdge(src, dst uint64) (bool, int) {
-	d, ok := gt.denseLookup(src)
-	if !ok || uint32(len(gt.cont)) <= d || gt.cont[d].kind == reprNone {
-		return false, 0
-	}
-	removed, probe := gt.cont[d].Delete(dst)
-	if !removed {
-		return false, probe
-	}
-	gt.numEdges--
-	gt.stats.deletes.Add(1)
-	return true, probe
+	return gt.applyOne(&Edge{Src: src, Dst: dst}, true).deleted == 1
 }
 
 // dropCALEntry removes the mirror copy of a deleted block-tree edge
@@ -49,14 +26,10 @@ func (gt *GraphTinker) dropCALEntry(ptr calPtr, d uint32) {
 }
 
 // DeleteBatch removes a batch of edges, returning how many were present.
+// It is ApplyOps over an all-delete batch, read in place.
 func (gt *GraphTinker) DeleteBatch(edges []Edge) int {
-	removed := 0
-	for _, e := range edges {
-		if gt.DeleteEdge(e.Src, e.Dst) {
-			removed++
-		}
-	}
-	return removed
+	_, deleted := gt.apply(opSource{edges: edges, del: true})
+	return deleted
 }
 
 // compactHole implements the delete-and-compact mechanism: the hole at

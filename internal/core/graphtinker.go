@@ -10,7 +10,10 @@ import (
 // GraphTinker is one instance of the paper's dynamic-graph data structure.
 // A single instance is not safe for concurrent mutation; the Parallel type
 // shards a graph across several instances by source-vertex hash exactly as
-// Sec. III.D describes.
+// Sec. III.D describes. Inside one instance a large batch (ApplyOps,
+// InsertBatch, DeleteBatch) still uses every core: its vertices' ops are
+// applied in parallel partitions by pooled helpers, with a result
+// identical to applying the ops one by one (see apply.go).
 type GraphTinker struct {
 	cfg Config
 	geo geometry
@@ -47,6 +50,8 @@ type GraphTinker struct {
 	// rec, when non-nil, receives per-operation latency and probe-distance
 	// samples on the update paths (see Instrument).
 	rec *metrics.UpdateRecorder
+
+	job *applyJob // the batch hand-off to pooled helpers, built by the first batch
 }
 
 // New constructs an empty GraphTinker with the given configuration.
@@ -118,6 +123,16 @@ func (gt *GraphTinker) denseLookup(raw uint64) (uint32, bool) {
 		return uint32(raw), true
 	}
 	return 0, false
+}
+
+// bound is denseLookup for a source that holds an edge container, the
+// only sources a lookup or a delete can find an edge of; noDense otherwise.
+func (gt *GraphTinker) bound(src uint64) uint32 {
+	d, ok := gt.denseLookup(src)
+	if !ok || uint32(len(gt.cont)) <= d || gt.cont[d].kind == reprNone {
+		return noDense
+	}
+	return d
 }
 
 // rawOf reverses a dense id to the application-level source id.
@@ -329,8 +344,8 @@ func (gt *GraphTinker) FindEdge(src, dst uint64) (float32, bool) {
 
 func (gt *GraphTinker) findEdge(src, dst uint64) (float32, int, bool) {
 	gt.stats.finds.Add(1)
-	d, ok := gt.denseLookup(src)
-	if !ok || uint32(len(gt.cont)) <= d || gt.cont[d].kind == reprNone {
+	d := gt.bound(src)
+	if d == noDense {
 		return 0, 0, false
 	}
 	return gt.cont[d].Find(dst)
@@ -426,45 +441,13 @@ func (gt *GraphTinker) placeInSubblock(blk int32, sb int, float edgeCell) (place
 // false when an existing edge had its weight updated. Self-loops are
 // allowed; parallel edges are not (an edge is identified by its endpoints).
 func (gt *GraphTinker) InsertEdge(src, dst uint64, w float32) bool {
-	if gt.rec == nil {
-		isNew, _ := gt.insertEdge(src, dst, w)
-		return isNew
-	}
-	start := time.Now()
-	isNew, cells := gt.insertEdge(src, dst, w)
-	gt.rec.RecordInsert(time.Since(start), cells)
-	return isNew
+	return gt.applyOne(&Edge{Src: src, Dst: dst, Weight: w}, false).inserted == 1
 }
 
-func (gt *GraphTinker) insertEdge(src, dst uint64, w float32) (bool, int) {
-	gt.observe(src)
-	gt.observe(dst)
-
-	d := gt.denseOf(src)
-	gt.ensureDense(d)
-
-	ac := &gt.cont[d]
-	if ac.kind == reprNone {
-		ac.init(gt, d)
-	}
-	isNew, probe := ac.Insert(dst, w)
-	if !isNew {
-		gt.stats.updates.Add(1)
-		return false, probe
-	}
-	gt.numEdges++
-	gt.stats.inserts.Add(1)
-	return true, probe
-}
-
-// InsertBatch inserts a batch of edges, returning how many were new.
+// InsertBatch inserts a batch of edges, returning how many were new. It is
+// ApplyOps over an all-insert batch, read in place.
 func (gt *GraphTinker) InsertBatch(edges []Edge) int {
-	inserted := 0
-	for _, e := range edges {
-		if gt.InsertEdge(e.Src, e.Dst, e.Weight) {
-			inserted++
-		}
-	}
+	inserted, _ := gt.apply(opSource{edges: edges})
 	return inserted
 }
 
@@ -477,10 +460,15 @@ func (gt *GraphTinker) InsertBatch(edges []Edge) int {
 // bracket). Counters start at zero; the original is left untouched.
 func (gt *GraphTinker) Rebuilt() *GraphTinker {
 	fresh := MustNew(gt.cfg)
+	buf := make([]Edge, 0, applyChunk)
 	gt.ForEachEdge(func(src, dst uint64, w float32) bool {
-		fresh.InsertEdge(src, dst, w)
+		if buf = append(buf, Edge{Src: src, Dst: dst, Weight: w}); len(buf) == cap(buf) {
+			fresh.InsertBatch(buf)
+			buf = buf[:0]
+		}
 		return true
 	})
+	fresh.InsertBatch(buf)
 	fresh.ResetStats()
 	// The raw id space is a property of the observed stream, not only of
 	// the live edges; preserve it so engines keep their sizing.

@@ -8,11 +8,9 @@ import "math/bits"
 // region. This is the random-access retrieval path the incremental-
 // processing mode uses. The callback returns false to stop.
 func (gt *GraphTinker) ForEachOutEdge(src uint64, fn func(dst uint64, w float32) bool) {
-	d, ok := gt.denseLookup(src)
-	if !ok || uint32(len(gt.cont)) <= d || gt.cont[d].kind == reprNone {
-		return
+	if d := gt.bound(src); d != noDense {
+		gt.cont[d].Iterate(fn)
 	}
-	gt.cont[d].Iterate(fn)
 }
 
 // walkSubtree visits occupied cells of blk and all its descendants,

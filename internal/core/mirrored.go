@@ -7,8 +7,9 @@ package core
 // phase pulls over *in*-edges; Mirrored is the substrate that makes that
 // model runnable on GraphTinker.
 type Mirrored struct {
-	fwd *GraphTinker
-	rev *GraphTinker
+	fwd  *GraphTinker
+	rev  *GraphTinker
+	flip []Edge // a batch's reversed edges, at most applyChunk at a time
 }
 
 // NewMirrored builds the pair with a shared configuration.
@@ -48,13 +49,20 @@ func (m *Mirrored) InsertEdge(src, dst uint64, w float32) bool {
 
 // InsertBatch inserts a batch, returning how many edges were new.
 func (m *Mirrored) InsertBatch(edges []Edge) int {
-	inserted := 0
-	for _, e := range edges {
-		if m.InsertEdge(e.Src, e.Dst, e.Weight) {
-			inserted++
+	m.reversed(edges, m.rev.InsertBatch)
+	return m.fwd.InsertBatch(edges)
+}
+
+// reversed hands the in-edge instance's batch op, a bounded chunk at a
+// time, the edges with their endpoints swapped.
+func (m *Mirrored) reversed(edges []Edge, batch func([]Edge) int) {
+	for lo := 0; lo < len(edges); lo += applyChunk {
+		m.flip = m.flip[:0]
+		for _, e := range edges[lo:min(lo+applyChunk, len(edges))] {
+			m.flip = append(m.flip, Edge{Src: e.Dst, Dst: e.Src, Weight: e.Weight})
 		}
+		batch(m.flip)
 	}
-	return inserted
 }
 
 // DeleteEdge removes (src, dst) from both directions.
@@ -66,13 +74,8 @@ func (m *Mirrored) DeleteEdge(src, dst uint64) bool {
 
 // DeleteBatch removes a batch, returning how many edges were present.
 func (m *Mirrored) DeleteBatch(edges []Edge) int {
-	removed := 0
-	for _, e := range edges {
-		if m.DeleteEdge(e.Src, e.Dst) {
-			removed++
-		}
-	}
-	return removed
+	m.reversed(edges, m.rev.DeleteBatch)
+	return m.fwd.DeleteBatch(edges)
 }
 
 // NumEdges returns the live edge count.

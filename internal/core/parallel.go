@@ -84,25 +84,6 @@ func DeleteOp(src, dst uint64) EdgeOp {
 	return EdgeOp{Edge: Edge{Src: src, Dst: dst}, Del: true}
 }
 
-// ApplyOps applies an ordered op sequence to one instance, returning how
-// many inserts were new and how many deletes hit a live edge. It is the
-// one op-apply loop: every seqlock replica, WAL replay into a session's
-// graph and every sharded sink end up here.
-//
-//gtlint:noretain ops
-func (gt *GraphTinker) ApplyOps(ops []EdgeOp) (inserted, deleted int) {
-	for _, op := range ops {
-		if op.Del {
-			if gt.DeleteEdge(op.Src, op.Dst) {
-				deleted++
-			}
-		} else if gt.InsertEdge(op.Src, op.Dst, op.Weight) {
-			inserted++
-		}
-	}
-	return inserted, deleted
-}
-
 // NewParallel builds p independent instances sharing one configuration.
 func NewParallel(cfg Config, p int) (*Parallel, error) {
 	if p <= 0 {
@@ -292,22 +273,24 @@ func (p *Parallel) Close() {
 
 // InsertEdge routes a single insertion to its shard.
 func (p *Parallel) InsertEdge(src, dst uint64, w float32) bool {
-	i := p.shardOf(src)
-	p.wmu[i].Lock()
-	defer p.wmu[i].Unlock()
-	op := [1]EdgeOp{InsertOp(src, dst, w)}
-	inserted, _ := p.sc[i].applyOpsLocked(op[:])
+	inserted, _ := p.applyOne(InsertOp(src, dst, w))
 	return inserted == 1
 }
 
 // DeleteEdge routes a single deletion to its shard.
 func (p *Parallel) DeleteEdge(src, dst uint64) bool {
-	i := p.shardOf(src)
+	_, deleted := p.applyOne(DeleteOp(src, dst))
+	return deleted == 1
+}
+
+// applyOne applies one op to its shard through the shard's one-op scratch
+// (a batch hands its ops to pooled helpers, so a stack array would escape).
+func (p *Parallel) applyOne(op EdgeOp) (inserted, deleted int) {
+	i := p.shardOf(op.Src)
 	p.wmu[i].Lock()
 	defer p.wmu[i].Unlock()
-	op := [1]EdgeOp{DeleteOp(src, dst)}
-	_, deleted := p.sc[i].applyOpsLocked(op[:])
-	return deleted == 1
+	p.sc[i].one[0] = op
+	return p.sc[i].applyOpsLocked(p.sc[i].one[:])
 }
 
 // FindEdge routes a lookup to its shard. It takes no lock: the lookup runs

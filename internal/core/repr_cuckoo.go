@@ -30,7 +30,7 @@ const (
 
 type cuckooContainer struct {
 	// seed is the host's HashSeed, which the bucket hashes mix in; the
-	// adaptor passes the host itself to the operations.
+	// adaptor passes the host to a lookup and the op's tally to a mutation.
 	seed uint64
 	// slots holds (bucketMask+1) * cuckooSlotsPerBucket slots; bucket b owns
 	// slots[b*4 : b*4+4], and bit i of occ[b] is set while slot b*4+i is
@@ -141,9 +141,9 @@ func (c *cuckooContainer) find(gt *GraphTinker, dst uint64) (float32, int, bool)
 	return c.slots[idx].weight, probe, true
 }
 
-func (c *cuckooContainer) insert(gt *GraphTinker, dst uint64, w float32) (bool, int) {
+func (c *cuckooContainer) insert(t *opTally, dst uint64, w float32) (bool, int) {
 	idx, probe := c.findSlot(dst)
-	gt.stats.cellsInspected.Add(uint64(probe))
+	t.cells += uint64(probe)
 	if idx >= 0 {
 		c.slots[idx].weight = w
 		return false, probe
@@ -252,9 +252,9 @@ func (c *cuckooContainer) tryPlace(s edgeEntry) bool {
 	return false
 }
 
-func (c *cuckooContainer) delete(gt *GraphTinker, dst uint64) (bool, int) {
+func (c *cuckooContainer) delete(t *opTally, dst uint64) (bool, int) {
 	idx, probe := c.findSlot(dst)
-	gt.stats.cellsInspected.Add(uint64(probe))
+	t.cells += uint64(probe)
 	if idx < 0 {
 		return false, probe
 	}

@@ -13,7 +13,8 @@ import (
 // new one, and there is no block, hash or tombstone overhead at all. The
 // entry buffer is retained across promotions (entries[:0]), so a vertex
 // flapping around the thresholds re-migrates without allocating. The
-// slice is the whole per-format state: the adaptor passes in the host.
+// slice is the whole per-format state: the adaptor passes in the host to a
+// lookup and the op's tally (apply.go) to a mutation.
 
 type sliceContainer struct {
 	// entries is sorted by dst and holds live edges only — the slice
@@ -51,9 +52,9 @@ func (c *sliceContainer) find(gt *GraphTinker, dst uint64) (float32, int, bool) 
 	return c.entries[pos].weight, probe, true
 }
 
-func (c *sliceContainer) insert(gt *GraphTinker, dst uint64, w float32) (bool, int) {
+func (c *sliceContainer) insert(t *opTally, dst uint64, w float32) (bool, int) {
 	pos, probe, found := c.search(dst)
-	gt.stats.cellsInspected.Add(uint64(probe))
+	t.cells += uint64(probe)
 	if found {
 		c.entries[pos].weight = w
 		return false, probe
@@ -64,9 +65,9 @@ func (c *sliceContainer) insert(gt *GraphTinker, dst uint64, w float32) (bool, i
 	return true, probe
 }
 
-func (c *sliceContainer) delete(gt *GraphTinker, dst uint64) (bool, int) {
+func (c *sliceContainer) delete(t *opTally, dst uint64) (bool, int) {
 	pos, probe, found := c.search(dst)
-	gt.stats.cellsInspected.Add(uint64(probe))
+	t.cells += uint64(probe)
 	if !found {
 		return false, probe
 	}

@@ -132,6 +132,7 @@ type shardCtl struct {
 	entriesSeen  uint64                  // reader entries as of the last DUAL apply
 	quietOps     uint64                  // ops applied in DUAL mode since a reader last entered
 	rec          *metrics.UpdateRecorder // what Instrument attached, for replicas built later
+	one          [1]EdgeOp               // Parallel.applyOne's op
 
 	// counters are the shard's owned counters; scratch absorbs catch-up
 	// replays and clone inserts so every logical op is counted once.
