@@ -48,7 +48,10 @@ type (
 	IterationStats = engine.IterationStats
 )
 
-// NewEngine validates the program and builds an engine over the store.
+// NewEngine validates the program and builds an engine over the store. Over
+// a default Graph, Parallel or Mirrored, a program with a plain Apply has
+// its large iterations split across GOMAXPROCS workers; ReprBlocks, STINGER
+// and ApplyVertex-only programs run on one worker.
 func NewEngine(store GraphStore, prog Program, opts EngineOptions) (*Engine, error) {
 	return engine.New(store, prog, opts)
 }
@@ -147,9 +150,10 @@ type ShardedStore = engine.ShardedStore
 
 // ParallelEngine is the Engine NewParallelEngine builds: it runs a Program
 // over a sharded store with one worker per shard, in both the
-// full-processing and incremental phases. Results are identical to the
-// sequential engine for deterministic Reduce functions. Programs with only
-// an ApplyVertex hook, such as PageRank, are refused.
+// full-processing and incremental phases. Results are identical to one
+// worker's when Reduce ignores order (min, max); a floating-point sum
+// reduced in another order agrees only to rounding. Programs with only an
+// ApplyVertex hook, such as PageRank, are refused.
 type ParallelEngine = engine.ParallelEngine
 
 // NewParallelEngine builds a parallel engine over a sharded store.

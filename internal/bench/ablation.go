@@ -74,6 +74,6 @@ func Ablation(opts Options) (Table, error) {
 	if stM > 0 {
 		t.AddNote("GT without both features vs STINGER: %.2fx (paper: ~1.5x)", neither.WorkMEPS()/stM)
 	}
-	t.AddNote("GT default is the adaptive slice/cuckoo store with SGH and no CAL; its full iterations walk only the active sources")
+	t.AddNote("GT default is the adaptive slice/cuckoo store with SGH and no CAL; its full iterations walk only the active sources, split across GOMAXPROCS workers (every other row runs on one)")
 	return t, nil
 }

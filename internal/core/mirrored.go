@@ -114,6 +114,15 @@ func (m *Mirrored) ForEachActiveEdge(active func(src uint64) bool, fn func(src, 
 	m.fwd.ForEachActiveEdge(active, fn)
 }
 
+// SplitsEdgeWalk reports whether the forward instance splits its walk.
+func (m *Mirrored) SplitsEdgeWalk() bool { return m.fwd.SplitsEdgeWalk() }
+
+// ForEachActivePartEdge walks one part of the forward instance (see
+// GraphTinker.ForEachActivePartEdge).
+func (m *Mirrored) ForEachActivePartEdge(part, parts int, active func(src uint64) bool, fn func(src, dst uint64, w float32) bool) {
+	m.fwd.ForEachActivePartEdge(part, parts, active, fn)
+}
+
 // ForEachInSource visits every vertex with at least one in-edge.
 func (m *Mirrored) ForEachInSource(fn func(v uint64, inDegree uint32) bool) {
 	m.rev.ForEachSource(fn)

@@ -34,9 +34,11 @@ type IterationStats struct {
 	// TouchedVertices is how many destinations received messages.
 	TouchedVertices uint64 `json:"touched_vertices"`
 	// Duration is the wall time of the iteration; the per-phase durations
-	// below partition it. MergeDuration is zero unless the engine loads
-	// edges by sharded scatter, the one strategy with a worker-buffer merge
-	// phase.
+	// below partition it. MergeDuration is zero unless the iteration's
+	// scatter split across workers: it is the fold of their private
+	// buffers with Reduce. The folded values are identical to one
+	// worker's when Reduce ignores order (min, max); a floating-point sum
+	// folded in another order agrees only to rounding.
 	Duration        time.Duration `json:"duration_ns"`
 	ProcessDuration time.Duration `json:"process_ns"`
 	MergeDuration   time.Duration `json:"merge_ns"`

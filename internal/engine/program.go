@@ -5,8 +5,9 @@
 // whose inference box picks the cheaper edge-loading path for every
 // iteration using the predictor T = A/E against a fixed threshold. One
 // Engine type runs that loop; its constructor picks how edges are loaded:
-// sequential scatter (New), sharded scatter (NewParallelEngine) or pull
-// over in-edges (NewVC).
+// scatter split across GOMAXPROCS workers where the store allows it, else
+// on one (New), scatter split one worker per shard (NewParallelEngine), or
+// pull over in-edges (NewVC).
 package engine
 
 import "graphtinker/internal/core"
@@ -91,7 +92,9 @@ type Program struct {
 	// input to ProcessEdge (called once per scattered edge with the source
 	// id). Algorithms whose outgoing message is not a pure function of the
 	// property — e.g. delta-based PageRank, which scatters the pending
-	// delta normalized by the source's out-degree — hook it here.
+	// delta normalized by the source's out-degree — hook it here. With a
+	// plain Apply, ScatterValue, ProcessEdge and Reduce may run on several
+	// workers at once, so they must not mutate shared state.
 	ScatterValue func(src uint64, srcVal float64) float64
 	// ApplyVertex, when non-nil, replaces Apply and additionally receives
 	// the vertex id, for programs that maintain per-vertex side state.
