@@ -9,20 +9,23 @@ package engine
 // detector. Results during churn are time-dependent; determinism is
 // asserted after the writer quiesces.
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
 
 func TestParallelEngineGatherDuringWrites(t *testing.T) {
-	const vertices = 256
-	seed := randomTestEdges(4000, vertices, 11)
+	// The seed graph's vertex space passes splitMinWork, so the four shard
+	// workers walk every full iteration concurrently while the writer runs.
+	const vertices = 4 * splitMinWork
+	seed := splitTestEdges(11)
 	store := shardedStore(t, 4, seed)
 	defer store.Close()
 
 	// Churn edges stay inside the seeded vertex id space: the engine sizes
 	// its property arrays once per run, so the store's MaxVertexID must not
 	// grow mid-iteration (the documented Resize contract).
-	churn := randomTestEdges(2000, vertices, 23)
+	churn := randomTestEdges(4000, vertices, 23)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -42,7 +45,9 @@ func TestParallelEngineGatherDuringWrites(t *testing.T) {
 
 	eng := MustNewParallelEngine(store, minProgram(), Options{Mode: FullProcessing})
 	for round := 0; round < 4; round++ {
-		eng.RunFromScratch() // convergence is time-dependent mid-churn; the run just must complete
+		// Convergence is time-dependent mid-churn; the run just must
+		// complete, splitting as it goes.
+		requireSplit(t, fmt.Sprintf("round %d", round), eng.RunFromScratch())
 	}
 	close(stop)
 	wg.Wait()
@@ -54,12 +59,13 @@ func TestParallelEngineGatherDuringWrites(t *testing.T) {
 		final = append(final, Edge{Src: src, Dst: dst, Weight: w})
 		return true
 	})
-	ref := MustNew(newStore(t, final), minProgram(), Options{Mode: FullProcessing})
+	ref := oneWorker(newStore(t, final), minProgram(), Options{Mode: FullProcessing})
 	ref.RunFromScratch()
 	res := eng.RunFromScratch()
 	if !res.Converged {
 		t.Fatalf("quiesced run did not converge")
 	}
+	requireSplit(t, "quiesced run", res)
 	for v := uint64(0); v < ref.NumVertices() && v < eng.NumVertices(); v++ {
 		if eng.Value(v) != ref.Value(v) {
 			t.Fatalf("val[%d] = %g, want %g", v, eng.Value(v), ref.Value(v))

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"graphtinker/internal/core"
@@ -24,6 +26,39 @@ func randomTestEdges(n int, vertices uint64, seed uint64) []Edge {
 		out[i] = te(r.next()%vertices, r.next()%vertices)
 	}
 	return out
+}
+
+// splitTestEdges is a random graph whose BFS frontiers from vertex 0 grow
+// past splitMinWork, so an engine with helpers splits some iterations in
+// either mode.
+func splitTestEdges(seed uint64) []Edge {
+	return randomTestEdges(8*4*splitMinWork, 4*splitMinWork, seed)
+}
+
+// requireSplit fails unless some iteration of the run split its scatter,
+// which records a merge phase.
+func requireSplit(t *testing.T, name string, res RunResult) {
+	t.Helper()
+	for _, it := range res.Iterations {
+		if it.MergeDuration > 0 {
+			return
+		}
+	}
+	t.Fatalf("%s: no iteration split", name)
+}
+
+// oneWorker builds New's engine at GOMAXPROCS 1, which scatters on one
+// worker over any store.
+func oneWorker(store GraphStore, prog Program, opts Options) *Engine {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	return MustNew(store, prog, opts)
+}
+
+// splitNew builds New's engine with at least two workers, whatever
+// GOMAXPROCS the tests run at.
+func splitNew(store GraphStore, prog Program, opts Options) *Engine {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	return MustNew(store, prog, opts)
 }
 
 func TestParallelEngineValidation(t *testing.T) {
@@ -57,14 +92,17 @@ func TestParallelEngineValidation(t *testing.T) {
 func TestParallelEngineMatchesSequential(t *testing.T) {
 	for _, mode := range []Mode{FullProcessing, IncrementalProcessing, Hybrid} {
 		for _, shards := range []int{1, 3, 8} {
-			edges := randomTestEdges(3000, 256, uint64(shards)*7+uint64(mode))
-			seq := MustNew(newStore(t, edges), minProgram(), Options{Mode: mode})
+			edges := splitTestEdges(uint64(shards)*7 + uint64(mode))
+			seq := oneWorker(newStore(t, edges), minProgram(), Options{Mode: mode})
 			seq.RunFromScratch()
 
 			par := MustNewParallelEngine(shardedStore(t, shards, edges), minProgram(), Options{Mode: mode})
 			res := par.RunFromScratch()
 			if !res.Converged {
 				t.Fatalf("mode %v shards %d: did not converge", mode, shards)
+			}
+			if shards > 1 {
+				requireSplit(t, fmt.Sprintf("mode %v shards %d", mode, shards), res)
 			}
 			if par.NumVertices() != seq.NumVertices() {
 				t.Fatalf("vertex spaces differ")
@@ -119,12 +157,13 @@ func TestParallelEngineFullModeRestartsPerBatch(t *testing.T) {
 }
 
 func TestParallelEngineAccountsWork(t *testing.T) {
-	edges := randomTestEdges(2000, 128, 9)
+	edges := splitTestEdges(9)
 	eng := MustNewParallelEngine(shardedStore(t, 4, edges), minProgram(), Options{Mode: FullProcessing})
 	res := eng.RunFromScratch()
 	if res.EdgesLoaded == 0 || res.EdgesProcessed == 0 {
 		t.Fatalf("no work accounted: %+v", res)
 	}
+	requireSplit(t, "4 shards", res)
 	// Each FP iteration streams the whole live edge set across workers.
 	live := uint64(0)
 	for _, it := range res.Iterations {
