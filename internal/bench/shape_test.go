@@ -246,10 +246,10 @@ func TestShapeRHHFlattensProbes(t *testing.T) {
 }
 
 // defaultBytesCeiling bounds ext-mem's "GT default" column at 1/128 (the
-// scale of results/gtbench_scale128.txt): its largest row, 29.2 B/edge on
-// RMAT_1M_10M with 16-byte slice and cuckoo entries, a 48-byte per-vertex
+// scale of results/gtbench_scale128.txt): its largest row, 23.8 B/edge on
+// RMAT_1M_10M with 12-byte slice and cuckoo entries, a 48-byte per-vertex
 // adaptor and no CAL, plus 10%.
-const defaultBytesCeiling = 32.1
+const defaultBytesCeiling = 26.2
 
 // TestShapeDefaultBytesFloor is ext-mem's floor: on every Table-1
 // stand-in at the committed table's scale the adaptive default spends

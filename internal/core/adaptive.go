@@ -207,7 +207,7 @@ func (ac *adaptiveContainer) memoryBytes() uint64 {
 
 // sliceToCuckoo streams the slice entries into a cuckoo table sized for the
 // current degree, retaining the slice buffer for a later demotion. Both
-// formats hold the same edgeEntry, so whole entries move.
+// formats hold the same 12-byte edgeEntry, so whole entries move.
 func (ac *adaptiveContainer) sliceToCuckoo() {
 	deg := len(ac.slice.entries)
 	if ac.cuckoo == nil {

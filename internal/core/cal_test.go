@@ -30,13 +30,13 @@ func TestCALPtrPacking(t *testing.T) {
 	}
 }
 
-// TestEntryLayout pins every per-edge record at 16 B, the per-vertex
-// adaptor at 48 B at most, and the 32-bit CAL pointer's bound: the last
-// slot below it is reachable, and the first block past it panics instead
-// of wrapping a pointer.
+// TestEntryLayout pins the slice and cuckoo entry at 12 B (no padding),
+// the CAL entry at 16 B, the per-vertex adaptor at 48 B at most, and the
+// 32-bit CAL pointer's bound: the last slot below it is reachable, and the
+// first block past it panics instead of wrapping a pointer.
 func TestEntryLayout(t *testing.T) {
-	if got := unsafe.Sizeof(edgeEntry{}); got != 16 {
-		t.Errorf("edgeEntry is %d B, want 16", got)
+	if got := unsafe.Sizeof(edgeEntry{}); got != 12 {
+		t.Errorf("edgeEntry is %d B, want 12", got)
 	}
 	if got := unsafe.Sizeof(adaptiveContainer{}); got > 48 {
 		t.Errorf("adaptiveContainer is %d B, want at most 48", got)

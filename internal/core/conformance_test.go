@@ -360,7 +360,9 @@ func (c Config) withDeleteMode(m DeleteMode) Config {
 // FuzzEdgeContainer cross-checks all three container formats (the block
 // tree and the two tier presets) plus the adaptive adaptor against each
 // other and the reference oracle on one fuzzed op stream, under both
-// delete modes, with invariants checked at the end.
+// delete modes, with invariants checked at the end. Destination bytes of
+// 128 and up map onto ids that share low words and differ only in the
+// high one, which a record that dropped a word would merge.
 func FuzzEdgeContainer(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{2, 9, 9, 0, 9, 9, 2, 9, 9})
@@ -368,7 +370,7 @@ func FuzzEdgeContainer(f *testing.F) {
 	for i := 0; i < 2; i++ {
 		var long []byte
 		for b := 0; b < 120; b++ {
-			long = append(long, byte(b*7+i), byte(b%5), byte(b%96))
+			long = append(long, byte(b*7+i), byte(b%5), byte(b%96+i*128))
 		}
 		f.Add(long)
 	}
@@ -384,6 +386,9 @@ func FuzzEdgeContainer(f *testing.F) {
 			ref := newRefGraph()
 			for i := 0; i+2 < len(data); i += 3 {
 				op, s, d := data[i], uint64(data[i+1]%8), uint64(data[i+2]%96)
+				if b := data[i+2]; b >= 128 {
+					d = uint64(b%12)<<32 | uint64(b%8)
+				}
 				switch op % 3 {
 				case 0, 1:
 					w := float32(op) + 1

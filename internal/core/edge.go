@@ -43,13 +43,22 @@ type edgeCell struct {
 }
 
 // edgeEntry is one stored edge of the slice and cuckoo formats: the
-// destination and the weight — 16 B, four of them alignment padding. Both
-// tiers hold the same record, so a migration copies whole entries. Neither
-// tier has a CAL copy to point at: the mirror belongs to the block tree.
+// destination, split into two 32-bit words, and the weight — 12 B with
+// 4-byte alignment, so no byte of it is padding (a uint64 field would pad
+// the record to 16). Both tiers hold the same record, so a migration copies
+// whole entries. Neither tier has a CAL copy to point at: the mirror
+// belongs to the block tree.
 type edgeEntry struct {
-	dst    uint64
+	lo, hi uint32
 	weight float32
 }
+
+func mkEntry(dst uint64, w float32) edgeEntry {
+	return edgeEntry{lo: uint32(dst), hi: uint32(dst >> 32), weight: w}
+}
+
+// d returns the entry's destination.
+func (e edgeEntry) d() uint64 { return uint64(e.hi)<<32 | uint64(e.lo) }
 
 // calPtr is the flat index of one CAL slot: block*CALBlockSize + slot.
 // It is 32 bits wide; calArray.allocBlock refuses to grow the mirror past

@@ -114,7 +114,7 @@ func (gt *GraphTinker) ForEachActivePartEdge(part, parts int, active func(src ui
 			switch ac.kind {
 			case reprSlice:
 				for i := range ac.slice.entries {
-					if e := &ac.slice.entries[i]; !fn(src, e.dst, e.weight) {
+					if e := &ac.slice.entries[i]; !fn(src, e.d(), e.weight) {
 						return
 					}
 				}
@@ -122,7 +122,7 @@ func (gt *GraphTinker) ForEachActivePartEdge(part, parts int, active func(src ui
 				c := ac.cuckoo
 				for b, occ := range c.occ {
 					for ; occ != 0; occ &= occ - 1 {
-						if e := &c.slots[b*cuckooSlotsPerBucket+bits.TrailingZeros8(occ)]; !fn(src, e.dst, e.weight) {
+						if e := &c.slots[b*cuckooSlotsPerBucket+bits.TrailingZeros8(occ)]; !fn(src, e.d(), e.weight) {
 							return
 						}
 					}

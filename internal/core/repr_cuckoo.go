@@ -13,7 +13,7 @@ import (
 // fetches regardless of degree, and unlike the hashed edgeblock tree it
 // grows no overflow generations.
 //
-// Slots hold the same 16-byte edgeEntry as the slice tier; which slots are
+// Slots hold the same 12-byte edgeEntry as the slice tier; which slots are
 // live is kept apart, in a 4-bit occupancy mask per bucket, so a slot needs
 // no flag (and no padding for one), clearing a table zeroes only the masks,
 // and a free slot is found with one bit scan.
@@ -121,7 +121,7 @@ func (c *cuckooContainer) findSlot(dst uint64) (int, int) {
 		base, occ := int(b)*cuckooSlotsPerBucket, c.occ[b]
 		for i := 0; i < cuckooSlotsPerBucket; i++ {
 			probe++
-			if occ&(1<<i) != 0 && c.slots[base+i].dst == dst {
+			if occ&(1<<i) != 0 && c.slots[base+i].d() == dst {
 				return base + i, probe
 			}
 		}
@@ -148,7 +148,7 @@ func (c *cuckooContainer) insert(t *opTally, dst uint64, w float32) (bool, int) 
 		c.slots[idx].weight = w
 		return false, probe
 	}
-	probe += c.place(edgeEntry{dst: dst, weight: w})
+	probe += c.place(mkEntry(dst, w))
 	c.n++
 	return true, probe
 }
@@ -165,7 +165,7 @@ func (c *cuckooContainer) place(s edgeEntry) int {
 	probe := 0
 	cur := s
 	for {
-		b1, b2 := c.buckets(cur.dst)
+		b1, b2 := c.buckets(cur.d())
 		probe += cuckooSlotsPerBucket
 		if i := c.emptyIn(b1); i >= 0 {
 			c.put(i, cur)
@@ -182,7 +182,7 @@ func (c *cuckooContainer) place(s edgeEntry) int {
 			vi := int(b)*cuckooSlotsPerBucket + int(c.kick)&(cuckooSlotsPerBucket-1)
 			c.kick++
 			cur, c.slots[vi] = c.slots[vi], cur
-			b = c.altBucket(cur.dst, b)
+			b = c.altBucket(cur.d(), b)
 			probe += cuckooSlotsPerBucket
 			if i := c.emptyIn(b); i >= 0 {
 				c.put(i, cur)
@@ -229,7 +229,7 @@ func (c *cuckooContainer) rehash(old *cuckooContainer) bool {
 // rehash loop can restart cleanly at a larger size.
 func (c *cuckooContainer) tryPlace(s edgeEntry) bool {
 	cur := s
-	b1, b2 := c.buckets(cur.dst)
+	b1, b2 := c.buckets(cur.d())
 	if i := c.emptyIn(b1); i >= 0 {
 		c.put(i, cur)
 		return true
@@ -243,7 +243,7 @@ func (c *cuckooContainer) tryPlace(s edgeEntry) bool {
 		vi := int(b)*cuckooSlotsPerBucket + int(c.kick)&(cuckooSlotsPerBucket-1)
 		c.kick++
 		cur, c.slots[vi] = c.slots[vi], cur
-		b = c.altBucket(cur.dst, b)
+		b = c.altBucket(cur.d(), b)
 		if i := c.emptyIn(b); i >= 0 {
 			c.put(i, cur)
 			return true
@@ -267,7 +267,7 @@ func (c *cuckooContainer) iterate(fn func(dst uint64, w float32) bool) bool {
 	for b, occ := range c.occ {
 		for ; occ != 0; occ &= occ - 1 {
 			e := &c.slots[b*cuckooSlotsPerBucket+bits.TrailingZeros8(occ)]
-			if !fn(e.dst, e.weight) {
+			if !fn(e.d(), e.weight) {
 				return false
 			}
 		}

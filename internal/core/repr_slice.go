@@ -31,7 +31,7 @@ func (c *sliceContainer) search(dst uint64) (pos int, probe int, found bool) {
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		probe++
-		switch e := c.entries[mid].dst; {
+		switch e := c.entries[mid].d(); {
 		case e == dst:
 			return mid, probe, true
 		case e < dst:
@@ -61,7 +61,7 @@ func (c *sliceContainer) insert(t *opTally, dst uint64, w float32) (bool, int) {
 	}
 	c.entries = append(c.entries, edgeEntry{})
 	copy(c.entries[pos+1:], c.entries[pos:])
-	c.entries[pos] = edgeEntry{dst: dst, weight: w}
+	c.entries[pos] = mkEntry(dst, w)
 	return true, probe
 }
 
@@ -78,7 +78,7 @@ func (c *sliceContainer) delete(t *opTally, dst uint64) (bool, int) {
 
 func (c *sliceContainer) iterate(fn func(dst uint64, w float32) bool) bool {
 	for i := range c.entries {
-		if !fn(c.entries[i].dst, c.entries[i].weight) {
+		if e := &c.entries[i]; !fn(e.d(), e.weight) {
 			return false
 		}
 	}
@@ -98,7 +98,7 @@ func (c *sliceContainer) bulkAdd(e edgeEntry) {
 // CuckooDemoteDegree entries in hash order. The comparator captures
 // nothing, so the sort does not allocate.
 func (c *sliceContainer) sortEntries() {
-	slices.SortFunc(c.entries, func(a, b edgeEntry) int { return cmp.Compare(a.dst, b.dst) })
+	slices.SortFunc(c.entries, func(a, b edgeEntry) int { return cmp.Compare(a.d(), b.d()) })
 }
 
 func (c *sliceContainer) memoryBytes() uint64 {

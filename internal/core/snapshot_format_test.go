@@ -127,12 +127,17 @@ func TestSnapshotLoneMatchesOneShardParallel(t *testing.T) {
 		t.Run(repr.name, func(t *testing.T) {
 			lone, par := loneSnapshot(t, repr.cfg(), ops), parallelSnapshot(t, repr.cfg(), 1, ops)
 			if !bytes.Equal(lone, par) {
-				i := 0
-				for i < len(lone) && i < len(par) && lone[i] == par[i] {
-					i++
-				}
-				t.Fatalf("lone graph wrote %d bytes, 1-shard Parallel %d; first difference at byte offset %d", len(lone), len(par), i)
+				t.Fatalf("lone graph wrote %d bytes, 1-shard Parallel %d; first difference at byte offset %d", len(lone), len(par), firstDiff(lone, par))
 			}
 		})
 	}
+}
+
+// firstDiff returns the offset of the first byte where a and b differ.
+func firstDiff(a, b []byte) int {
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	return i
 }
