@@ -50,8 +50,10 @@ type (
 
 // NewEngine validates the program and builds an engine over the store. Over
 // a default Graph, Parallel or Mirrored, a program with a plain Apply has
-// its large iterations split across GOMAXPROCS workers; ReprBlocks, STINGER
-// and ApplyVertex-only programs run on one worker.
+// its large iterations split across GOMAXPROCS workers; over a ReprBlocks
+// Parallel of two or more shards, the split deals each worker whole shards.
+// A lone ReprBlocks Graph, STINGER and ApplyVertex-only programs run on one
+// worker.
 func NewEngine(store GraphStore, prog Program, opts EngineOptions) (*Engine, error) {
 	return engine.New(store, prog, opts)
 }
@@ -142,28 +144,6 @@ func NewVCEngine(store InEdgeStore, prog Program, opts EngineOptions) (*VCEngine
 // MustNewVCEngine is NewVCEngine for known-valid inputs.
 func MustNewVCEngine(store InEdgeStore, prog Program, opts EngineOptions) *VCEngine {
 	return engine.MustNewVC(store, prog, opts)
-}
-
-// ShardedStore is the read surface the parallel engine needs; *Parallel
-// satisfies it.
-type ShardedStore = engine.ShardedStore
-
-// ParallelEngine is the Engine NewParallelEngine builds: it runs a Program
-// over a sharded store with one worker per shard, in both the
-// full-processing and incremental phases. Results are identical to one
-// worker's when Reduce ignores order (min, max); a floating-point sum
-// reduced in another order agrees only to rounding. Programs with only an
-// ApplyVertex hook, such as PageRank, are refused.
-type ParallelEngine = engine.ParallelEngine
-
-// NewParallelEngine builds a parallel engine over a sharded store.
-func NewParallelEngine(store ShardedStore, prog Program, opts EngineOptions) (*ParallelEngine, error) {
-	return engine.NewParallelEngine(store, prog, opts)
-}
-
-// MustNewParallelEngine is NewParallelEngine for known-valid inputs.
-func MustNewParallelEngine(store ShardedStore, prog Program, opts EngineOptions) *ParallelEngine {
-	return engine.MustNewParallelEngine(store, prog, opts)
 }
 
 // TriangleCounts holds global and per-vertex triangle counts (see

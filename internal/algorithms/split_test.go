@@ -45,12 +45,15 @@ func stripTimes(its []engine.IterationStats) []engine.IterationStats {
 
 // TestSplitEngineMatchesOneWorker runs BFS, SSSP, CC and BFS-parents in
 // every mode on engines that split their scatter across GOMAXPROCS
-// workers — over a default GraphTinker, a 2-shard Parallel and a Mirrored,
-// at GOMAXPROCS 1, 2 and 4 — through a from-scratch run, a run after an
-// insert batch and a from-scratch rerun after a delete batch. Every step
-// must leave the values and the iteration trace (all but wall time) of a
-// one-worker engine built at GOMAXPROCS 1: a lost merge changes values, a
-// chunk walked twice changes EdgesProcessed.
+// workers — over a default GraphTinker, a 2-shard Parallel, a Mirrored and
+// a 3-shard ReprBlocks Parallel with the CAL on (the figures' store, which
+// splits by whole shards), at GOMAXPROCS 1, 2 and 4 — through a
+// from-scratch run, a run after an insert batch and a from-scratch rerun
+// after a delete batch. Every step must leave the values and the iteration
+// trace (all but wall time) of a one-worker engine built at GOMAXPROCS 1
+// over a lone graph of the store's representation (a full iteration's
+// EdgesLoaded depends on it): a lost merge changes values, a chunk or a
+// shard walked twice changes EdgesProcessed.
 func TestSplitEngineMatchesOneWorker(t *testing.T) {
 	initial, batch, deleted := splitEdges()
 	programs := map[string]func() engine.Program{
@@ -64,17 +67,26 @@ func TestSplitEngineMatchesOneWorker(t *testing.T) {
 		InsertBatch(edges []core.Edge) int
 		DeleteBatch(edges []core.Edge) int
 	}
-	stores := map[string]func(t *testing.T) store{
-		"graphtinker": func(*testing.T) store { return core.MustNew(core.DefaultConfig()) },
-		"parallel": func(t *testing.T) store {
-			p, err := core.NewParallel(core.DefaultConfig(), 2)
+	blocksCAL := core.DefaultConfig()
+	blocksCAL.Repr, blocksCAL.EnableCAL = core.ReprBlocks, true
+	parallel := func(cfg core.Config, shards int) func(t *testing.T) store {
+		return func(t *testing.T) store {
+			p, err := core.NewParallel(cfg, shards)
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { p.Close() })
 			return p
-		},
-		"mirrored": func(*testing.T) store { return core.MustNewMirrored(core.DefaultConfig()) },
+		}
+	}
+	stores := map[string]struct {
+		ref   core.Config // the one-worker reference's lone graph
+		build func(t *testing.T) store
+	}{
+		"graphtinker":     {core.DefaultConfig(), func(*testing.T) store { return core.MustNew(core.DefaultConfig()) }},
+		"parallel":        {core.DefaultConfig(), parallel(core.DefaultConfig(), 2)},
+		"mirrored":        {core.DefaultConfig(), func(*testing.T) store { return core.MustNewMirrored(core.DefaultConfig()) }},
+		"blocks-parallel": {blocksCAL, parallel(blocksCAL, 3)},
 	}
 	for name, program := range programs {
 		for _, mode := range allModes() {
@@ -83,9 +95,6 @@ func TestSplitEngineMatchesOneWorker(t *testing.T) {
 				values []float64
 				trace  []engine.IterationStats
 			}
-			var want []step
-			ref := core.MustNew(core.DefaultConfig())
-			one := oneWorker(ref, program(), opts)
 			steps := []func(s store, e *engine.Engine) engine.RunResult{
 				func(s store, e *engine.Engine) engine.RunResult {
 					s.InsertBatch(initial)
@@ -100,11 +109,20 @@ func TestSplitEngineMatchesOneWorker(t *testing.T) {
 					return e.RunFromScratch()
 				},
 			}
-			for _, run := range steps {
-				res := run(ref, one)
-				want = append(want, step{append([]float64(nil), one.Values()...), stripTimes(res.Iterations)})
+			wants := map[core.Config][]step{}
+			for _, st := range stores {
+				if _, ok := wants[st.ref]; ok {
+					continue
+				}
+				ref := core.MustNew(st.ref)
+				one := oneWorker(ref, program(), opts)
+				for _, run := range steps {
+					res := run(ref, one)
+					wants[st.ref] = append(wants[st.ref], step{append([]float64(nil), one.Values()...), stripTimes(res.Iterations)})
+				}
 			}
-			for sname, build := range stores {
+			for sname, st := range stores {
+				want, build := wants[st.ref], st.build
 				for _, procs := range []int{1, 2, 4} {
 					t.Run(fmt.Sprintf("%s/%v/%s/procs=%d", name, mode, sname, procs), func(t *testing.T) {
 						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))

@@ -23,16 +23,16 @@ type strategyRun struct {
 
 // TestStrategiesAgreeOnShippedPrograms runs the shipped programs on every
 // edge-loading strategy — one-worker scatter on a GraphTinker (built at
-// GOMAXPROCS 1), scatter split across four workers on another, sharded
-// scatter on a 1- and a 3-shard Parallel, pull on a Mirrored — in every
-// mode, through a from-scratch run, a run after an insert batch, and a
-// from-scratch rerun after a delete batch. After each step every strategy
-// must hold exactly the values the one-worker scatter holds in that mode.
-// PageRank runs on one worker (New does not split an ApplyVertex program)
-// and pull only, because the sharded scatter refuses ApplyVertex
-// programs; the two reduce its sums in different orders, so they agree to
-// a bound rather than bit for bit. The graph's 2,560 vertices pass the
-// engine's split cutoff (2,048), so the split row splits in every mode.
+// GOMAXPROCS 1), scatter split across four workers on another, scatter
+// split one worker per shard on a 1- and a 3-shard Parallel, pull on a
+// Mirrored — in every mode, through a from-scratch run, a run after an
+// insert batch, and a from-scratch rerun after a delete batch. After each
+// step every strategy must hold exactly the values the one-worker scatter
+// holds in that mode. PageRank scatters on one worker on every store (New
+// does not split an ApplyVertex program); pull reduces its sums in another
+// order, so PageRank agrees to a bound rather than bit for bit. The
+// graph's 2,560 vertices pass the engine's split cutoff (2,048), so the
+// split row splits in every mode.
 func TestStrategiesAgreeOnShippedPrograms(t *testing.T) {
 	edges := randomEdges(2560, 12000, 41, false)
 	initial, batch := edges[:8000], edges[8000:]
@@ -73,16 +73,9 @@ func TestStrategiesAgreeOnShippedPrograms(t *testing.T) {
 					}
 					t.Cleanup(func() { p.Close() })
 					p.InsertBatch(initial)
-					eng, err := engine.NewParallelEngine(p, program(p), opts)
-					if name == "pagerank" {
-						if err == nil {
-							t.Fatalf("sharded scatter accepted an ApplyVertex program")
-						}
-						continue
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
+					prev := runtime.GOMAXPROCS(shards)
+					eng := engine.MustNew(p, program(p), opts)
+					runtime.GOMAXPROCS(prev)
 					runs = append(runs, strategyRun{fmt.Sprintf("sharded/%d", shards), p, eng})
 				}
 

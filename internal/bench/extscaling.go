@@ -1,12 +1,14 @@
 package bench
 
 import (
+	"runtime"
+
 	"graphtinker/internal/core"
 	"graphtinker/internal/datasets"
 	"graphtinker/internal/engine"
 )
 
-// ExtScaling measures the parallel engine: the Figs. 11-13 workload run
+// ExtScaling measures the split engine: the Figs. 11-13 workload run
 // over a sharded store with one worker per shard, sweeping the shard
 // count. Extends the paper's Fig. 10 (which parallelizes only updates) to
 // the analytics side.
@@ -35,7 +37,10 @@ func ExtScaling(opts Options) (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		eng := engine.MustNewParallelEngine(store, prog, engine.Options{Mode: engine.Hybrid, Threshold: opts.Threshold})
+		// New deals a ReprBlocks store's shards to GOMAXPROCS workers.
+		prev := runtime.GOMAXPROCS(shards)
+		eng := engine.MustNew(store, prog, engine.Options{Mode: engine.Hybrid, Threshold: opts.Threshold})
+		runtime.GOMAXPROCS(prev)
 		var work uint64
 		var updates []BatchTiming
 		var analyticsSec float64

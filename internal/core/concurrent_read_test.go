@@ -2,7 +2,7 @@ package core
 
 // The read-only iteration surface (ForEachEdge / ForEachOutEdge /
 // ForEachSource / OutDegree) is documented safe for concurrent readers —
-// the property the parallel engine's incremental phase relies on. This
+// the property the split engine's incremental phase relies on. This
 // test hammers it under the race detector.
 
 import (

@@ -20,7 +20,7 @@ func (gt *GraphTinker) ForEachOutEdge(src uint64, fn func(dst uint64, w float32)
 //
 // walkSubtree deliberately mutates nothing (not even statistics), so the
 // read-only iteration surface (ForEachOutEdge / ForEachEdge / ForEachSource)
-// is safe for concurrent readers — the property the parallel engine's
+// is safe for concurrent readers — the property the split engine's
 // incremental phase relies on.
 func (gt *GraphTinker) walkSubtree(blk int32, fn func(dst uint64, w float32) bool) bool {
 	if gt.eba.occupancy[blk] > 0 {

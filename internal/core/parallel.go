@@ -382,27 +382,35 @@ func (p *Parallel) ForEachActiveEdge(active func(src uint64) bool, fn func(src, 
 	p.ForEachActivePartEdge(0, 1, active, fn)
 }
 
-// SplitsEdgeWalk reports whether ForEachActivePartEdge divides the walk
-// (see GraphTinker.SplitsEdgeWalk); every shard shares one Config.
-func (p *Parallel) SplitsEdgeWalk() bool { return splitsEdgeWalk(p.cfg) }
+// SplitsEdgeWalk reports whether ForEachActivePartEdge divides the walk:
+// by stripes where the shards split theirs (see GraphTinker.SplitsEdgeWalk;
+// every shard shares one Config), else by shard when there are two or
+// more.
+func (p *Parallel) SplitsEdgeWalk() bool { return splitsEdgeWalk(p.cfg) || len(p.sc) > 1 }
 
-// ForEachActivePartEdge runs GraphTinker.ForEachActivePartEdge's part of
-// every shard in turn, each on a pinned replica. Every vertex's edges thus
-// come from one batch boundary, but with a writer running, parts walked
-// concurrently may see a shard at different boundaries.
+// ForEachActivePartEdge walks part `part` of `parts`, each shard on a
+// pinned replica. Where the representation stripes its walk, the part is
+// GraphTinker.ForEachActivePartEdge's part of every shard in turn; where
+// it does not (ReprBlocks), the part is the whole shards part,
+// part+parts, … . Every vertex's edges thus come from one batch boundary,
+// but with a writer running, parts walked concurrently may see a shard at
+// different boundaries. A false from fn stops the walk across shards.
 func (p *Parallel) ForEachActivePartEdge(part, parts int, active func(src uint64) bool, fn func(src, dst uint64, w float32) bool) {
 	stopped := false
 	visit := func(src, dst uint64, w float32) bool {
 		stopped = !fn(src, dst, w)
 		return !stopped
 	}
-	for i := 0; i < len(p.sc) && !stopped; i++ {
+	first, step := 0, 1
+	if !splitsEdgeWalk(p.cfg) {
+		first, step, part, parts = part, parts, 0, 1
+	}
+	for i := first; i < len(p.sc) && !stopped; i += step {
 		p.walkShardPart(i, part, parts, active, visit)
 	}
 }
 
-// NumShards reports the shard count (the engine's parallel-processing
-// surface).
+// NumShards reports the shard count.
 func (p *Parallel) NumShards() int { return len(p.sc) }
 
 // ForEachActiveShardEdge is ForEachActiveEdge over one shard, on a pinned

@@ -179,7 +179,7 @@ func TestRunAllocsIndependentOfFrontier(t *testing.T) {
 			"sharded": func(edges []Edge) *Engine {
 				s := shardedStore(t, 2, edges)
 				t.Cleanup(s.Close)
-				return MustNewParallelEngine(s, minProgram(), opts)
+				return shardNew(s, minProgram(), opts)
 			},
 			"pull": func(edges []Edge) *Engine {
 				return MustNewVC(mirroredStore(t, edges), minProgram(), opts)

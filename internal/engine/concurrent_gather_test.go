@@ -1,7 +1,7 @@
 package engine
 
-// The parallel engine's gather phase reads the sharded store through
-// OutDegree / ForEachOutEdge / ForEachActiveShardEdge / ForEachActiveEdge — all
+// The split engine's gather phase reads the sharded store through
+// OutDegree / ForEachOutEdge / ForEachActivePartEdge / ForEachActiveEdge — all
 // lock-free seqlock readers since the core migration. This test runs
 // full engine iterations while a writer churns batches into the store:
 // the gather must never block on the writer, observe a half-applied
@@ -43,7 +43,7 @@ func TestParallelEngineGatherDuringWrites(t *testing.T) {
 		}
 	}()
 
-	eng := MustNewParallelEngine(store, minProgram(), Options{Mode: FullProcessing})
+	eng := shardNew(store, minProgram(), Options{Mode: FullProcessing})
 	for round := 0; round < 4; round++ {
 		// Convergence is time-dependent mid-churn; the run just must
 		// complete, splitting as it goes.

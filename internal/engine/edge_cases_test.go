@@ -37,7 +37,7 @@ func TestPredictorInfiniteOnEdgelessActivation(t *testing.T) {
 	mirrored.DeleteEdge(0, 1)
 	for name, e := range map[string]*Engine{
 		"sequential": MustNew(store, minProgram(), Options{Mode: Hybrid}),
-		"sharded":    MustNewParallelEngine(sharded, minProgram(), Options{Mode: Hybrid}),
+		"sharded":    shardNew(sharded, minProgram(), Options{Mode: Hybrid}),
 		"pull":       MustNewVC(mirrored, minProgram(), Options{Mode: Hybrid}),
 	} {
 		res := e.RunFromScratch()

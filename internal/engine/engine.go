@@ -69,9 +69,9 @@ type Options struct {
 // phase that loads edges into the VTempProperty buffer, and one apply
 // phase. The constructor fixes how the processing phase loads edges:
 //   - New: scatter, split across GOMAXPROCS workers when the store splits
-//     its edge walk and the program has a plain Apply, else on one worker
-//     straight into the global buffer (parallel.go);
-//   - NewParallelEngine: the same split scatter, one worker per shard;
+//     its edge walk (by dense-id stripes, or by whole shards where the
+//     representation does not stripe) and the program has a plain Apply,
+//     else on one worker straight into the global buffer (parallel.go);
 //   - NewVC: pull, gathering each vertex's messages over its in-edges
 //     (vc.go).
 type Engine struct {
@@ -79,8 +79,8 @@ type Engine struct {
 	prog  Program
 	opts  Options
 
-	walkPart partWalk    // a split full iteration's walk of one part
-	in       InEdgeStore // set for the pull strategy
+	split splitStore  // set when New splits: walks a full iteration's parts
+	in    InEdgeStore // set for the pull strategy
 
 	// val is the VPropertyArray. The embedded worker's buffer is the
 	// VTempProperty buffer of the processing phase (Sec. IV.A), the one
@@ -101,9 +101,13 @@ type Engine struct {
 
 // New validates the program and builds an engine sized to the store's
 // current vertex space. It scatters with GOMAXPROCS workers when the store
-// splits its edge walk (a default GraphTinker, Parallel or Mirrored) and
-// the program has a plain Apply; otherwise (STINGER, ReprBlocks, or an
-// ApplyVertex-only program such as PageRank) with one.
+// splits its edge walk (a default GraphTinker, Parallel or Mirrored, or a
+// ReprBlocks Parallel or stinger.Parallel of two or more shards) and the
+// program has a plain Apply; otherwise (a lone STINGER or ReprBlocks
+// graph, or an ApplyVertex-only program such as PageRank) with one.
+// ApplyVertex exists for per-vertex side state, and the ScatterValue that
+// reads it would run on every worker at once: PageRank's grows its shared
+// pending slice, which concurrent workers cannot do safely.
 func New(store GraphStore, prog Program, opts Options) (*Engine, error) {
 	s, ok := store.(splitStore)
 	if !ok || !s.SplitsEdgeWalk() || prog.Apply == nil {
@@ -111,7 +115,7 @@ func New(store GraphStore, prog Program, opts Options) (*Engine, error) {
 	}
 	e, err := newEngine(store, prog, opts, runtime.GOMAXPROCS(0))
 	if err == nil {
-		e.walkPart = s.ForEachActivePartEdge
+		e.split = s
 	}
 	return e, err
 }
@@ -400,7 +404,7 @@ func (ws *worker) scatter(parts int) {
 	case parts == 1:
 		e.store.ForEachActiveEdge(ws.active, ws.visitEdge)
 	default:
-		e.walkPart(ws.part, parts, ws.active, ws.visitEdge)
+		e.split.ForEachActivePartEdge(ws.part, parts, ws.active, ws.visitEdge)
 	}
 }
 

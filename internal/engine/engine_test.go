@@ -379,21 +379,21 @@ func TestActiveDegreeSumCollected(t *testing.T) {
 			"sharded/1": func(p Program) (store, *Engine) {
 				s := shardedStore(t, 1, initial)
 				t.Cleanup(s.Close)
-				return s, MustNewParallelEngine(s, p, Options{Mode: mode})
+				return s, shardNew(s, p, Options{Mode: mode})
 			},
 			"sharded/3": func(p Program) (store, *Engine) {
 				s := shardedStore(t, 3, initial)
 				t.Cleanup(s.Close)
-				return s, MustNewParallelEngine(s, p, Options{Mode: mode})
+				return s, shardNew(s, p, Options{Mode: mode})
 			},
 			"pull": func(p Program) (store, *Engine) {
 				s := mirroredStore(t, initial)
 				return s, MustNewVC(s, p, Options{Mode: mode})
 			},
 		} {
-			// Both Apply hooks are set so the sharded strategy accepts the
-			// program; the apply phase calls ApplyVertex, which records
-			// every vertex it activates.
+			// Both Apply hooks are set so New splits the program's scatter
+			// over the sharded stores; the apply phase calls ApplyVertex,
+			// which records every vertex it activates.
 			var activated []uint64
 			p := minProgram()
 			p.ApplyVertex = func(v uint64, old, reduced float64) (float64, bool) {

@@ -1,7 +1,7 @@
 package engine
 
 // Tests for the observability layer: full per-iteration trace equivalence
-// between the sequential and parallel engines, RunResult.Merge trace
+// between one-worker and split engines, RunResult.Merge trace
 // consistency, the Threshold zero-sentinel contract, and the JSON shape of
 // run traces emitted through -metrics-out.
 
@@ -27,10 +27,10 @@ func stripDurations(its []IterationStats) []IterationStats {
 }
 
 // TestIterationStatsEquivalence runs the same program over the same edges
-// on the sequential and parallel engines in all three modes and requires
-// the full IterationStats traces (everything but wall time) to match —
-// in particular ActiveDegreeSum, which the parallel engine used to leave
-// at zero.
+// on a one-worker engine and on an engine split one worker per shard in
+// all three modes and requires the full IterationStats traces (everything
+// but wall time) to match — in particular ActiveDegreeSum, which the
+// sharded engine used to leave at zero.
 func TestIterationStatsEquivalence(t *testing.T) {
 	for _, mode := range []Mode{FullProcessing, IncrementalProcessing, Hybrid} {
 		for _, shards := range []int{1, 4} {
@@ -38,7 +38,7 @@ func TestIterationStatsEquivalence(t *testing.T) {
 			seq := oneWorker(newStore(t, edges), minProgram(), Options{Mode: mode})
 			seqRes := seq.RunFromScratch()
 
-			par := MustNewParallelEngine(shardedStore(t, shards, edges), minProgram(), Options{Mode: mode})
+			par := shardNew(shardedStore(t, shards, edges), minProgram(), Options{Mode: mode})
 			parRes := par.RunFromScratch()
 			if shards > 1 {
 				requireSplit(t, fmt.Sprintf("mode %v shards %d", mode, shards), parRes)
@@ -85,7 +85,7 @@ func TestPhaseDurationsPartitionIteration(t *testing.T) {
 	}
 
 	for name, e := range map[string]*Engine{
-		"sharded": MustNewParallelEngine(shardedStore(t, 4, edges), minProgram(), Options{Mode: Hybrid}),
+		"sharded": shardNew(shardedStore(t, 4, edges), minProgram(), Options{Mode: Hybrid}),
 		"split":   splitNew(newStore(t, edges), minProgram(), Options{Mode: Hybrid}),
 	} {
 		res := e.RunFromScratch()
@@ -130,9 +130,9 @@ func TestMergeKeepsIterationTraces(t *testing.T) {
 	}
 }
 
-// TestThresholdZeroSentinel pins the documented Threshold contract on both
-// constructors: zero selects DefaultThreshold, positives are verbatim, and
-// the negative-value error names the actual rule.
+// TestThresholdZeroSentinel pins the documented Threshold contract over a
+// lone and a sharded store: zero selects DefaultThreshold, positives are
+// verbatim, and the negative-value error names the actual rule.
 func TestThresholdZeroSentinel(t *testing.T) {
 	seqStore := newStore(t, pathEdges(3))
 	parStore := shardedStore(t, 2, pathEdges(3))
@@ -149,7 +149,7 @@ func TestThresholdZeroSentinel(t *testing.T) {
 		t.Fatalf("positive threshold not taken verbatim: %v, %g", err, e2.opts.Threshold)
 	}
 
-	pe, err := NewParallelEngine(parStore, minProgram(), Options{Mode: Hybrid, Threshold: 0})
+	pe, err := New(parStore, minProgram(), Options{Mode: Hybrid, Threshold: 0})
 	if err != nil {
 		t.Fatalf("parallel zero threshold rejected: %v", err)
 	}
@@ -160,7 +160,7 @@ func TestThresholdZeroSentinel(t *testing.T) {
 	for name, build := range map[string]func() error{
 		"sequential": func() error { _, err := New(seqStore, minProgram(), Options{Threshold: -0.5}); return err },
 		"parallel": func() error {
-			_, err := NewParallelEngine(parStore, minProgram(), Options{Threshold: -0.5})
+			_, err := New(parStore, minProgram(), Options{Threshold: -0.5})
 			return err
 		},
 	} {

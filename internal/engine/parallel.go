@@ -1,72 +1,28 @@
 package engine
 
-import "fmt"
-
 // Split scatter. The paper parallelizes updates by sharding the structure
 // across instances (Sec. III.D); this strategy extends the same idea to
 // the processing phase. In full-processing iterations worker w streams
-// part w of the store: a shard under NewParallelEngine, a stripe of dense
-// ids of every shard under New (GraphTinker.ForEachActivePartEdge). In
-// incremental iterations the workers claim fixed-size chunks of the active
-// list, so a chunk of hubs does not hold up one worker while the others
-// idle. Workers accumulate into private VTempProperty buffers, merged with
-// the program's Reduce (which must therefore be commutative and
-// associative — true of min, sum and every GAS combiner) before the apply
-// phase. Results are bit-identical to the one-worker scatter when Reduce
-// does not depend on order (min, max); a floating-point sum reduced in
-// another order agrees only to rounding.
-
-// ShardedStore is the read surface the sharded scatter needs; it is
-// satisfied by core.Parallel. Shard iteration must be read-only (safe for
-// concurrent readers).
-type ShardedStore interface {
-	GraphStore
-	// NumShards reports how many shards back the store.
-	NumShards() int
-	// ForEachActiveShardEdge is GraphStore.ForEachActiveEdge over one
-	// shard.
-	ForEachActiveShardEdge(shard int, active func(src uint64) bool, fn func(src, dst uint64, w float32) bool)
-}
-
-// partWalk is ForEachActiveEdge over part `part` of `parts` disjoint parts.
-type partWalk func(part, parts int, active func(src uint64) bool, fn func(src, dst uint64, w float32) bool)
+// part w of the store (splitStore.ForEachActivePartEdge): a stripe of
+// dense ids of every shard, or, where the representation does not stripe,
+// whole shards dealt out round-robin. In incremental iterations the
+// workers claim fixed-size chunks of the active list, so a chunk of hubs
+// does not hold up one worker while the others idle. Workers accumulate
+// into private VTempProperty buffers, merged with the program's Reduce
+// (which must therefore be commutative and associative — true of min, sum
+// and every GAS combiner) before the apply phase. Results are
+// bit-identical to the one-worker scatter when Reduce does not depend on
+// order (min, max); a floating-point sum reduced in another order agrees
+// only to rounding.
 
 // splitStore is a store whose full-processing walk New splits:
-// core.GraphTinker, core.Parallel and core.Mirrored. SplitsEdgeWalk is
-// false for the paper's structure (ReprBlocks), which streams on one
-// worker as its figures measure.
+// core.GraphTinker, core.Parallel, core.Mirrored and stinger.Parallel.
+// SplitsEdgeWalk is false for a lone instance of the paper's structure
+// (ReprBlocks), which streams on one worker as its figures measure, and
+// for a one-shard stinger.Parallel; sharded, both split by shard.
 type splitStore interface {
 	SplitsEdgeWalk() bool
 	ForEachActivePartEdge(part, parts int, active func(src uint64) bool, fn func(src, dst uint64, w float32) bool)
-}
-
-// ParallelEngine is the Engine NewParallelEngine builds; the name stays
-// for existing callers.
-type ParallelEngine = Engine
-
-// NewParallelEngine validates the program and builds an engine that
-// scatters with one worker per shard. Programs with only an ApplyVertex
-// hook are refused. ApplyVertex exists for per-vertex side state, and the
-// ScatterValue that reads it runs on every worker at once: PageRank's
-// grows its shared pending slice (ensure), which concurrent workers
-// cannot do safely.
-func NewParallelEngine(store ShardedStore, prog Program, opts Options) (*ParallelEngine, error) {
-	if prog.ApplyVertex != nil && prog.Apply == nil {
-		return nil, fmt.Errorf("engine: parallel engine requires a plain Apply hook")
-	}
-	e, err := newEngine(store, prog, opts, store.NumShards())
-	if err != nil {
-		return nil, err
-	}
-	e.walkPart = func(shard, _ int, active func(src uint64) bool, fn func(src, dst uint64, w float32) bool) {
-		store.ForEachActiveShardEdge(shard, active, fn)
-	}
-	return e, nil
-}
-
-// MustNewParallelEngine is NewParallelEngine for known-valid inputs.
-func MustNewParallelEngine(store ShardedStore, prog Program, opts Options) *ParallelEngine {
-	return must(NewParallelEngine(store, prog, opts))
 }
 
 const (

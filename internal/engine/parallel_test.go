@@ -54,39 +54,22 @@ func oneWorker(store GraphStore, prog Program, opts Options) *Engine {
 	return MustNew(store, prog, opts)
 }
 
+// shardNew builds New's engine at GOMAXPROCS = the store's shard count:
+// one worker per shard, each dealt a whole shard where the representation
+// does not stripe.
+func shardNew(store interface {
+	GraphStore
+	NumShards() int
+}, prog Program, opts Options) *Engine {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(store.NumShards()))
+	return MustNew(store, prog, opts)
+}
+
 // splitNew builds New's engine with at least two workers, whatever
 // GOMAXPROCS the tests run at.
 func splitNew(store GraphStore, prog Program, opts Options) *Engine {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	return MustNew(store, prog, opts)
-}
-
-func TestParallelEngineValidation(t *testing.T) {
-	p := shardedStore(t, 2, nil)
-	if _, err := NewParallelEngine(p, Program{}, Options{}); err == nil {
-		t.Fatalf("invalid program accepted")
-	}
-	if _, err := NewParallelEngine(p, minProgram(), Options{Mode: Mode(9)}); err == nil {
-		t.Fatalf("bogus mode accepted")
-	}
-	if _, err := NewParallelEngine(p, minProgram(), Options{Threshold: -1}); err == nil {
-		t.Fatalf("negative threshold accepted")
-	}
-	if _, err := NewParallelEngine(p, minProgram(), Options{MaxIterations: -1}); err == nil {
-		t.Fatalf("negative guard accepted")
-	}
-	bad := minProgram()
-	bad.Apply = nil
-	bad.ApplyVertex = func(v uint64, old, reduced float64) (float64, bool) { return old, false }
-	if _, err := NewParallelEngine(p, bad, Options{}); err == nil {
-		t.Fatalf("ApplyVertex-only program accepted by the parallel engine")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("MustNewParallelEngine did not panic")
-		}
-	}()
-	MustNewParallelEngine(p, Program{}, Options{})
 }
 
 func TestParallelEngineMatchesSequential(t *testing.T) {
@@ -96,7 +79,7 @@ func TestParallelEngineMatchesSequential(t *testing.T) {
 			seq := oneWorker(newStore(t, edges), minProgram(), Options{Mode: mode})
 			seq.RunFromScratch()
 
-			par := MustNewParallelEngine(shardedStore(t, shards, edges), minProgram(), Options{Mode: mode})
+			par := shardNew(shardedStore(t, shards, edges), minProgram(), Options{Mode: mode})
 			res := par.RunFromScratch()
 			if !res.Converged {
 				t.Fatalf("mode %v shards %d: did not converge", mode, shards)
@@ -122,7 +105,7 @@ func TestParallelEngineIncrementalBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := MustNewParallelEngine(store, minProgram(), Options{Mode: Hybrid})
+	eng := shardNew(store, minProgram(), Options{Mode: Hybrid})
 	all := pathEdges(40)
 	for i := 0; i < len(all); i += 8 {
 		batch := all[i : i+8]
@@ -141,7 +124,7 @@ func TestParallelEngineIncrementalBatches(t *testing.T) {
 
 func TestParallelEngineFullModeRestartsPerBatch(t *testing.T) {
 	store := shardedStore(t, 2, nil)
-	eng := MustNewParallelEngine(store, minProgram(), Options{Mode: FullProcessing})
+	eng := shardNew(store, minProgram(), Options{Mode: FullProcessing})
 	b1 := []Edge{te(0, 1)}
 	store.InsertBatch(b1)
 	eng.RunAfterBatch(b1)
@@ -158,7 +141,7 @@ func TestParallelEngineFullModeRestartsPerBatch(t *testing.T) {
 
 func TestParallelEngineAccountsWork(t *testing.T) {
 	edges := splitTestEdges(9)
-	eng := MustNewParallelEngine(shardedStore(t, 4, edges), minProgram(), Options{Mode: FullProcessing})
+	eng := shardNew(shardedStore(t, 4, edges), minProgram(), Options{Mode: FullProcessing})
 	res := eng.RunFromScratch()
 	if res.EdgesLoaded == 0 || res.EdgesProcessed == 0 {
 		t.Fatalf("no work accounted: %+v", res)
@@ -183,7 +166,7 @@ func TestParallelEngineGuard(t *testing.T) {
 	p := minProgram()
 	p.Apply = func(old, reduced float64) (float64, bool) { return reduced, true }
 	p.ProcessEdge = func(srcVal float64, w float32) float64 { return 0 }
-	eng := MustNewParallelEngine(shardedStore(t, 2, edges), p, Options{Mode: IncrementalProcessing, MaxIterations: 4})
+	eng := shardNew(shardedStore(t, 2, edges), p, Options{Mode: IncrementalProcessing, MaxIterations: 4})
 	res := eng.RunFromScratch()
 	if res.Converged || len(res.Iterations) != 4 {
 		t.Fatalf("guard did not trip: %+v", res)
@@ -191,9 +174,9 @@ func TestParallelEngineGuard(t *testing.T) {
 }
 
 func TestParallelEngineOverStingerShards(t *testing.T) {
-	// stinger.Parallel satisfies ShardedStore too; the parallel engine
-	// must produce identical results over it.
-	edges := randomTestEdges(2500, 200, 55)
+	// New splits a stinger.Parallel by shard; it must produce identical
+	// results over it.
+	edges := splitTestEdges(55)
 	stPar, err := stinger.NewParallel(stinger.DefaultConfig(), 4)
 	if err != nil {
 		t.Fatal(err)
@@ -204,12 +187,13 @@ func TestParallelEngineOverStingerShards(t *testing.T) {
 	}
 	stPar.InsertBatch(stBatch)
 
-	eng := MustNewParallelEngine(stPar, minProgram(), Options{Mode: Hybrid})
+	eng := shardNew(stPar, minProgram(), Options{Mode: Hybrid})
 	res := eng.RunFromScratch()
 	if !res.Converged {
 		t.Fatalf("did not converge")
 	}
-	seq := MustNew(newStore(t, edges), minProgram(), Options{Mode: Hybrid})
+	requireSplit(t, "stinger shards", res)
+	seq := oneWorker(newStore(t, edges), minProgram(), Options{Mode: Hybrid})
 	seq.RunFromScratch()
 	for v := uint64(0); v < seq.NumVertices(); v++ {
 		if eng.Value(v) != seq.Value(v) {
@@ -219,7 +203,7 @@ func TestParallelEngineOverStingerShards(t *testing.T) {
 }
 
 func TestParallelEngineValueOutOfRange(t *testing.T) {
-	eng := MustNewParallelEngine(shardedStore(t, 2, []Edge{te(0, 1)}), minProgram(), Options{})
+	eng := shardNew(shardedStore(t, 2, []Edge{te(0, 1)}), minProgram(), Options{})
 	if eng.Value(1<<40) != eng.Value(1<<41) {
 		t.Fatalf("out-of-range values should be the init value")
 	}

@@ -6,8 +6,7 @@
 // iteration using the predictor T = A/E against a fixed threshold. One
 // Engine type runs that loop; its constructor picks how edges are loaded:
 // scatter split across GOMAXPROCS workers where the store allows it, else
-// on one (New), scatter split one worker per shard (NewParallelEngine), or
-// pull over in-edges (NewVC).
+// on one (New), or pull over in-edges (NewVC).
 package engine
 
 import "graphtinker/internal/core"

@@ -8,9 +8,10 @@ import (
 )
 
 // TestOneWorkerStores pins where New does not split: over STINGER, over
-// the paper's structure (ReprBlocks, with and without the CAL), for an
-// ApplyVertex-only program, and at GOMAXPROCS 1. Each engine has one
-// worker and records no merge phase.
+// the paper's structure (ReprBlocks, with and without the CAL, and as a
+// one-shard Parallel), for an ApplyVertex-only program (over a sharded
+// store too), and at GOMAXPROCS 1. Each engine has one worker and records
+// no merge phase.
 func TestOneWorkerStores(t *testing.T) {
 	edges := randomTestEdges(20000, 2048, 5)
 	blocks := core.DefaultConfig()
@@ -35,7 +36,19 @@ func TestOneWorkerStores(t *testing.T) {
 			g.InsertBatch(edges)
 			return MustNew(g, minProgram(), Options{Mode: Hybrid})
 		},
+		"blocks-parallel/1": func() *Engine {
+			p, err := core.NewParallel(blocks, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(p.Close)
+			p.InsertBatch(edges)
+			return MustNew(p, minProgram(), Options{Mode: Hybrid})
+		},
 		"applyvertex": func() *Engine { return MustNew(newStore(t, edges), applyVertex, Options{Mode: Hybrid}) },
+		"applyvertex/sharded": func() *Engine {
+			return MustNew(shardedStore(t, 2, edges), applyVertex, Options{Mode: Hybrid})
+		},
 		"gomaxprocs=1": func() *Engine {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			return MustNew(newStore(t, edges), minProgram(), Options{Mode: Hybrid})

@@ -122,11 +122,23 @@ func (p *Parallel) FindEdge(src, dst uint64) (float32, bool) {
 // NumShards reports the shard count.
 func (p *Parallel) NumShards() int { return len(p.shards) }
 
-// ForEachActiveShardEdge streams every live edge held by one shard
-// (read-only); like Stinger.ForEachActiveEdge it leaves the filtering to
-// the caller.
-func (p *Parallel) ForEachActiveShardEdge(shard int, _ func(src uint64) bool, fn func(src, dst uint64, w float32) bool) {
-	p.shards[shard].ForEachEdge(fn)
+// SplitsEdgeWalk reports whether ForEachActivePartEdge divides the walk:
+// it does by shard when there are two or more.
+func (p *Parallel) SplitsEdgeWalk() bool { return len(p.shards) > 1 }
+
+// ForEachActivePartEdge streams every live edge of part `part` of `parts`:
+// the whole shards part, part+parts, … (read-only). Parts may be walked
+// concurrently; like Stinger.ForEachActiveEdge it leaves the filtering to
+// the caller. A false from fn stops the walk across shards.
+func (p *Parallel) ForEachActivePartEdge(part, parts int, _ func(src uint64) bool, fn func(src, dst uint64, w float32) bool) {
+	stopped := false
+	visit := func(src, dst uint64, w float32) bool {
+		stopped = !fn(src, dst, w)
+		return !stopped
+	}
+	for i := part; i < len(p.shards) && !stopped; i += parts {
+		p.shards[i].ForEachEdge(visit)
+	}
 }
 
 // MaxVertexID returns the highest raw vertex id seen by any shard.
@@ -154,21 +166,10 @@ func (p *Parallel) ForEachOutEdge(src uint64, fn func(dst uint64, w float32) boo
 	p.shards[p.shardOf(src)].ForEachOutEdge(src, fn)
 }
 
-// ForEachEdge streams all edges shard by shard.
+// ForEachEdge streams all edges shard by shard: ForEachActivePartEdge's
+// only part of one.
 func (p *Parallel) ForEachEdge(fn func(src, dst uint64, w float32) bool) {
-	stopped := false
-	for _, s := range p.shards {
-		if stopped {
-			return
-		}
-		s.ForEachEdge(func(src, dst uint64, w float32) bool {
-			if !fn(src, dst, w) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-	}
+	p.ForEachActivePartEdge(0, 1, nil, fn)
 }
 
 // ForEachActiveEdge streams every edge (ForEachEdge), leaving the filtering
