@@ -65,7 +65,7 @@ func (ac *adaptiveContainer) initForDegree(gt *GraphTinker, d uint32, degree int
 	default:
 		ac.kind = reprSlice
 		if degree > 0 {
-			ac.slice.entries = make([]edgeEntry, 0, degree)
+			ac.slice.entries = sliceBuf(degree)
 		}
 	}
 }
@@ -222,9 +222,12 @@ func (ac *adaptiveContainer) sliceToCuckoo() {
 	ac.kind = reprCuckoo
 }
 
-// cuckooToSlice copies the live slots into the retained slice buffer (grown
-// once to the degree when it is too small), sorts them once, and clears the
-// table, keeping its slot buffer for a later promotion.
+// cuckooToSlice copies the live slots into the retained slice buffer,
+// sorts them once, and clears the table, keeping its slot buffer for a
+// later promotion. The buffer is either one a promotion emptied, which is
+// wider than any demoted degree, or nil for a vertex bulk-loaded into the
+// table, which slices.Grow sizes to the degree's whole class as sliceBuf
+// does.
 func (ac *adaptiveContainer) cuckooToSlice() {
 	ac.slice.entries = slices.Grow(ac.slice.entries, int(ac.cuckoo.n))
 	ac.cuckoo.collectEntries(ac.slice.bulkAdd)

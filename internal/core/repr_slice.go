@@ -16,6 +16,22 @@ import (
 // slice is the whole per-format state: the adaptor passes in the host to a
 // lookup and the op's tally (apply.go) to a mutation.
 
+// sliceGrowDiv sets how far a full slice grows: by a 1/sliceGrowDiv share
+// of its length (at least one entry), at every size, rounded up to the
+// whole allocator size class the buffer lands in. append, which doubles a
+// slice up to 512 entries, left slices about 70% full; a quarter keeps
+// them near 90%.
+// Every growth is a fresh buffer and a copy, so a smaller step buys fewer
+// bytes with more update time; a quarter was the cheapest step of the
+// sweep in DESIGN §3.
+const sliceGrowDiv = 4
+
+// sliceBuf returns an empty buffer for at least n entries whose capacity is
+// the whole size class the allocator rounds n entries up to, so none of
+// the allocation is slack Memory cannot see or an insert cannot use. The
+// insert path and the bulk loader's pre-sizing buy their buffers here.
+func sliceBuf(n int) []edgeEntry { return slices.Grow([]edgeEntry(nil), n) }
+
 type sliceContainer struct {
 	// entries is sorted by dst and holds live edges only — the slice
 	// format always compacts, under either DeleteMode (tombstone decay is
@@ -59,8 +75,15 @@ func (c *sliceContainer) insert(t *opTally, dst uint64, w float32) (bool, int) {
 		c.entries[pos].weight = w
 		return false, probe
 	}
-	c.entries = append(c.entries, edgeEntry{})
-	copy(c.entries[pos+1:], c.entries[pos:])
+	// A full slice moves to a fresh buffer: the prefix first, then the
+	// second append puts the suffix one slot up, so each entry is copied
+	// once rather than copied and then shifted. A slice with room shifts
+	// its suffix up in place. Neither append can outgrow the buffer.
+	old := c.entries
+	if n := len(old); n == cap(old) {
+		c.entries = append(sliceBuf(n+max(n/sliceGrowDiv, 1)), old[:pos]...)
+	}
+	c.entries = append(c.entries[:pos+1], old[pos:]...)
 	c.entries[pos] = mkEntry(dst, w)
 	return true, probe
 }

@@ -3,18 +3,16 @@ package core
 // vertexProps is the VertexPropertyArray (Sec. III.B): per-vertex metadata
 // indexed by dense id. The engine keeps its own algorithm-specific property
 // arrays; the data structure itself tracks the out-degree (needed by the
-// hybrid engine's inference box), a general-purpose value and a flag word.
+// hybrid engine's inference box) and a general-purpose value.
 type vertexProps struct {
 	degree []uint32
 	value  []float64
-	flags  []uint32
 }
 
 func newVertexProps(capacity int) *vertexProps {
 	return &vertexProps{
 		degree: make([]uint32, 0, capacity),
 		value:  make([]float64, 0, capacity),
-		flags:  make([]uint32, 0, capacity),
 	}
 }
 
@@ -23,7 +21,6 @@ func (vp *vertexProps) ensure(d uint32) {
 	for uint32(len(vp.degree)) <= d {
 		vp.degree = append(vp.degree, 0)
 		vp.value = append(vp.value, 0)
-		vp.flags = append(vp.flags, 0)
 	}
 }
 
@@ -39,11 +36,8 @@ func (vp *vertexProps) reserve(n int) {
 	v := make([]float64, len(vp.value), n)
 	copy(v, vp.value)
 	vp.value = v
-	f := make([]uint32, len(vp.flags), n)
-	copy(f, vp.flags)
-	vp.flags = f
 }
 
 func (vp *vertexProps) memoryBytes() uint64 {
-	return uint64(cap(vp.degree))*4 + uint64(cap(vp.value))*8 + uint64(cap(vp.flags))*4
+	return uint64(cap(vp.degree))*4 + uint64(cap(vp.value))*8
 }
