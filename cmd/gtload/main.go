@@ -304,7 +304,6 @@ func loadSharded(cfg core.Config, batches [][]rmat.Edge, label string, shards in
 	if err != nil {
 		fatal("%v", err)
 	}
-	defer p.Close()
 
 	mode := "synchronous InsertBatch"
 	if stream {

@@ -140,9 +140,6 @@ func OpenDurableStream(cfg Config, dir string, opts DurableStreamOptions) (*Dura
 	d, info, err := wal.OpenDir(dir, opts.Durability.walOptions(), wal.RefuseCoveredLog,
 		wal.ParallelLoader(cfg, opts.Shards, &store))
 	if err != nil {
-		if store != nil {
-			store.Close()
-		}
 		return nil, err
 	}
 
@@ -151,7 +148,6 @@ func OpenDurableStream(cfg Config, dir string, opts DurableStreamOptions) (*Dura
 	pipe, err := NewStreamPipeline(store, popts)
 	if err != nil {
 		_ = d.Close() // abandoning open; the pipeline error is the signal
-		store.Close()
 		return nil, err
 	}
 	return &DurableStream{
@@ -277,7 +273,6 @@ func (d *DurableStream) Close() (StreamTotals, error) {
 	if cerr := d.dir.Close(); err == nil && cerr != nil {
 		err = cerr
 	}
-	d.store.Close()
 	return tot, err
 }
 
@@ -294,7 +289,4 @@ func (d *DurableStream) Crash() {
 	d.closed = true
 	d.pipe.Abort()
 	d.dir.Crash()
-	// The store is in-memory only; stopping its batch workers loses
-	// nothing a real crash would keep.
-	d.store.Close()
 }

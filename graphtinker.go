@@ -87,10 +87,10 @@ func New(cfg Config) (*Graph, error) { return core.New(cfg) }
 // MustNew is New for known-valid configurations; it panics on error.
 func MustNew(cfg Config) *Graph { return core.MustNew(cfg) }
 
-// NewParallel builds p independent instances sharing one configuration,
-// with batch updates fanned out across persistent per-instance workers
-// (started lazily on the first batch call). Call Close on a batch-updated
-// Parallel when done with it to stop the workers.
+// NewParallel builds p independent instances sharing one configuration.
+// A batch update applies its shards in parallel on the process's pool of
+// GOMAXPROCS−1 apply helpers, beside the caller; the Parallel owns no
+// goroutines, so it needs no Close (Close does nothing).
 func NewParallel(cfg Config, p int) (*Parallel, error) { return core.NewParallel(cfg, p) }
 
 // Mirrored maintains forward and reverse instances so both edge directions

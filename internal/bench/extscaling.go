@@ -61,7 +61,6 @@ func ExtScaling(opts Options) (Table, error) {
 			speedup = analytics / base
 		}
 		t.AddRow(itoa(shards), f2(totalMEPS(updates)), f2(analytics), f2(speedup))
-		store.Close()
 	}
 	t.AddNote("one worker per shard in both phases; merge cost bounds small-frontier speedup")
 	return t, nil

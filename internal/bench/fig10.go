@@ -37,7 +37,6 @@ func Fig10(opts Options) (Table, error) {
 		}
 		gt := insertTimed(opts, gtParStore{gtPar}, batches)
 		st := insertTimed(opts, stParStore{stPar}, batches)
-		gtPar.Close()
 		gtM, stM := totalMEPS(gt), totalMEPS(st)
 		ratio := 0.0
 		if stM > 0 {

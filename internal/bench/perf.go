@@ -214,8 +214,8 @@ func RunPerfSweep(o PerfOptions) (PerfReport, error) {
 		rep.Results = append(rep.Results, res)
 	}
 
-	// parallel/insert-steady: the sharded batch path through the
-	// persistent worker fan-out.
+	// parallel/insert-steady: the sharded batch path, its shards one
+	// round on the apply helper pool.
 	{
 		edges := perfEdges(o.EdgesPerOp, vertices, 23)
 		p, err := core.NewParallel(o.config(), o.Shards)
@@ -224,7 +224,6 @@ func RunPerfSweep(o PerfOptions) (PerfReport, error) {
 		}
 		p.InsertBatch(edges)
 		res := measureOp(o, o.EdgesPerOp, func() { p.InsertBatch(edges) })
-		p.Close()
 		res.Name = "parallel/insert-steady"
 		rep.Results = append(rep.Results, res)
 	}
@@ -243,7 +242,6 @@ func RunPerfSweep(o PerfOptions) (PerfReport, error) {
 			p.InsertBatch(churn)
 			p.DeleteBatch(churn)
 		})
-		p.Close()
 		res.Name = "parallel/insert-delete"
 		rep.Results = append(rep.Results, res)
 	}
@@ -299,7 +297,6 @@ func RunPerfSweep(o PerfOptions) (PerfReport, error) {
 		}
 		close(stop)
 		wg.Wait()
-		p.Close()
 
 		snap := hist.Snapshot()
 		res.ReadP50Ns = float64(snap.Quantile(0.50))
@@ -328,11 +325,9 @@ func RunPerfSweep(o PerfOptions) (PerfReport, error) {
 			MaxPending:    8 * len(ops),
 		})
 		if err != nil {
-			p.Close()
 			return rep, err
 		}
 		if err := pipe.PushBatch(ops); err != nil {
-			p.Close()
 			return rep, err
 		}
 		pipe.Flush()
@@ -345,7 +340,6 @@ func RunPerfSweep(o PerfOptions) (PerfReport, error) {
 		if _, err := pipe.Close(); err != nil {
 			return rep, fmt.Errorf("bench: perf: pipeline close: %w", err)
 		}
-		p.Close()
 		res.Name = "ingest/push-flush"
 		rep.Results = append(rep.Results, res)
 	}

@@ -49,7 +49,6 @@ func appendRecoveryProbes(o PerfOptions, rep *PerfReport) error {
 	if err != nil {
 		return err
 	}
-	defer p.Close()
 	p.InsertBatch(edges)
 
 	// recovery/snapshot-write: the checkpoint encode path — per-shard
@@ -76,18 +75,14 @@ func appendRecoveryProbes(o PerfOptions, rep *PerfReport) error {
 	}
 	{
 		bulk := measureOp(o, nOps, func() {
-			g, err := core.ReadParallelSnapshot(bytes.NewReader(snap.Bytes()), nil)
-			if err != nil {
+			if _, err := core.ReadParallelSnapshot(bytes.NewReader(snap.Bytes()), nil); err != nil {
 				panic(err)
 			}
-			g.Close()
 		})
 		seq := measureOp(o, nOps, func() {
-			g, err := core.ReadParallelSnapshotSequential(bytes.NewReader(snap.Bytes()), nil)
-			if err != nil {
+			if _, err := core.ReadParallelSnapshotSequential(bytes.NewReader(snap.Bytes()), nil); err != nil {
 				panic(err)
 			}
-			g.Close()
 		})
 		bulk.Name = "recovery/snapshot-load"
 		bulk.MBPerSec = mbPerSec(int64(snap.Len()), bulk.NsPerOp)
@@ -107,8 +102,8 @@ func appendRecoveryProbes(o PerfOptions, rep *PerfReport) error {
 		ops[i] = core.InsertOp(e.Src, e.Dst, e.Weight)
 	}
 
-	// recovery/wal-replay: pipelined tail replay (wal.ReplayInto) into a
-	// fresh sharded store, with SpeedupX against the pre-pipeline shape —
+	// recovery/wal-replay: batched tail replay (wal.ReplayInto) into a
+	// fresh sharded store, with SpeedupX against the per-record shape —
 	// per-record partition allocation and same-goroutine shard application.
 	wdir := filepath.Join(dir, "wal")
 	{
@@ -138,7 +133,6 @@ func appendRecoveryProbes(o PerfOptions, rep *PerfReport) error {
 			if _, err := wal.ReplayInto(wdir, 0, nil, g); err != nil {
 				panic(err)
 			}
-			g.Close()
 		})
 		naive := measureOp(o, len(ops), func() {
 			g, err := core.NewParallel(cfg, o.Shards)
@@ -161,7 +155,6 @@ func appendRecoveryProbes(o PerfOptions, rep *PerfReport) error {
 			if err != nil {
 				panic(err)
 			}
-			g.Close()
 		})
 		piped.Name = "recovery/wal-replay"
 		piped.SpeedupX = naive.NsPerOp / piped.NsPerOp
@@ -169,7 +162,7 @@ func appendRecoveryProbes(o PerfOptions, rep *PerfReport) error {
 	}
 
 	// recovery/reopen: the whole OpenDurableStream recovery path — manifest
-	// load, v2 snapshot bulk load, pipelined WAL tail replay — against a
+	// load, v2 snapshot bulk load, batched WAL tail replay — against a
 	// directory whose snapshot covers half the ops and whose WAL holds the
 	// rest.
 	{

@@ -60,7 +60,6 @@ func TestReadPathAllocFree(t *testing.T) {
 	})
 	// The sharded read path, in both seqlock modes.
 	p, _ := allocParallel(t)
-	defer p.Close()
 	for _, mode := range []string{"SINGLE", "DUAL"} {
 		if mode == "DUAL" {
 			promoteAll(p)
@@ -103,7 +102,6 @@ func TestEdgeWalkAllocFree(t *testing.T) {
 	}
 	g.InsertBatch(edges)
 	p.InsertBatch(edges)
-	defer p.Close()
 	if st := g.Stats(); st.Promotions == 0 || g.NumEdges() <= uint64(cfg.CuckooPromoteDegree)+1 {
 		t.Fatalf("want slice and cuckoo vertices: %d promotions over %d edges", st.Promotions, g.NumEdges())
 	}

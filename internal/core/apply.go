@@ -155,37 +155,44 @@ func (gt *GraphTinker) applyOp(e *Edge, del bool, d uint32, t *opTally) {
 	}
 }
 
-// applyJob is an instance's phase-2 hand-off, reused by every chunk. A
-// chunk is published by storing a new claim word, and partitions are
-// claimed from it by compare-and-swap; a helper holding a task of an older
-// epoch fails its first claim and never reads the batch.
-type applyJob struct {
-	gt    *GraphTinker
-	claim atomic.Uint64 // epoch<<32 | partitions<<16 | next partition
-	left  atomic.Int32  // partitions of this epoch not yet applied
-	done  chan struct{} // a helper that applies a chunk's last partition signals here
-	src   opSource      // the batch, from publication until the caller's wait returns
-	lo    int           // the chunk's offset in src
-	dense []uint32      // phase 1's dense id per op of the chunk
-	tally []opTally     // per partition, folded once per batch; grown to the most partitions used
+// round is one fan-out over the helper pool, reused by every fan-out of
+// its owner. The owner publishes an epoch's parts by storing a new claim
+// word, and whoever takes a part claims it by compare-and-swap: the owner,
+// or a helper handed a task. A helper holding a task of an older epoch
+// fails its first claim and never reads the round's inputs.
+type round struct {
+	claim atomic.Uint64 // epoch<<32 | parts<<16 | next part
+	left  atomic.Int32  // parts of this epoch not yet run
+	done  chan struct{} // a helper that runs an epoch's last part signals here
+	run   func(part int)
 	epoch uint32
+	// leaf marks parts that take no lock and never wait: batch-apply
+	// partitions. Only leaf parts run on an owner waiting for its own
+	// round (see wait).
+	leaf bool
 }
 
-// applyTask offers one chunk of a job to a helper.
+func newRound(run func(part int), leaf bool) round {
+	return round{done: make(chan struct{}, 1), run: run, leaf: leaf}
+}
+
+// applyTask offers one epoch of a round to a helper.
 type applyTask struct {
-	j     *applyJob
+	r     *round
 	epoch uint32
 }
 
-// applyTasks carries chunks to the helper pool. A post never blocks: a
-// full channel means every helper is busy, and the caller applies the
-// partitions itself.
+// applyTasks carries rounds to the helper pool, the process's one
+// fan-out: batch-apply chunks, a Parallel batch's shards and a split
+// engine's scatter parts all run on it. A post never blocks: a full
+// channel means every helper is busy, and the owner runs the parts
+// itself.
 var (
 	applyTasks   = make(chan applyTask, maxApplyParts)
 	applyHelpers atomic.Int32
 )
 
-// helpersFor returns how many helpers a chunk may ask for, GOMAXPROCS−1,
+// helpersFor returns how many helpers a round may ask for, GOMAXPROCS−1,
 // first starting whichever of them the pool lacks. Helpers live for the
 // process, parked on applyTasks.
 func helpersFor() int {
@@ -198,12 +205,93 @@ func helpersFor() int {
 	return int(want)
 }
 
+// applyHelper holds no lock when it takes a task, so it runs any part.
 func applyHelper() {
 	for t := range applyTasks {
-		if t.j.work(t.epoch) {
-			t.j.done <- struct{}{}
+		if t.r.work(t.epoch) {
+			t.r.done <- struct{}{}
 		}
 	}
+}
+
+// fan runs parts 0..parts-1 (at most 0xffff) of a new epoch, offering
+// up to helpers of them to the pool, and returns once every part has run.
+func (r *round) fan(parts, helpers int) {
+	r.epoch++
+	r.left.Store(int32(parts))
+	r.claim.Store(uint64(r.epoch)<<32 | uint64(parts)<<16)
+	for range min(helpers, parts-1) {
+		select {
+		case applyTasks <- applyTask{r, r.epoch}:
+		default:
+		}
+	}
+	if !r.work(r.epoch) {
+		r.wait()
+	}
+}
+
+// work claims and runs parts of the given epoch until none is left, and
+// reports whether it ran the one that completed the epoch.
+func (r *round) work(epoch uint32) (last bool) {
+	for {
+		w := r.claim.Load()
+		p, parts := uint32(w&0xffff), uint32(w>>16&0xffff)
+		if uint32(w>>32) != epoch || p >= parts {
+			return last
+		}
+		if r.claim.CompareAndSwap(w, w+1) {
+			r.run(int(p))
+			last = r.left.Add(-1) == 0
+		}
+	}
+}
+
+// wait returns once helpers have run the parts of the owner's epoch they
+// claimed. Meanwhile the owner runs the leaf parts of other rounds it
+// pops, so a caller done with its own share helps whichever rounds are
+// still going. It drops any other task: the owner may hold a shard's
+// writer mutex (a shard part, or the batch under it), which a shard part
+// would take again, and which an engine part's read may wait on. A
+// dropped task loses no part, because every owner claims whatever parts
+// of its epoch are left before it waits.
+func (r *round) wait() {
+	for {
+		select {
+		case <-r.done:
+			return
+		case t := <-applyTasks:
+			if t.r.leaf && t.r.work(t.epoch) {
+				t.r.done <- struct{}{}
+			}
+		}
+	}
+}
+
+// Fan runs the parts of a split computation on the helper pool: a round
+// whose parts the caller claims beside whichever helpers are free. Parts
+// may take locks and wait on other goroutines, so a Fan's parts never run
+// on another round's waiting owner. A Fan is not safe for concurrent Runs.
+type Fan struct{ r round }
+
+// NewFan returns a Fan whose part p runs run(p).
+func NewFan(run func(part int)) *Fan {
+	return &Fan{r: newRound(run, false)}
+}
+
+// Run runs parts 0..parts-1, each once, and returns when all have.
+func (f *Fan) Run(parts int) { f.r.fan(parts, helpersFor()) }
+
+// applyJob is an instance's phase-2 hand-off, reused by every chunk: one
+// leaf round whose part p applies the chunk's ops in partition p.
+type applyJob struct {
+	round
+	gt    *GraphTinker
+	src   opSource  // the batch, from publication until the chunk's fan returns
+	lo    int       // the chunk's offset in src
+	parts uint32    // the chunk's partitions, a power of two
+	dense []uint32  // phase 1's dense id per op of the chunk
+	tally []opTally // per partition, folded once per batch; grown to the most partitions used
 }
 
 // apply runs a batch through both phases a chunk at a time and folds what
@@ -212,10 +300,12 @@ func applyHelper() {
 //gtlint:noretain src
 func (gt *GraphTinker) apply(src opSource) (inserted, deleted int) {
 	if gt.job == nil {
-		gt.job = &applyJob{gt: gt, done: make(chan struct{}, 1), tally: make([]opTally, 1)}
+		j := &applyJob{gt: gt, tally: make([]opTally, 1)}
+		j.round = newRound(j.applyPart, true)
+		gt.job = j
 	}
 	j := gt.job
-	//gtlint:ignore bufretain helpers read the batch only between a chunk's publication and the wait below; it is cleared before return
+	//gtlint:ignore bufretain helpers read the batch only between a chunk's publication and the fan's return; it is cleared before return
 	j.src = src
 	used := 1 // partitions whose tallies this batch may have touched
 	for j.lo = 0; j.lo < src.len(); j.lo += applyChunk {
@@ -234,18 +324,8 @@ func (gt *GraphTinker) apply(src opSource) (inserted, deleted int) {
 		if used = max(used, parts); len(j.tally) < used {
 			j.tally = append(j.tally, make([]opTally, used-len(j.tally))...)
 		}
-		j.epoch++
-		j.left.Store(int32(parts))
-		j.claim.Store(uint64(j.epoch)<<32 | uint64(parts)<<16)
-		for range min(helpers, parts-1) {
-			select {
-			case applyTasks <- applyTask{j, j.epoch}:
-			default:
-			}
-		}
-		if !j.work(j.epoch) {
-			<-j.done
-		}
+		j.parts = uint32(parts)
+		j.fan(parts, helpers)
 	}
 	j.src = opSource{}
 	for p := range j.tally[:used] {
@@ -258,25 +338,15 @@ func (gt *GraphTinker) apply(src opSource) (inserted, deleted int) {
 	return inserted, deleted
 }
 
-// work claims and applies partitions of the given epoch until none is
-// left, and reports whether it applied the one that completed the chunk.
-func (j *applyJob) work(epoch uint32) (last bool) {
-	for {
-		w := j.claim.Load()
-		p, parts := uint32(w&0xffff), uint32(w>>16&0xffff)
-		if uint32(w>>32) != epoch || p >= parts {
-			return last
-		}
-		if j.claim.CompareAndSwap(w, w+1) {
-			// Groups of 16 consecutive dense ids share a partition, so
-			// neighbouring degree counters stay on one core.
-			for k, d := range j.dense {
-				if d>>4&(parts-1) == p {
-					e, del := j.src.at(j.lo + k)
-					j.gt.applyOp(e, del, d, &j.tally[p])
-				}
-			}
-			last = j.left.Add(-1) == 0
+// applyPart applies the chunk's ops in partition p, in op order. Groups
+// of 16 consecutive dense ids share a partition, so neighbouring degree
+// counters stay on one core.
+func (j *applyJob) applyPart(p int) {
+	mask, part := j.parts-1, uint32(p)
+	for k, d := range j.dense {
+		if d>>4&mask == part {
+			e, del := j.src.at(j.lo + k)
+			j.gt.applyOp(e, del, d, &j.tally[p])
 		}
 	}
 }

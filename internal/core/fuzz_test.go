@@ -115,7 +115,6 @@ func FuzzSnapshotReader(f *testing.F) {
 		if perr != nil {
 			return
 		}
-		defer p.Close()
 		if gerr != nil {
 			t.Fatalf("ReadParallelSnapshot accepted what ReadSnapshot refused: %v", gerr)
 		}

@@ -111,7 +111,6 @@ func instrumentCycles(t *testing.T, afterInstrument func(*Parallel)) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
 	rec := metrics.NewUpdateRecorder()
 
 	var wantInserts, wantFinds, wantDeletes uint64

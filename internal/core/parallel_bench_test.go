@@ -14,7 +14,6 @@ func BenchmarkParallelInsertSteady(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer p.Close()
 	p.InsertBatch(edges)
 	b.ResetTimer()
 	b.ReportAllocs()
@@ -34,7 +33,6 @@ func BenchmarkParallelInsertDeleteSteady(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer p.Close()
 	p.InsertBatch(base)
 	b.ResetTimer()
 	b.ReportAllocs()

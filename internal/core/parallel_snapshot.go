@@ -87,7 +87,6 @@ func readParallelSnapshot(r io.Reader, override *Config, sequential bool) (*Para
 		err = p.bulkLoadSections(f)
 	}
 	if err != nil {
-		p.Close()
 		return nil, err
 	}
 	p.ResetStats()

@@ -94,7 +94,6 @@ func TestReaderPanicDoesNotWedgeWriters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
 
 	var batch []Edge
 	for i := 0; i < 2000; i++ {
@@ -149,7 +148,6 @@ func TestParallelFindEdgeStatsMonotonicUnderWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
 
 	r := &testRand{s: 271}
 	var seedEdges, churn []Edge
@@ -221,7 +219,6 @@ func FuzzSeqlockInterleave(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer p.Close()
 
 		all := make([][]Edge, batches)
 		want := make([][]uint64, batches)
@@ -303,7 +300,6 @@ func TestParallelStatsExactlyOnceAcrossMigrations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
 	serial := MustNew(cfg)
 
 	const vertices = 32

@@ -57,7 +57,6 @@ func parallelSnapshot(t *testing.T, cfg Config, shards int, ops []EdgeOp) []byte
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
 	p.ApplyOps(ops)
 	var buf bytes.Buffer
 	if err := p.WriteSnapshot(&buf); err != nil {
@@ -110,7 +109,6 @@ func TestSnapshotOneFormat(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer p.Close()
 				if p.Shards() != w.shards {
 					t.Fatalf("restored %d shards, want %d", p.Shards(), w.shards)
 				}

@@ -20,7 +20,6 @@ func TestParallelEngineGatherDuringWrites(t *testing.T) {
 	const vertices = 4 * splitMinWork
 	seed := splitTestEdges(11)
 	store := shardedStore(t, 4, seed)
-	defer store.Close()
 
 	// Churn edges stay inside the seeded vertex id space: the engine sizes
 	// its property arrays once per run, so the store's MaxVertexID must not

@@ -4,9 +4,10 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"graphtinker/internal/core"
 )
 
 // Mode selects the execution model of Sec. IV.B.
@@ -90,11 +91,11 @@ type Engine struct {
 	// workers lists every scatter context, the embedded worker first.
 	workers []*worker
 
-	// The split iteration in flight: its kind, the active-list offset the
-	// next chunk claim gets, and the helpers still walking.
+	// The split iteration in flight: its kind and the active-list offset
+	// the next chunk claim gets. fan runs its parts, part w on worker w.
 	full    bool
 	claimed atomic.Int64
-	wg      sync.WaitGroup
+	fan     *core.Fan
 
 	cur, next *frontier
 }
@@ -158,10 +159,9 @@ func newEngine(store GraphStore, prog Program, opts Options, workers int) (*Engi
 	for w, ws := range e.workers {
 		ws.part = w
 		ws.bind(e)
-		ws.run = func() {
-			ws.scatter(len(e.workers))
-			e.wg.Done()
-		}
+	}
+	if workers > 1 {
+		e.fan = core.NewFan(func(w int) { e.workers[w].scatter(len(e.workers)) })
 	}
 	e.Resize()
 	return e, nil
@@ -347,8 +347,6 @@ type worker struct {
 	visitEdge   func(src, dst uint64, w float32) bool
 	visitIn     func(src uint64, w float32) bool
 	visitSource func(v uint64, inDegree uint32) bool
-	// run is a helper's share of a split iteration, on its own goroutine.
-	run func()
 }
 
 // bind points the worker at its engine and builds the scatter visitors.

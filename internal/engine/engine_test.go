@@ -378,12 +378,10 @@ func TestActiveDegreeSumCollected(t *testing.T) {
 			},
 			"sharded/1": func(p Program) (store, *Engine) {
 				s := shardedStore(t, 1, initial)
-				t.Cleanup(s.Close)
 				return s, shardNew(s, p, Options{Mode: mode})
 			},
 			"sharded/3": func(p Program) (store, *Engine) {
 				s := shardedStore(t, 3, initial)
-				t.Cleanup(s.Close)
 				return s, shardNew(s, p, Options{Mode: mode})
 			},
 			"pull": func(p Program) (store, *Engine) {

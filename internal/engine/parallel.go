@@ -42,7 +42,8 @@ const (
 
 // scatter runs one scatter iteration and reports whether it split: inline
 // on the first worker when the engine has one worker or the iteration is
-// small, else on the caller as the first worker plus helpers.
+// small, else as one round on the process's apply helper pool, part w on
+// worker w, which the caller claims beside whichever helpers are free.
 func (e *Engine) scatter(full bool) (split bool) {
 	p, active := len(e.workers), len(e.cur.list)
 	e.full = full
@@ -55,17 +56,11 @@ func (e *Engine) scatter(full bool) (split bool) {
 		e.worker.scatter(1)
 		return false
 	}
-	helpers := e.workers[1:]
 	if !full {
 		// Every worker past the last chunk would find nothing to claim.
-		helpers = helpers[:min(len(helpers), (active-1)/activeChunk)]
+		p = min(p, 1+(active-1)/activeChunk)
 	}
-	e.wg.Add(len(helpers))
-	for _, ws := range helpers {
-		go ws.run()
-	}
-	e.worker.scatter(p)
-	e.wg.Wait()
+	e.fan.Run(p)
 	return true
 }
 

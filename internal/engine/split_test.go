@@ -41,7 +41,6 @@ func TestOneWorkerStores(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(p.Close)
 			p.InsertBatch(edges)
 			return MustNew(p, minProgram(), Options{Mode: Hybrid})
 		},

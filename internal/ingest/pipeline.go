@@ -39,12 +39,24 @@ func Insert(src, dst uint64, w float32) Update { return core.InsertOp(src, dst, 
 // Delete builds a deletion op.
 func Delete(src, dst uint64) Update { return core.DeleteOp(src, dst) }
 
-// Target is the sharded write surface a pipeline drains into — the same
-// NumShards/ShardOf/ApplyShard sink WAL replay fans out to, declared once
-// in internal/wal. *core.Parallel satisfies it; tests substitute
-// instrumented fakes. ApplyShard is only ever called from the shard's
-// single worker goroutine.
-type Target = wal.ReplayTarget
+// Target is the sharded write surface a pipeline drains into.
+// *core.Parallel satisfies it; tests substitute instrumented fakes.
+type Target interface {
+	// NumShards reports how many independent write domains exist.
+	NumShards() int
+	// ShardOf routes a source vertex to its write domain.
+	ShardOf(src uint64) int
+	// ApplyShard applies an ordered op sequence to one shard, returning
+	// how many inserts were new and how many deletes hit a live edge. It
+	// is only ever called from the shard's single worker goroutine, so
+	// calls for different shards overlap and calls for one shard never
+	// do. The ops slice is the pipeline's recycled sub-batch buffer,
+	// valid only for the duration of the call, so implementations must
+	// copy anything they keep.
+	//
+	//gtlint:noretain ops
+	ApplyShard(shard int, ops []core.EdgeOp) (inserted, deleted int)
+}
 
 // Policy selects what Push does when the pipeline's admission budget is
 // exhausted.

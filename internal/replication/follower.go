@@ -141,9 +141,6 @@ func OpenFollower(cfg core.Config, dir string, opts FollowerOptions) (*Follower,
 	var store *core.Parallel
 	d, info, err := wal.OpenDir(dir, opts.WAL, wal.DiscardCoveredLog, wal.ParallelLoader(cfg, opts.Shards, &store))
 	if err != nil {
-		if store != nil {
-			store.Close()
-		}
 		return nil, err
 	}
 	epoch := d.Epoch()
@@ -487,10 +484,8 @@ func (f *Follower) installSnapshot(fc *frameConn, hdr snapHeaderMsg) error {
 		return fmt.Errorf("replication: follower: bootstrap: %w", err)
 	}
 	f.storeMu.Lock()
-	old := f.store
 	f.store = nstore
 	f.storeMu.Unlock()
-	old.Close()
 
 	if f.rec != nil {
 		f.rec.SnapshotsInstalled.Inc()
@@ -597,12 +592,10 @@ func (f *Follower) Promote() (uint64, error) {
 	f.epoch = newEpoch
 	f.closed = true
 	f.mu.Unlock()
-	err := f.dir.Close()
-	f.Store().Close()
-	return newEpoch, err
+	return newEpoch, f.dir.Close()
 }
 
-// Close disconnects, fsyncs and closes the WAL, and releases the store.
+// Close disconnects, fsyncs and closes the WAL.
 func (f *Follower) Close() error {
 	f.mu.Lock()
 	if f.closed {
@@ -620,9 +613,7 @@ func (f *Follower) Close() error {
 	}
 	f.runWG.Wait()
 	f.state.Store(int32(StateSealed))
-	err := f.dir.Close()
-	f.Store().Close()
-	return err
+	return f.dir.Close()
 }
 
 // Crash abandons the follower the way a killed process would: connection
@@ -645,7 +636,6 @@ func (f *Follower) Crash() {
 	f.runWG.Wait()
 	f.state.Store(int32(StateSealed))
 	f.dir.Crash()
-	f.Store().Close()
 }
 
 func leUint64(b []byte) uint64 {

@@ -74,7 +74,6 @@ func newPrimaryHarness(t *testing.T, epoch uint64, rec *Recorder) *primaryHarnes
 	t.Cleanup(func() {
 		_ = h.p.Close()
 		h.log.Crash()
-		h.store.Close()
 	})
 	return h
 }

@@ -82,8 +82,7 @@ type LoadFunc func(m Manifest, snap *os.File) (ReplayTarget, error)
 // snapshot's own width when there is one, else the width an epoch-only
 // manifest recorded (a promoted follower that never checkpointed keeps all
 // its state in the log, partitioned at that width), else shards. The store
-// lands in *store — also when OpenDir later fails, so the caller can
-// release it.
+// lands in *store.
 func ParallelLoader(cfg core.Config, shards int, store **core.Parallel) LoadFunc {
 	return func(m Manifest, snap *os.File) (ReplayTarget, error) {
 		var err error

@@ -3,20 +3,19 @@ package wal
 import (
 	"fmt"
 	"os"
-	"sync"
+	"sync/atomic"
 	"testing"
 
 	"graphtinker/internal/core"
 )
 
 // mockTarget is a ReplayTarget that records per-(src,dst) apply order and
-// final weights, hashing srcs across n shards. It checks the pipeline's
-// two contracts as it goes: no two concurrent ApplyShard calls for the
-// same shard, and every op routed to the shard ShardOf names.
+// final weights. Replay feeds it one ApplyOps call at a time; it fails a
+// call that overlaps another. How a sharded target spreads one call is
+// core.Parallel's contract, tested there.
 type mockTarget struct {
 	n      int
-	mu     sync.Mutex
-	inUse  []bool
+	busy   atomic.Bool
 	state  map[[2]uint64]float32 // final weight, deleted = absent
 	order  map[[2]uint64][]core.EdgeOp
 	errmsg string
@@ -25,33 +24,20 @@ type mockTarget struct {
 func newMockTarget(n int) *mockTarget {
 	return &mockTarget{
 		n:     n,
-		inUse: make([]bool, n),
 		state: make(map[[2]uint64]float32),
 		order: make(map[[2]uint64][]core.EdgeOp),
 	}
 }
 
-func (m *mockTarget) NumShards() int       { return m.n }
-func (m *mockTarget) ShardOf(s uint64) int { return int(s % uint64(m.n)) }
-func (m *mockTarget) fail(f string, a ...any) {
-	if m.errmsg == "" {
-		m.errmsg = fmt.Sprintf(f, a...)
-	}
-}
+func (m *mockTarget) NumShards() int { return m.n }
 
-func (m *mockTarget) ApplyShard(shard int, ops []core.EdgeOp) (inserted, deleted int) {
-	m.mu.Lock()
-	if m.inUse[shard] {
-		m.fail("concurrent ApplyShard calls for shard %d", shard)
+func (m *mockTarget) ApplyOps(ops []core.EdgeOp) (inserted, deleted int) {
+	if !m.busy.CompareAndSwap(false, true) {
+		m.errmsg = "concurrent ApplyOps calls"
+		return 0, 0
 	}
-	m.inUse[shard] = true
-	m.mu.Unlock()
-
-	m.mu.Lock()
+	defer m.busy.Store(false)
 	for _, op := range ops {
-		if m.ShardOf(op.Src) != shard {
-			m.fail("src %d applied on shard %d, belongs to %d", op.Src, shard, m.ShardOf(op.Src))
-		}
 		k := [2]uint64{op.Src, op.Dst}
 		m.order[k] = append(m.order[k], op)
 		if op.Del {
@@ -66,8 +52,6 @@ func (m *mockTarget) ApplyShard(shard int, ops []core.EdgeOp) (inserted, deleted
 			m.state[k] = op.Weight
 		}
 	}
-	m.inUse[shard] = false
-	m.mu.Unlock()
 	return inserted, deleted
 }
 
@@ -133,7 +117,7 @@ func TestReplayIntoMatchesSequential(t *testing.T) {
 				}
 			}
 			// Per-(src,dst) apply order is the replay's only ordering
-			// contract; it must survive the fan-out exactly.
+			// contract; it must survive the batching exactly.
 			for k, want := range order {
 				got := m.order[k]
 				if len(got) != len(want) {
@@ -232,47 +216,69 @@ func TestReplaySkipsCoveredSegments(t *testing.T) {
 	}
 }
 
+// TestReplayIntoSharded replays one log into a four-shard core.Parallel
+// and into a lone graph through Replay: the edge sets must match.
+func TestReplayIntoSharded(t *testing.T) {
+	dir := t.TempDir()
+	ops := genOps(30000, 29)
+	writeLog(t, dir, ops, 300, Options{})
+
+	p, err := core.NewParallel(core.DefaultConfig(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReplayInto(dir, 0, nil, p); err != nil {
+		t.Fatal(err)
+	}
+	g := core.MustNew(core.DefaultConfig())
+	if _, err := Replay(dir, 0, nil, func(_ uint64, rec []core.EdgeOp) error {
+		g.ApplyOps(rec)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if p.NumEdges() != g.NumEdges() {
+		t.Fatalf("sharded replay holds %d edges, lone graph %d", p.NumEdges(), g.NumEdges())
+	}
+	g.ForEachEdge(func(src, dst uint64, w float32) bool {
+		if got, ok := p.FindEdge(src, dst); !ok || got != w {
+			t.Fatalf("edge (%d,%d): sharded replay has (%g, %v), lone graph %g", src, dst, got, ok, w)
+		}
+		return true
+	})
+}
+
 // TestReplayIntoAllocs pins the steady-state allocation behaviour the
-// reusable partition scratch exists for: replaying thousands of records
-// must cost a bounded, record-count-independent number of allocations.
+// reused op buffer exists for: replaying thousands of records must cost a
+// bounded, record-count-independent number of allocations.
 func TestReplayIntoAllocs(t *testing.T) {
 	dir := t.TempDir()
 	ops := genOps(40000, 19)
 	writeLog(t, dir, ops, 20, Options{}) // 2000 records
 
-	m := &sinkTarget{n: 4, counts: make([]int, 4)}
+	m := &sinkTarget{}
 	allocs := testing.AllocsPerRun(3, func() {
 		if _, err := ReplayInto(dir, 0, nil, m); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// Fixed costs: file opens, worker goroutines, channels, and the
-	// partition scratch reaching its high-water mark — but nothing per
-	// record. 2000 records at even one alloc each would blow far past
-	// this bound.
+	// Fixed costs: file opens and the op buffer — but nothing per record.
+	// 2000 records at even one alloc each would blow far past this bound.
 	if allocs > 400 {
 		t.Fatalf("ReplayInto of 2000 records cost %.0f allocs; per-record allocation is back", allocs)
 	}
-	total := 0
-	for _, c := range m.counts {
-		total += c
-	}
-	if total != 4*len(ops) { // warm-up + 3 measured runs
-		t.Fatalf("sink saw %d ops across 4 runs, want %d", total, 4*len(ops))
+	if m.ops != 4*len(ops) { // warm-up + 3 measured runs
+		t.Fatalf("sink saw %d ops across 4 runs, want %d", m.ops, 4*len(ops))
 	}
 }
 
 // sinkTarget applies by counting — zero allocations, so the allocs test
-// measures the pipeline alone.
-type sinkTarget struct {
-	n      int
-	counts []int
-}
+// measures the replay alone.
+type sinkTarget struct{ ops int }
 
-func (s *sinkTarget) NumShards() int       { return s.n }
-func (s *sinkTarget) ShardOf(v uint64) int { return int(v % uint64(s.n)) }
-func (s *sinkTarget) ApplyShard(shard int, ops []core.EdgeOp) (int, int) {
-	s.counts[shard] += len(ops)
+func (s *sinkTarget) NumShards() int { return 4 }
+func (s *sinkTarget) ApplyOps(ops []core.EdgeOp) (int, int) {
+	s.ops += len(ops)
 	return len(ops), 0
 }
 

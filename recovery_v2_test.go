@@ -65,7 +65,7 @@ func TestDurableStreamCheckpointWritesV2(t *testing.T) {
 		t.Fatalf("checkpoint wrote snapshot format v%d, want v2", v)
 	}
 
-	// Reopen rides the v2 bulk load + pipelined tail replay; the result
+	// Reopen rides the v2 bulk load + batched tail replay; the result
 	// must still be exactly the submitted stream.
 	re, err := graphtinker.OpenDurableStream(graphtinker.DefaultConfig(), dir, opts)
 	if err != nil {

@@ -29,17 +29,11 @@ type sessionDurability struct {
 	info      RecoveryInfo
 }
 
-// sessionReplayTarget adapts a session's single graph to the pipelined
-// replay interface: one shard, every src on it, ops applied in order.
-type sessionReplayTarget struct {
-	g *core.GraphTinker
-}
+// sessionReplayTarget is a session's single graph as a replay target: one
+// shard.
+type sessionReplayTarget struct{ *core.GraphTinker }
 
-func (t sessionReplayTarget) NumShards() int     { return 1 }
-func (t sessionReplayTarget) ShardOf(uint64) int { return 0 }
-func (t sessionReplayTarget) ApplyShard(_ int, ops []core.EdgeOp) (inserted, deleted int) {
-	return t.g.ApplyOps(ops)
-}
+func (sessionReplayTarget) NumShards() int { return 1 }
 
 // openSessionDir opens dir as a session durability directory and recovers
 // whatever it holds into a new graph — never the live one, so a failed
