@@ -51,11 +51,14 @@ package core
 //	        releaseLocked()        // seq even, same replica index
 //	DUAL:   shadow := shadowLocked() // drain stragglers, the off replica
 //	        apply batch to shadow    // records stats + recorder samples
-//	        stale := publishLocked() // seq += 2: flips the replica index;
-//	                                 // drain the old replica's pins, silence
-//	                                 // its counters/recorder
-//	        apply batch to stale     // catch-up replay, observed by nobody
-//	        restoreLocked()          // reattach counters/recorder
+//	        seq += 2                 // publish: flips the replica index
+//	        catchUpLocked()          // drain the old replica's pins, then
+//	                                 // replay the batch there, observed by
+//	                                 // nobody (counters/recorder silenced)
+//
+// A sharded batch may put a DUAL shard's catch-up aside while a long
+// reader still pins the old replica, holding the writer mutex, and finish
+// it once the batch's other shards are published (Parallel.applyBusy).
 //
 // A validated pin guarantees the pinned replica is not mutated until the
 // pin is released, which is what makes the scheme clean under the race
@@ -99,6 +102,10 @@ const (
 	// writerSpins bounds how long a SINGLE writer holds the version odd
 	// waiting for a pin to clear before it restores it and promotes.
 	writerSpins = 64
+	// yieldSpins is how many times backoff yields before it sleeps; a
+	// reader still pinned after that many yields is a long walk, not a
+	// straggler (see drained).
+	yieldSpins = 128
 )
 
 // shardCtl is one shard's seqlock state: the version counter, the replica
@@ -155,7 +162,7 @@ func (sc *shardCtl) activeIdx() uint32 { return uint32(sc.seq.Load()>>1) & 1 }
 // then sleep, so a waiter does not burn the core a sibling shard's worker
 // needs.
 func backoff(spins int) {
-	if spins < 128 {
+	if spins < yieldSpins {
 		runtime.Gosched()
 	} else {
 		time.Sleep(20 * time.Microsecond)
@@ -222,6 +229,18 @@ func (sc *shardCtl) drain(idx uint32) {
 	}
 }
 
+// drained yields while readers are pinned to inst[idx], at most
+// yieldSpins times, and reports whether they all left.
+func (sc *shardCtl) drained(idx uint32) bool {
+	for spins := 0; sc.pinned(idx); spins++ {
+		if spins == yieldSpins {
+			return false
+		}
+		runtime.Gosched()
+	}
+	return true
+}
+
 // exclusiveLocked takes the single replica for an in-place apply: version
 // odd so new readers hold off, then the pin count must read zero. It does
 // not wait for a pinned reader beyond a short spin — the pin may be the
@@ -285,43 +304,21 @@ func (sc *shardCtl) shadowLocked() *GraphTinker {
 	return sc.inst[idx]
 }
 
-// publishLocked flips readers onto the freshly written shadow replica and
-// returns the stale one, drained and silenced for the catch-up replay.
-// Caller holds the shard's writer mutex and has finished writing the
-// shadow.
-func (sc *shardCtl) publishLocked() (*GraphTinker, uint32) {
-	s := sc.seq.Load()
-	sc.seq.Store(s + 2) // (seq>>1)&1 now selects the shadow
-	idx := uint32(s>>1) & 1
-	sc.drain(idx)
-	stale := sc.inst[idx]
-	stale.stats = &sc.scratch
-	stale.rec = nil
-	return stale, idx
-}
-
-// restoreLocked reattaches the shard's counters and recorder to the stale
-// replica after its catch-up replay, before the writer mutex is released.
-func (sc *shardCtl) restoreLocked(idx uint32) {
-	g := sc.inst[idx]
-	g.stats = &sc.counters
-	g.rec = sc.rec
-}
-
-// applyOpsLocked is the one write path: it applies an ordered op sequence
-// to the shard in whichever mode it is in, moving the mode when the
-// evidence says so, and returns the (one recorded) apply's counts. Caller
-// holds the shard's writer mutex. The ops slice is a recycled sub-batch:
-// read-only, per-call.
+// publishOpsLocked applies an ordered op sequence to the shard in
+// whichever mode it is in, moving the mode when the evidence says so, and
+// publishes it: it returns the (one recorded) apply's counts, and whether
+// the shard is DUAL, with the old replica left for catchUpLocked. Caller
+// holds the shard's writer mutex, and holds it until the catch-up. The ops
+// slice is a recycled sub-batch: read-only, per-call.
 //
 //gtlint:noretain ops
-func (sc *shardCtl) applyOpsLocked(ops []EdgeOp) (inserted, deleted int) {
+func (sc *shardCtl) publishOpsLocked(ops []EdgeOp) (inserted, deleted int, stale bool) {
 	if !sc.dual.Load() {
 		if sc.overlaps.Load() == sc.overlapsSeen {
 			if g := sc.exclusiveLocked(); g != nil {
 				inserted, deleted = g.ApplyOps(ops)
 				sc.releaseLocked()
-				return inserted, deleted
+				return inserted, deleted, false
 			}
 		}
 		sc.promoteLocked()
@@ -330,15 +327,42 @@ func (sc *shardCtl) applyOpsLocked(ops []EdgeOp) (inserted, deleted int) {
 	} else {
 		sc.quietOps += uint64(len(ops))
 	}
-	shadow := sc.shadowLocked()
-	inserted, deleted = shadow.ApplyOps(ops)
-	stale, idx := sc.publishLocked()
+	inserted, deleted = sc.shadowLocked().ApplyOps(ops)
+	sc.seq.Add(2) // (seq>>1)&1 now selects the shadow
+	return inserted, deleted, true
+}
+
+// staleIdx is the slot of the replica a DUAL publish left behind.
+func (sc *shardCtl) staleIdx() uint32 { return sc.activeIdx() ^ 1 }
+
+// catchUpLocked replays the ops publishOpsLocked published on the old
+// replica once its readers have drained, silenced so each operation is
+// recorded once, and demotes the shard if readers have stayed away long
+// enough. Caller holds the shard's writer mutex.
+//
+//gtlint:noretain ops
+func (sc *shardCtl) catchUpLocked(ops []EdgeOp) {
+	idx := sc.staleIdx()
+	sc.drain(idx)
+	stale := sc.inst[idx]
+	stale.stats, stale.rec = &sc.scratch, nil
 	stale.ApplyOps(ops)
-	sc.restoreLocked(idx)
+	stale.stats, stale.rec = &sc.counters, sc.rec
 	// Ski rental: the second applies since the last reader have now cost
 	// what the clone cost (one insert per live edge), so stop paying.
-	if sc.quietOps >= shadow.NumEdges() && sc.entries() == sc.entriesSeen {
+	if sc.quietOps >= sc.inst[idx^1].NumEdges() && sc.entries() == sc.entriesSeen {
 		sc.demoteLocked()
+	}
+}
+
+// applyOpsLocked is the one write path: publishOpsLocked, then the
+// catch-up a DUAL publish leaves. Caller holds the shard's writer mutex.
+//
+//gtlint:noretain ops
+func (sc *shardCtl) applyOpsLocked(ops []EdgeOp) (inserted, deleted int) {
+	inserted, deleted, stale := sc.publishOpsLocked(ops)
+	if stale {
+		sc.catchUpLocked(ops)
 	}
 	return inserted, deleted
 }
