@@ -1,25 +1,38 @@
 package core
 
-// Batched apply. ApplyOps, InsertBatch and DeleteBatch run a batch in two
-// phases, a chunk of at most applyChunk ops at a time:
+// Batched apply. ApplyOps, InsertBatch and DeleteBatch run a batch a chunk
+// of at most applyChunk ops at a time, in three steps:
 //
-//  1. Resolve, on the caller, in op order. Everything an op shares with
-//     other vertices changes here exactly as the op-by-op loop changed it:
-//     the raw-id high-water mark, the SGH map's dense ids, the growth of
-//     cont and props, a new source's container binding. It leaves one dense
-//     id per op, or noDense for a delete whose source holds no container
-//     (a no-op, as DeleteEdge's miss).
-//  2. Apply. The chunk's ops are split into partitions by dense id, and
-//     each partition's ops run in op order on whichever goroutine claims
-//     it: the caller, or a helper from a process-wide pool. An op now
-//     touches only its own vertex's container and degree and its
-//     partition's tally, so partitions are independent, and every op of a
-//     vertex runs in order on one goroutine. Containers, migration points,
-//     counters and snapshot bytes are therefore the op-by-op result's.
+//	1a. Look up, in parallel. Each part of a round reads the dense id of a
+//	    contiguous range of the chunk's ops: the SGH map and the container
+//	    header only, so it writes nothing another op reads. An op whose
+//	    source is bound to a container resolves here. Any other op is left
+//	    unresolved: a new source's insert, a delete of a source with no
+//	    container, and every later op of either in the chunk. Each part
+//	    keeps the largest id its resolved inserts saw.
+//	1b. Resolve the rest, on the caller, in op order. The parts' largest
+//	    ids go to observe, then the unresolved ops change the state an op
+//	    shares with other vertices exactly as the op-by-op loop changed it:
+//	    the raw-id high-water mark, the SGH map's dense ids, the growth of
+//	    cont and props, a new source's container binding. It leaves one
+//	    dense id per op, or noDense for a delete whose source holds no
+//	    container (a no-op, as DeleteEdge's miss).
+//	2.  Apply. The chunk's ops are split into partitions by dense id, and
+//	    each partition's ops run in op order on whichever goroutine claims
+//	    it: the caller, or a helper from a process-wide pool. An op now
+//	    touches only its own vertex's container and degree and its
+//	    partition's tally, so partitions are independent, and every op of a
+//	    vertex runs in order on one goroutine. Containers, migration points,
+//	    counters and snapshot bytes are therefore the op-by-op result's.
+//
+// 1a's answers are 1b's: the map, cont and props change only in 1b, and
+// only for sources 1a left unresolved, so a source bound at the chunk's
+// start resolves to the same id for all its ops, and its inserts change
+// nothing shared but the high-water mark, a maximum.
 //
 // ReprBlocks applies as one partition (the edgeblock array, the CAL and the
-// free list are shared), as does a chunk below parallelMinOps: the same
-// loop, on the caller alone.
+// free list are shared), and a chunk below parallelMinOps runs every step
+// on the caller alone: the same rounds, with one part.
 
 import (
 	"runtime"
@@ -38,17 +51,21 @@ const (
 	// chunk's ids for its partition, so more partitions cost more scans.
 	maxApplyParts = 64
 	// noDense is the dense id of a source with no edge container: the
-	// delete ops phase 2 skips.
+	// delete ops step 2 skips.
 	noDense = ^uint32(0)
+	// unresolved marks an op the lookup round left to the caller.
+	unresolved = noDense - 1
 )
 
 // opTally counts what a run of ops did. One goroutine owns it, so the
 // fields are plain, and fold adds it to the instance once per batch: an
 // atomic add per op on one shared cache line would be contended across
-// cores.
+// cores. A lookup part keeps its resolved inserts' largest id in the same
+// tally, for the caller to observe.
 type opTally struct {
 	inserted, updated, deleted, cells, promotions, demotions uint64
-	_                                                        [2]uint64 // one cache line per partition's tally
+	maxID                                                    uint64
+	sawID                                                    bool // padded to 64 B: one cache line per part's tally
 }
 
 // addTally adds a tally's counts to the counters, skipping zeros.
@@ -90,8 +107,8 @@ func (s *opSource) at(i int) (*Edge, bool) {
 // ApplyOps applies an ordered op sequence to one instance, returning how
 // many inserts were new and how many deletes hit a live edge. It is the
 // one op-apply loop: every seqlock replica, WAL replay into a session's
-// graph and every sharded sink end up here, in the two phases the file
-// comment describes. The ops are read, never kept: pooled helpers see them
+// graph and every sharded sink end up here, in the steps the file comment
+// describes. The ops are read, never kept: pooled helpers see them
 // only until ApplyOps returns.
 //
 //gtlint:noretain ops
@@ -99,7 +116,7 @@ func (gt *GraphTinker) ApplyOps(ops []EdgeOp) (inserted, deleted int) {
 	return gt.apply(opSource{ops: ops})
 }
 
-// applyOne runs one op through both phases on the caller.
+// applyOne resolves and applies one op on the caller.
 func (gt *GraphTinker) applyOne(e *Edge, del bool) opTally {
 	var t opTally
 	gt.applyOp(e, del, gt.resolve(e, del), &t)
@@ -107,7 +124,7 @@ func (gt *GraphTinker) applyOne(e *Edge, del bool) opTally {
 	return t
 }
 
-// resolve is phase 1 for one op: the dense id it applies to, observing its
+// resolve is step 1b for one op: the dense id it applies to, observing its
 // ids and binding its source's container on an insert.
 func (gt *GraphTinker) resolve(e *Edge, del bool) uint32 {
 	if del {
@@ -123,7 +140,7 @@ func (gt *GraphTinker) resolve(e *Edge, del bool) uint32 {
 	return d
 }
 
-// applyOp is phase 2 for one op resolved to d, counting into t. It records
+// applyOp is step 2 for one op resolved to d, counting into t. It records
 // the op's latency when a recorder is attached.
 func (gt *GraphTinker) applyOp(e *Edge, del bool, d uint32, t *opTally) {
 	var start time.Time
@@ -282,19 +299,21 @@ func NewFan(run func(part int)) *Fan {
 // Run runs parts 0..parts-1, each once, and returns when all have.
 func (f *Fan) Run(parts int) { f.r.fan(parts, helpersFor()) }
 
-// applyJob is an instance's phase-2 hand-off, reused by every chunk: one
-// leaf round whose part p applies the chunk's ops in partition p.
+// applyJob is an instance's batch hand-off, reused by every chunk: two
+// leaf rounds, the lookup (step 1a) and the apply (step 2), over the
+// chunk's ops.
 type applyJob struct {
-	round
-	gt    *GraphTinker
-	src   opSource  // the batch, from publication until the chunk's fan returns
-	lo    int       // the chunk's offset in src
-	parts uint32    // the chunk's partitions, a power of two
-	dense []uint32  // phase 1's dense id per op of the chunk
-	tally []opTally // per partition, folded once per batch; grown to the most partitions used
+	round        // part p applies the chunk's ops in partition p
+	lookup round // part p looks up the p-th contiguous range of the chunk's ops
+	gt     *GraphTinker
+	src    opSource  // the batch, from publication until the chunk's last fan returns
+	lo     int       // the chunk's offset in src
+	parts  uint32    // the chunk's parts, a power of two
+	dense  []uint32  // each op's dense id, or unresolved until step 1b
+	tally  []opTally // per part, folded once per batch; grown to the most parts used
 }
 
-// apply runs a batch through both phases a chunk at a time and folds what
+// apply runs a batch through its steps a chunk at a time and folds what
 // it did into the instance.
 //
 //gtlint:noretain src
@@ -302,20 +321,17 @@ func (gt *GraphTinker) apply(src opSource) (inserted, deleted int) {
 	if gt.job == nil {
 		j := &applyJob{gt: gt, tally: make([]opTally, 1)}
 		j.round = newRound(j.applyPart, true)
+		j.lookup = newRound(j.lookupPart, true)
 		gt.job = j
 	}
 	j := gt.job
 	//gtlint:ignore bufretain helpers read the batch only between a chunk's publication and the fan's return; it is cleared before return
 	j.src = src
-	used := 1 // partitions whose tallies this batch may have touched
+	used := 1 // parts whose tallies this batch may have touched
 	for j.lo = 0; j.lo < src.len(); j.lo += applyChunk {
 		n := min(src.len()-j.lo, applyChunk)
-		j.dense = j.dense[:0]
-		for i := j.lo; i < j.lo+n; i++ {
-			j.dense = append(j.dense, gt.resolve(src.at(i)))
-		}
 		helpers, parts := 0, 1
-		if n >= parallelMinOps && gt.cfg.Repr != ReprBlocks {
+		if n >= parallelMinOps {
 			helpers = helpersFor()
 		}
 		for helpers > 0 && parts < 4*(helpers+1) {
@@ -324,7 +340,16 @@ func (gt *GraphTinker) apply(src opSource) (inserted, deleted int) {
 		if used = max(used, parts); len(j.tally) < used {
 			j.tally = append(j.tally, make([]opTally, used-len(j.tally))...)
 		}
+		if cap(j.dense) < n {
+			j.dense = make([]uint32, 0, min(max(n, 2*cap(j.dense)), applyChunk))
+		}
+		j.dense = j.dense[:n]
 		j.parts = uint32(parts)
+		j.lookup.fan(parts, helpers)
+		j.resolveRest()
+		if gt.cfg.Repr == ReprBlocks {
+			j.parts, parts, helpers = 1, 1, 0
+		}
 		j.fan(parts, helpers)
 	}
 	j.src = opSource{}
@@ -338,9 +363,48 @@ func (gt *GraphTinker) apply(src opSource) (inserted, deleted int) {
 	return inserted, deleted
 }
 
-// applyPart applies the chunk's ops in partition p, in op order. Groups
-// of 16 consecutive dense ids share a partition, so neighbouring degree
-// counters stay on one core.
+// lookupPart is step 1a for the p-th of the chunk's contiguous op ranges:
+// each op's dense id if its source is bound to a container, else
+// unresolved, and the largest id of the resolved inserts.
+func (j *applyJob) lookupPart(p int) {
+	n, parts := len(j.dense), int(j.parts)
+	lo, hi := p*n/parts, (p+1)*n/parts
+	gt, src, dense, off := j.gt, j.src, j.dense[lo:hi], j.lo+lo
+	var top uint64
+	saw := false
+	for k := range dense {
+		e, del := src.at(off + k)
+		d := gt.bound(e.Src)
+		switch {
+		case d == noDense:
+			d = unresolved
+		case !del:
+			top, saw = max(top, e.Src, e.Dst), true
+		}
+		dense[k] = d
+	}
+	j.tally[p].maxID, j.tally[p].sawID = top, saw
+}
+
+// resolveRest is step 1b: it observes the lookup parts' largest ids, then
+// resolves the ops they left unresolved, in op order.
+func (j *applyJob) resolveRest() {
+	for p := range j.parts {
+		if t := &j.tally[p]; t.sawID {
+			j.gt.observe(t.maxID)
+			t.maxID, t.sawID = 0, false
+		}
+	}
+	for k, d := range j.dense {
+		if d == unresolved {
+			j.dense[k] = j.gt.resolve(j.src.at(j.lo + k))
+		}
+	}
+}
+
+// applyPart is step 2 for partition p: it applies the chunk's ops in the
+// partition, in op order. Groups of 16 consecutive dense ids share a
+// partition, so neighbouring degree counters stay on one core.
 func (j *applyJob) applyPart(p int) {
 	mask, part := j.parts-1, uint32(p)
 	for k, d := range j.dense {

@@ -103,6 +103,90 @@ func TestApplyOpsMatchesOpByOp(t *testing.T) {
 	}
 }
 
+// lookupStream is a preload of old sources, then batches whose every chunk
+// mixes what the lookup round resolves with what it leaves to the caller:
+// ops of old sources, the first inserts of new sources and their later ops
+// in the same chunk, a delete before the first insert of a new source, and
+// a delete of a source that has no container. The first batch of each
+// pair splits into a full chunk and one of parallelMinOps ops, both handed
+// to helpers; the second is one chunk below the cutoff, on the caller.
+func lookupStream() [][]EdgeOp {
+	const old = 512
+	r := &testRand{s: 23}
+	preload := make([]EdgeOp, 0, 4*old)
+	for i := range 4 * old {
+		preload = append(preload, InsertOp(uint64(i%old), r.next()%64, 1))
+	}
+	fresh, gone := uint64(old), uint64(1<<20)
+	chunk := func(n int) []EdgeOp {
+		first := fresh // this chunk's new sources are first..fresh
+		ops := []EdgeOp{DeleteOp(first, 1), DeleteOp(gone, 1)}
+		gone++
+		for len(ops) < n {
+			switch dst := r.next() % 64; r.next() % 8 {
+			case 0:
+				ops = append(ops, InsertOp(fresh, dst, 1))
+				fresh++
+			case 1:
+				ops = append(ops, DeleteOp(first+r.next()%(fresh-first+1), dst))
+			case 2:
+				ops = append(ops, InsertOp(first+r.next()%(fresh-first+1), dst, 2))
+			case 3: // a new high-water mark, from an old source's insert
+				ops = append(ops, InsertOp(r.next()%old, 1<<40+fresh, 1))
+			case 4:
+				ops = append(ops, DeleteOp(r.next()%old, dst))
+			default:
+				ops = append(ops, InsertOp(r.next()%old, dst, 3))
+			}
+		}
+		return ops
+	}
+	batches := [][]EdgeOp{preload}
+	for range 3 {
+		batches = append(batches, append(chunk(applyChunk), chunk(parallelMinOps)...), chunk(parallelMinOps/2))
+	}
+	return batches
+}
+
+// TestApplyLookupRoundMatchesOpByOp pins steps 1a and 1b: ApplyOps over
+// lookupStream leaves what applying it op by op leaves, with and without
+// SGH, at one, two and four procs. With helpers the lookup round must
+// have split its chunks.
+func TestApplyLookupRoundMatchesOpByOp(t *testing.T) {
+	stream := lookupStream()
+	for _, procs := range []int{1, 2, 4} {
+		for _, sgh := range []bool{true, false} {
+			t.Run(fmt.Sprintf("GOMAXPROCS=%d/sgh=%v", procs, sgh), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				cfg := testConfig(t)
+				cfg.EnableSGH = sgh
+				batched, single := MustNew(cfg), MustNew(cfg)
+				for b, ops := range stream {
+					var epoch uint32
+					if batched.job != nil {
+						epoch = batched.job.lookup.epoch
+					}
+					gotIns, gotDel := batched.ApplyOps(ops)
+					wantIns, wantDel := opByOp(single, ops)
+					if gotIns != wantIns || gotDel != wantDel {
+						t.Fatalf("batch %d: ApplyOps = (%d, %d), op by op (%d, %d)", b, gotIns, gotDel, wantIns, wantDel)
+					}
+					chunks := uint32((len(ops) + applyChunk - 1) / applyChunk)
+					if got := batched.job.lookup.epoch - epoch; got != chunks {
+						t.Fatalf("batch %d: the lookup round ran %d times, want %d", b, got, chunks)
+					}
+					// The claim word keeps the last epoch's part count.
+					last := len(ops) - int(chunks-1)*applyChunk
+					if parts := batched.job.lookup.claim.Load() >> 16 & 0xffff; procs > 1 && last >= parallelMinOps && parts < 2 {
+						t.Fatalf("batch %d: the lookup round ran in %d part at GOMAXPROCS %d", b, parts, procs)
+					}
+				}
+				assertSameGraph(t, batched, single)
+			})
+		}
+	}
+}
+
 // opByOp applies ops one InsertEdge or DeleteEdge at a time, returning
 // ApplyOps's counts.
 func opByOp(g *GraphTinker, ops []EdgeOp) (inserted, deleted int) {

@@ -64,6 +64,48 @@ func BenchmarkApplyOpsBatchSize(b *testing.B) {
 	}
 }
 
+// BenchmarkLoneVsShards inserts one skewed 1M-edge stream into a fresh
+// store per iteration, in 64k-edge and in 4,096-edge batches: a lone
+// GraphTinker, and a Parallel of one and of four shards, on the same cores.
+// It is the evidence for how close a lone store's batch apply comes to a
+// sharded one (DESIGN.md §3, "Batched apply").
+func BenchmarkLoneVsShards(b *testing.B) {
+	edges := benchEdges(1<<20, 1<<17, 7)
+	type store interface{ InsertBatch([]Edge) int }
+	shards := func(n int) func() store {
+		return func() store {
+			p, err := NewParallel(DefaultConfig(), n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return p
+		}
+	}
+	stores := []struct {
+		name  string
+		build func() store
+	}{
+		{"lone", func() store { return MustNew(DefaultConfig()) }},
+		{"shards=1", shards(1)},
+		{"shards=4", shards(4)},
+	}
+	for _, batch := range []int{1 << 16, 4096} {
+		for _, st := range stores {
+			b.Run(fmt.Sprintf("batch=%d/%s", batch, st.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					g := st.build()
+					b.StartTimer()
+					for lo := 0; lo < len(edges); lo += batch {
+						g.InsertBatch(edges[lo:min(lo+batch, len(edges))])
+					}
+				}
+				b.ReportMetric(float64(len(edges)*b.N)/b.Elapsed().Seconds()/1e6, "Medges/s")
+			})
+		}
+	}
+}
+
 func BenchmarkFindEdgeHit(b *testing.B) {
 	edges := benchEdges(200_000, 4096, 9)
 	g := MustNew(DefaultConfig())

@@ -7,11 +7,15 @@ package replication
 // these pin the protocol mechanics.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -422,5 +426,48 @@ func TestFrameRoundTripAndCorruption(t *testing.T) {
 	}()
 	if _, _, err := fb.recv(); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("corrupt frame = %v, want ErrBadFrame", err)
+	}
+}
+
+// TestFrameLengthClaimAllocatesWhatArrives: a header claiming the largest
+// payload, then EOF, costs recv about what arrived, not what was claimed.
+func TestFrameLengthClaimAllocatesWhatArrives(t *testing.T) {
+	hdr := make([]byte, frameHeaderSize)
+	binary.LittleEndian.PutUint32(hdr, maxFramePayload)
+	hdr[4] = frameRecords
+	fc := newFrameConn(&byteConn{r: bytes.NewReader(hdr)}, nil)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := fc.recv()
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated frame") {
+		t.Fatalf("recv = %v, want a truncated-frame error", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("recv allocated %d bytes for a frame that sent none", n)
+	}
+}
+
+// TestFrameMultiMiBRoundTrip: a payload far past the receive buffer's first
+// size still arrives whole, and the grown buffer serves a later frame.
+func TestFrameMultiMiBRoundTrip(t *testing.T) {
+	a, b := net.Pipe()
+	fa, fb := newFrameConn(a, nil), newFrameConn(b, nil)
+	defer func() { _ = fa.Close() }()
+	defer func() { _ = fb.Close() }()
+	big := make([]byte, 5<<20+17)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	small := []byte("after")
+	go func() {
+		if fa.send(frameSnapChunk, big) == nil {
+			_ = fa.send(frameRecords, small)
+		}
+	}()
+	for _, want := range [][]byte{big, small} {
+		if _, got, err := fb.recv(); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("recv of %d bytes: got %d bytes, err %v", len(want), len(got), err)
+		}
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
+	"slices"
 	"sync"
 
 	"graphtinker/internal/faultinject"
@@ -52,6 +53,11 @@ const (
 const maxFramePayload = 64 << 20
 
 const frameHeaderSize = 9 // u32 len + u8 type + u32 crc
+
+// frameReadStart is the receive buffer's first size. It doubles from there
+// as a payload's bytes arrive, so a header's length claim alone allocates
+// nothing.
+const frameReadStart = 4 << 10
 
 // Error codes carried by frameError payloads.
 const (
@@ -152,11 +158,8 @@ func (fc *frameConn) recv() (byte, []byte, error) {
 	if plen > maxFramePayload {
 		return 0, nil, fmt.Errorf("%w: implausible payload length %d", ErrBadFrame, plen)
 	}
-	if cap(fc.rbuf) < int(plen) {
-		fc.rbuf = make([]byte, plen)
-	}
-	payload := fc.rbuf[:plen]
-	if _, err := io.ReadFull(fc.br, payload); err != nil {
+	payload, err := fc.readPayload(int(plen))
+	if err != nil {
 		return 0, nil, fmt.Errorf("replication: recv: truncated frame: %w", err)
 	}
 	if crc32.Checksum(payload, castagnoli) != crc {
@@ -166,6 +169,27 @@ func (fc *frameConn) recv() (byte, []byte, error) {
 		fc.rec.FramesRecv.Inc()
 	}
 	return ft, payload, nil
+}
+
+// readPayload reads an n-byte payload into the reused receive buffer. A
+// full buffer doubles, from frameReadStart and never past n, before more
+// is read, so a frame that ends early has cost about twice the bytes the
+// peer sent, whatever length its header claimed.
+func (fc *frameConn) readPayload(n int) ([]byte, error) {
+	buf := fc.rbuf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(max(len(buf), frameReadStart), n-len(buf)))
+		}
+		end := min(cap(buf), n)
+		_, err := io.ReadFull(fc.br, buf[len(buf):end])
+		fc.rbuf = buf
+		if err != nil {
+			return nil, err
+		}
+		buf = buf[:end]
+	}
+	return buf, nil
 }
 
 // Close tears down the underlying connection. Safe to call concurrently
