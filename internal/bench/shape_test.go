@@ -248,12 +248,12 @@ func TestShapeRHHFlattensProbes(t *testing.T) {
 // defaultBytesCeiling and defaultFillFloor bound ext-mem's "GT default"
 // column at 1/128 (the scale of results/gtbench_scale128.txt), from the
 // measurement with 12-byte slice and cuckoo entries, slices grown by a
-// quarter into whole size classes, a 48-byte per-vertex adaptor and no
-// CAL. The ceiling is its largest row, 20.6 B/edge on RMAT_1M_10M, plus
-// 10%; the fill floor is its smallest fill, 0.84 on Kron_g500-logn21,
-// minus 0.03.
+// quarter into whole size classes, a 48-byte per-vertex adaptor, no CAL
+// and the open-addressed SGH index. The ceiling is its largest row, 19.4
+// B/edge on RMAT_1M_10M, plus 10%; the fill floor is its smallest fill,
+// 0.84 on Kron_g500-logn21, minus 0.03.
 const (
-	defaultBytesCeiling = 22.7
+	defaultBytesCeiling = 21.3
 	defaultFillFloor    = 0.81
 )
 

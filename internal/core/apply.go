@@ -4,7 +4,7 @@ package core
 // of at most applyChunk ops at a time, in three steps:
 //
 //	1a. Look up, in parallel. Each part of a round reads the dense id of a
-//	    contiguous range of the chunk's ops: the SGH map and the container
+//	    contiguous range of the chunk's ops: the SGH index and the container
 //	    header only, so it writes nothing another op reads. An op whose
 //	    source is bound to a container resolves here. Any other op is left
 //	    unresolved: a new source's insert, a delete of a source with no
@@ -13,7 +13,7 @@ package core
 //	1b. Resolve the rest, on the caller, in op order. The parts' largest
 //	    ids go to observe, then the unresolved ops change the state an op
 //	    shares with other vertices exactly as the op-by-op loop changed it:
-//	    the raw-id high-water mark, the SGH map's dense ids, the growth of
+//	    the raw-id high-water mark, the SGH index's dense ids, the growth of
 //	    cont and props, a new source's container binding. It leaves one
 //	    dense id per op, or noDense for a delete whose source holds no
 //	    container (a no-op, as DeleteEdge's miss).
@@ -25,7 +25,7 @@ package core
 //	    vertex runs in order on one goroutine. Containers, migration points,
 //	    counters and snapshot bytes are therefore the op-by-op result's.
 //
-// 1a's answers are 1b's: the map, cont and props change only in 1b, and
+// 1a's answers are 1b's: the index, cont and props change only in 1b, and
 // only for sources 1a left unresolved, so a source bound at the chunk's
 // start resolves to the same id for all its ops, and its inserts change
 // nothing shared but the high-water mark, a maximum.

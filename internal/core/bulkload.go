@@ -119,11 +119,15 @@ func (gt *GraphTinker) cloneInto(dst *GraphTinker) {
 	}
 }
 
-// reserveVertices grows the dense-id arrays to capacity n in one step so
-// a bulk load of n sources (the section header's count) does not re-grow
-// them log(n) times. A hint only — ensureDense still extends on demand.
+// reserveVertices grows the dense-id arrays and the SGH index to capacity
+// n in one step so a bulk load of n sources (the section header's count)
+// does not re-grow or rehash them log(n) times. A hint only — ensureDense
+// and assign still extend on demand.
 func (gt *GraphTinker) reserveVertices(n int) {
 	gt.props.reserve(n)
+	if gt.sgh != nil {
+		gt.sgh.reserve(n)
+	}
 	if n <= cap(gt.cont) {
 		return
 	}

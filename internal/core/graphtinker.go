@@ -235,7 +235,7 @@ func (gt *GraphTinker) Recorder() *metrics.UpdateRecorder { return gt.rec }
 
 // Memory reports the resident footprint by component: the capacity of every
 // buffer the instance holds times its padded element size, so it tracks
-// the heap the instance occupies (the SGH map's share is an estimate).
+// the heap the instance occupies.
 func (gt *GraphTinker) Memory() MemoryFootprint {
 	m := MemoryFootprint{
 		EdgeblockArrayBytes: gt.eba.memoryBytes() + uint64(cap(gt.topBlock))*4,

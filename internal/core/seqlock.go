@@ -34,7 +34,8 @@ package core
 // Reader protocol (pinRead/unpin):
 //
 //	s := seq.Load()          // odd: an in-place apply is running — back off
-//	                         // (awaitEven) and tell the writer it happened
+//	                         // (awaitEven) and tell the writer it happened;
+//	                         // draining: a writer waits on a pin — yield once
 //	pins[idx(s)].Add(pinOne) // announce presence on the version's replica
 //	seq.Load() == s ?        // validate; a torn pin means a write raced the
 //	                         // pin — back out and retry
@@ -69,7 +70,16 @@ package core
 // all-shard fence would deadlock it — so a pinned single replica sends the
 // writer to promotion, where the wait moves to the DUAL drain and readers
 // are free to enter meanwhile. Version values never recur (every store is
-// an increase), so a validated pin cannot straddle a write.
+// an increase), so a validated pin cannot straddle a write. The one
+// exception is the draining bit, which a waiting drain sets and clears
+// again on an even version: it routes nothing, so a pin validated across
+// it is still on the replica the version names.
+//
+// Writer yield: while a drain waits, the draining bit makes every new
+// read yield once (runtime.Gosched) before it pins. With as many readers
+// looping as there are Ps, a reader the scheduler preempted while pinned
+// to the drained replica would otherwise wait out every other reader's
+// time slice, and the writer with it (DESIGN §8 "Writer yield").
 //
 // Every logical operation lands exactly once in the shard's counters, which
 // live here and not in the replicas so a dropped replica takes nothing with
@@ -96,6 +106,11 @@ const (
 	pinLeave = ^uint64(0)
 	pinMask  = 1<<32 - 1
 
+	// draining is the version's top bit, set while a drain waits on a pin;
+	// an odd version or draining sends pinRead off its fast path.
+	draining = 1 << 63
+	slowSeq  = draining | 1
+
 	// readerSpins is the publication window: how many odd loads a reader
 	// tolerates before it counts the wait as an overlap and backs off.
 	readerSpins = 8
@@ -113,7 +128,7 @@ const (
 type shardCtl struct {
 	// seq is the shard's version: odd while a SINGLE writer applies in
 	// place, even otherwise. (seq>>1)&1 indexes the replica readers of that
-	// version may pin.
+	// version may pin. The top bit is the draining flag (awaitUnpinned).
 	seq atomic.Uint64
 
 	// inst are the replica slots. inst[(seq>>1)&1] is the active (readable)
@@ -175,10 +190,17 @@ func backoff(spins int) {
 // mode and on a quiet SINGLE shard; a read that lands inside an in-place
 // apply waits for that one apply (awaitEven) and makes it the shard's last.
 func (sc *shardCtl) pinRead() (*GraphTinker, uint32) {
-	for {
+	for yielded := false; ; {
 		s := sc.seq.Load()
-		if s&1 != 0 {
-			s = sc.awaitEven()
+		if s&slowSeq != 0 {
+			if s&draining != 0 && !yielded {
+				runtime.Gosched() // let the reader the drain waits for run
+				yielded = true
+				continue
+			}
+			if s&1 != 0 {
+				s = sc.awaitEven()
+			}
 		}
 		idx := uint32(s>>1) & 1
 		sc.pins[idx].Add(pinOne)
@@ -223,20 +245,29 @@ func (sc *shardCtl) entries() uint64 { return sc.pins[0].Load()>>32 + sc.pins[1]
 // current version routes new readers to the other replica (or an
 // unvalidated straggler backs out without reading), so the pin count can
 // only fall. Never called with the version odd.
-func (sc *shardCtl) drain(idx uint32) {
-	for spins := 0; sc.pinned(idx); spins++ {
-		backoff(spins)
-	}
-}
+func (sc *shardCtl) drain(idx uint32) { sc.awaitUnpinned(idx, -1) }
 
 // drained yields while readers are pinned to inst[idx], at most
 // yieldSpins times, and reports whether they all left.
-func (sc *shardCtl) drained(idx uint32) bool {
+func (sc *shardCtl) drained(idx uint32) bool { return sc.awaitUnpinned(idx, yieldSpins) }
+
+// awaitUnpinned backs off while readers are pinned to inst[idx], at most
+// limit times unless limit is negative, and reports whether they all left.
+// While it waits the version carries the draining bit, so new readers
+// yield once before they pin. Only the writer stores the version, and the
+// version is even here, so restoring the loaded value clears the bit.
+func (sc *shardCtl) awaitUnpinned(idx uint32, limit int) bool {
+	if !sc.pinned(idx) {
+		return true
+	}
+	s := sc.seq.Load()
+	sc.seq.Store(s | draining)
+	defer sc.seq.Store(s)
 	for spins := 0; sc.pinned(idx); spins++ {
-		if spins == yieldSpins {
+		if spins == limit {
 			return false
 		}
-		runtime.Gosched()
+		backoff(spins)
 	}
 	return true
 }
