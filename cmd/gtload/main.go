@@ -295,10 +295,11 @@ func main() {
 }
 
 // loadSharded drives the sharded store, either synchronously (InsertBatch,
-// which forks one goroutine per shard per batch) or through the streaming
-// ingestion pipeline (-stream: coalescing buffer, per-shard worker pool,
-// bounded queues), and reports aggregate counters plus — for -stream —
-// the pipeline's queue-depth/batch-size/flush-latency telemetry.
+// which deals its shards to the apply helper pool) or through the
+// streaming ingestion pipeline (-stream: coalescing buffer, one applier
+// handing each flush to ApplyOps, bounded admission), and reports
+// aggregate counters plus — for -stream — the pipeline's
+// queue-depth/batch-size/flush-latency telemetry.
 func loadSharded(cfg core.Config, batches [][]rmat.Edge, label string, shards int, stream bool, coalesce int, metricsOut string) {
 	p, err := core.NewParallel(cfg, shards)
 	if err != nil {

@@ -31,8 +31,9 @@ import (
 )
 
 // ErrStreamDegraded is returned by durable pushes once the pipeline has
-// lost its durability guarantee (persistent WAL failure) or a shard has
-// been poisoned; see StreamTotals for the breakdown.
+// lost its durability guarantee (persistent WAL failure), and by flushes
+// once a contained apply panic or exhausted apply retries have degraded
+// the pipeline; see StreamTotals for the breakdown.
 var ErrStreamDegraded = ingest.ErrDegraded
 
 // ErrStreamTimeout is returned when a flush or close barrier misses its
@@ -184,9 +185,11 @@ func (d *DurableStream) Push(u Update) error { return d.PushBatch([]Update{u}) }
 
 // PushBatch admits ops in order, then (when SnapshotEvery is set) runs an
 // auto-checkpoint if the period has elapsed. A nil return means the ops
-// were admitted and WAL-logged; an auto-checkpoint failure is NOT returned
-// here (the ops are durable regardless — returning it would invite a
-// double-applying retry) but is reported via LastCheckpointErr.
+// were admitted: they reach the WAL at the pipeline's next flush (by
+// size, by the flush timer, or at a barrier) and are durable once Flush
+// returns. An auto-checkpoint failure is NOT returned here (the ops are
+// admitted regardless — returning it would invite a double-applying
+// retry) but is reported via LastCheckpointErr.
 func (d *DurableStream) PushBatch(ops []Update) error {
 	d.ckptMu.RLock()
 	err := d.pipe.PushBatch(ops)

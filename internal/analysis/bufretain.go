@@ -8,9 +8,10 @@ package analysis
 // on a function/method declaration, or on an interface method — every
 // module implementation with the same name and signature inherits the
 // interface's contract, and calls through the interface honor it. The
-// canonical examples are the ingest free-list sub-batches handed to
-// Target.ApplyShard and the WAL encode scratch buffer: both are recycled
-// by their owner the moment the callee returns.
+// canonical examples are the ingest pipeline's recycled flush buffers
+// handed to ingest.Target.ApplyOps (wal.ReplayTarget.ApplyOps, which
+// replay's reused buffer goes through too) and the WAL encode scratch
+// buffer: all are recycled by their owner the moment the callee returns.
 //
 // Inside a marked function the named parameters are taint sources for a
 // may-analysis on the CFG (union meet): aliases created by assignment,

@@ -308,7 +308,8 @@ func RunPerfSweep(o PerfOptions) (PerfReport, error) {
 	}
 
 	// ingest/push-flush: the streaming pipeline hot path — coalesce,
-	// partition, apply, drain to the read-your-writes barrier.
+	// apply each flush through ApplyOps, drain to the read-your-writes
+	// barrier.
 	{
 		edges := perfEdges(o.EdgesPerOp, vertices, 29)
 		ops := make([]ingest.Update, len(edges))

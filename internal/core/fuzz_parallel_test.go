@@ -39,7 +39,7 @@ func FuzzParallelOps(f *testing.F) {
 			del := op%3 == 2
 			w := float32(op) + 1
 			// Alternate write paths: the single-edge routers and the
-			// pipeline's ordered ApplyShard entry point must agree.
+			// ordered ApplyShard entry point must agree.
 			useApplyShard := (i/3)%2 == 1
 			var changed, want bool
 			if del {

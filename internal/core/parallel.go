@@ -231,8 +231,8 @@ func (p *Parallel) DeleteBatch(edges []Edge) int { return p.runBatch(edges, true
 // concurrently, returning how many inserts were new and how many deletes
 // hit a live edge. Order is preserved per shard, hence per (Src, Dst) pair,
 // which is all a sequential replay's outcome depends on. It is the batch
-// entry for callers that hold a mixed stream and no partition of their own
-// (a replication follower applying shipped records).
+// entry for every caller that holds a mixed op stream: the ingest
+// pipeline's flushes, WAL replay and replication followers.
 //
 //gtlint:noretain ops
 func (p *Parallel) ApplyOps(ops []EdgeOp) (inserted, deleted int) {

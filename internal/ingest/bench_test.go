@@ -25,7 +25,7 @@ func benchUpdates(n int, vertices uint64, seed uint64) []Update {
 }
 
 // BenchmarkPipelinePushFlush measures the steady-state ingest hot path —
-// PushBatch coalescing plus the flush/partition/apply cycle over a 4-shard
+// PushBatch coalescing plus the flush/ApplyOps cycle over a 4-shard
 // store that every op merely updates, so per-flush staging overhead (not
 // structure growth) is what's measured. One op = one MaxBatch-sized batch
 // pushed and drained to the read-your-writes barrier.

@@ -3,8 +3,8 @@ package ingest
 // Differential tests: a randomized interleaved insert/delete stream pushed
 // through the pipeline must leave the drained core.Parallel in exactly the
 // state a sequential replay produces — checked edge-for-edge against the
-// shared single-threaded oracle. The pipeline guarantees per-pusher FIFO
-// order per shard, and an edge's final state depends only on the relative
+// shared single-threaded oracle. The pipeline applies flushes in order and
+// ApplyOps keeps each shard's ops in order, and an edge's final state depends only on the relative
 // order of its own (src,dst) ops, so equality holds for a single pusher
 // and for concurrent pushers owning disjoint source ranges.
 
@@ -70,8 +70,8 @@ func TestPipelineMatchesOracleSequentialStream(t *testing.T) {
 		t.Fatalf("pushed %d, want %d", tot.Pushed, n)
 	}
 	// Effect counts match the sequential replay exactly: each op's outcome
-	// depends only on the prior state of its own (src,dst) pair, which the
-	// per-shard FIFO preserves.
+	// depends only on the prior state of its own (src,dst) pair, whose
+	// order the pipeline preserves.
 	if tot.Inserted != refInserted || tot.Deleted != refDeleted {
 		t.Fatalf("effects = %d inserted / %d deleted, oracle %d / %d",
 			tot.Inserted, tot.Deleted, refInserted, refDeleted)

@@ -8,42 +8,43 @@ import "graphtinker/internal/metrics"
 // counters. All fields are safe for concurrent use; a nil *Recorder is a
 // valid no-op sink.
 type Recorder struct {
-	// QueueDepth tracks updates admitted but not yet applied to a shard
-	// (buffered + queued). Sampled after every admission and apply.
+	// QueueDepth tracks updates admitted but not yet applied (buffered +
+	// queued). Sampled after every admission and apply.
 	QueueDepth metrics.Gauge
-	// BatchSize observes the number of updates in each applied per-shard
-	// sub-batch — how well the coalescer is amortizing.
+	// BatchSize observes the number of updates in each applied flush —
+	// how well the coalescer is amortizing.
 	BatchSize *metrics.Histogram
-	// FlushLatency observes nanoseconds from a flush handing a sub-batch to
-	// its shard queue until the shard worker finished applying it (queue
-	// wait + apply).
+	// FlushLatency observes nanoseconds from a flush being sealed onto the
+	// applier's queue until the applier finished applying it (queue wait +
+	// apply).
 	FlushLatency *metrics.Histogram
-	// ApplyLatency observes just the ApplyShard call duration.
+	// ApplyLatency observes just the ApplyOps call duration, per flush.
 	ApplyLatency *metrics.Histogram
 	// Flushes counts buffer flushes (size-, time- and barrier-triggered).
 	Flushes metrics.Counter
 	// Rejected counts pushes refused under the Reject backpressure policy
 	// or shed with ErrDegraded after durability loss.
 	Rejected metrics.Counter
-	// Retries counts transient-failure retries on WAL appends and shard
+	// Retries counts transient-failure retries on WAL appends and
 	// applies (bounded by Options.MaxRetries per operation).
 	Retries metrics.Counter
-	// WorkerPanics counts shard-worker panics contained by the pipeline.
+	// WorkerPanics counts apply panics contained by the pipeline.
 	WorkerPanics metrics.Counter
-	// Dropped counts admitted updates discarded because their shard was
+	// Dropped counts admitted updates discarded because the pipeline was
 	// degraded.
 	Dropped metrics.Counter
 	// WALFailures counts coalesced flushes whose WAL append failed past the
 	// retry budget (each one flips the pipeline into WAL-degraded mode).
 	WALFailures metrics.Counter
-	// DegradedShards gauges how many shards are currently dropping.
+	// DegradedShards gauges how many shards are currently dropping: 0, or
+	// every shard once the pipeline has degraded.
 	DegradedShards metrics.Gauge
-	// DegradedMode is 1 once any shard or the WAL has degraded, else 0 —
+	// DegradedMode is 1 once the pipeline or the WAL has degraded, else 0 —
 	// the single alarm bit for dashboards.
 	DegradedMode metrics.Gauge
 }
 
-// BatchSizeBounds are the sub-batch size histogram bounds: powers of two
+// BatchSizeBounds are the flush size histogram bounds: powers of two
 // from 1 to 1Mi updates.
 func BatchSizeBounds() []uint64 {
 	out := make([]uint64, 0, 21)

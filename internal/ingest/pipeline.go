@@ -1,13 +1,15 @@
 // Package ingest is the streaming ingestion subsystem: it accepts an
 // unbounded stream of edge insert/delete updates, coalesces them into
-// batches (size- and time-triggered flush), partitions each batch by the
-// target's shard function, and applies per-shard sub-batches on a fixed
-// pool of per-shard worker goroutines with bounded admission and
-// caller-selectable backpressure (block or reject-with-error).
+// batches (size- and time-triggered flush) with bounded admission and
+// caller-selectable backpressure (block or reject-with-error), and hands
+// each flush whole to the target's ApplyOps. One applier goroutine drains
+// the sealed flushes in order; a sharded target splits each one over its
+// shards on the process's apply helper pool (core.Parallel.ApplyOps), the
+// same batch entry WAL replay and replication followers use.
 //
-// Ordering and consistency model: updates pushed by one goroutine are
-// applied to their shard in push order (one FIFO queue and one worker per
-// shard), so the drained target converges to exactly the state a
+// Ordering and consistency model: flushes are applied one at a time in
+// the order they were sealed, and ApplyOps keeps each (Src, Dst) pair's
+// ops in order, so the drained target converges to exactly the state a
 // sequential replay of the stream would produce — the property the
 // differential tests pin. Reads against the target during ingestion are
 // safe (core.Parallel reads are lock-free seqlock reads that never see a
@@ -39,31 +41,20 @@ func Insert(src, dst uint64, w float32) Update { return core.InsertOp(src, dst, 
 // Delete builds a deletion op.
 func Delete(src, dst uint64) Update { return core.DeleteOp(src, dst) }
 
-// Target is the sharded write surface a pipeline drains into.
-// *core.Parallel satisfies it; tests substitute instrumented fakes.
-type Target interface {
-	// NumShards reports how many independent write domains exist.
-	NumShards() int
-	// ShardOf routes a source vertex to its write domain.
-	ShardOf(src uint64) int
-	// ApplyShard applies an ordered op sequence to one shard, returning
-	// how many inserts were new and how many deletes hit a live edge. It
-	// is only ever called from the shard's single worker goroutine, so
-	// calls for different shards overlap and calls for one shard never
-	// do. The ops slice is the pipeline's recycled sub-batch buffer,
-	// valid only for the duration of the call, so implementations must
-	// copy anything they keep.
-	//
-	//gtlint:noretain ops
-	ApplyShard(shard int, ops []core.EdgeOp) (inserted, deleted int)
-}
+// Target is the write surface a pipeline drains into: the WAL replay
+// target's method set, NumShards plus ApplyOps. *core.Parallel satisfies
+// it; tests substitute instrumented fakes. ApplyOps is called from the
+// pipeline's one applier goroutine, so calls never overlap, and its ops
+// slice is a recycled flush buffer, valid only for the duration of the
+// call.
+type Target = wal.ReplayTarget
 
 // Policy selects what Push does when the pipeline's admission budget is
 // exhausted.
 type Policy uint8
 
 const (
-	// Block makes Push wait until workers free budget (default).
+	// Block makes Push wait until the applier frees budget (default).
 	Block Policy = iota
 	// Reject makes Push fail fast with ErrBackpressure.
 	Reject
@@ -79,8 +70,9 @@ var ErrBackpressure = errors.New("ingest: pipeline backpressure (queue full)")
 // ErrDegraded is returned by pushes once the pipeline has lost its
 // durability guarantee (persistent WAL failure): rather than silently
 // acknowledging updates it can no longer log, the pipeline sheds them.
-// FlushSync also reports it when any shard has been degraded by a
-// contained worker panic, so callers learn the applied state is partial.
+// FlushSync also reports it once a contained apply panic or exhausted
+// apply retries have degraded the pipeline, so callers learn the applied
+// state is partial.
 var ErrDegraded = errors.New("ingest: pipeline degraded")
 
 // ErrTimeout is returned when a FlushSync or Close barrier misses the
@@ -89,9 +81,9 @@ var ErrTimeout = errors.New("ingest: deadline exceeded")
 
 // Options configures a pipeline; zero values select the defaults.
 type Options struct {
-	// MaxBatch is the size-triggered flush threshold: the shared buffer is
-	// flushed to the shard queues when it holds this many updates
-	// (default 8192).
+	// MaxBatch is the size-triggered flush threshold: the coalescing
+	// buffer is sealed and queued for the applier when it holds this many
+	// updates (default 8192).
 	MaxBatch int
 	// FlushInterval is the time-triggered flush period, bounding how stale
 	// a trickle of updates can get (default 2ms; negative disables the
@@ -108,16 +100,16 @@ type Options struct {
 	Recorder *Recorder
 	// WAL, when non-nil, makes the pipeline durable: every flush appends
 	// its coalesced batch to the log (in push order, under the pipeline
-	// lock) before handing sub-batches to the shard workers, so the log is
-	// always an exact prefix of the admitted stream. FlushSync and Close
-	// fsync the log at their barrier. The pipeline does not Open or Close
-	// the log; ownership stays with the caller.
+	// lock) before queueing it for the applier, so the log is always an
+	// exact prefix of the admitted stream. FlushSync and Close fsync the
+	// log at their barrier. The pipeline does not Open or Close the log;
+	// ownership stays with the caller.
 	WAL *wal.Log
 	// FlushTimeout, when positive, bounds how long FlushSync and Close wait
 	// for their barrier before giving up with ErrTimeout (default 0: wait
 	// forever).
 	FlushTimeout time.Duration
-	// MaxRetries bounds transient-failure retries on WAL appends and shard
+	// MaxRetries bounds transient-failure retries on WAL appends and
 	// applies before the pipeline degrades (default 4).
 	MaxRetries int
 	// RetryBase is the first retry backoff; it doubles per attempt with
@@ -157,99 +149,31 @@ type Totals struct {
 	// Pushed counts updates admitted.
 	Pushed uint64 `json:"pushed"`
 	// Inserted / Deleted count ops that changed the target (new edges /
-	// removed live edges), as reported by ApplyShard.
+	// removed live edges), as reported by ApplyOps.
 	Inserted uint64 `json:"inserted"`
 	Deleted  uint64 `json:"deleted"`
-	// Dropped counts admitted updates discarded because their shard was
+	// Dropped counts admitted updates discarded because the pipeline was
 	// degraded by a contained panic or exhausted apply retries. They are
 	// missing from the in-memory store but — when a WAL is attached — still
 	// in the log, so recovery restores them.
 	Dropped uint64 `json:"dropped"`
-	// Panics counts worker panics contained by the pipeline.
+	// Panics counts apply panics contained by the pipeline.
 	Panics uint64 `json:"panics"`
-	// DegradedShards counts shards currently in the degraded (dropping)
-	// state.
+	// DegradedShards counts shards in the degraded (dropping) state:
+	// degradation covers the whole pipeline, so it is 0 or NumShards.
 	DegradedShards int `json:"degraded_shards"`
 	// WALDegraded reports that WAL appends were abandoned after persistent
 	// failure; pushes are shed with ErrDegraded once this is set.
 	WALDegraded bool `json:"wal_degraded"`
 }
 
-// job is one unit handed to a shard worker: either an ordered sub-batch or
-// a barrier marker (ack non-nil).
+// job is one unit the applier takes from the FIFO: either a sealed flush
+// or a barrier marker (ack non-nil), closed once everything queued ahead
+// of it has been applied.
 type job struct {
 	ops []Update
 	at  time.Time
-	ack chan<- struct{}
-}
-
-// shardQueue is one shard's unbounded FIFO (admission is bounded globally
-// by MaxPending, so its backlog never exceeds the pipeline budget). It is
-// a head-indexed slice rather than a pop-front reslice so the backing
-// array is reused once the queue drains — the steady-state push path
-// stops allocating after the backlog's high-water mark.
-type shardQueue struct {
-	mu     sync.Mutex
-	cond   sync.Cond
-	jobs   []job
-	head   int
-	closed bool
-}
-
-func newShardQueue() *shardQueue {
-	q := &shardQueue{}
-	q.cond.L = &q.mu
-	return q
-}
-
-// push appends a job; it reports false when the queue already shut down
-// (only barriers race that window).
-func (q *shardQueue) push(j job) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return false
-	}
-	q.jobs = append(q.jobs, j)
-	q.cond.Signal()
-	return true
-}
-
-// pop blocks for the next job; ok=false means closed and drained.
-func (q *shardQueue) pop() (job, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.head >= len(q.jobs) && !q.closed {
-		q.cond.Wait()
-	}
-	if q.head >= len(q.jobs) {
-		return job{}, false
-	}
-	j := q.jobs[q.head]
-	q.jobs[q.head] = job{} // drop references so recycled buffers aren't pinned
-	q.head++
-	if q.head == len(q.jobs) {
-		q.jobs = q.jobs[:0]
-		q.head = 0
-	}
-	return j, true
-}
-
-func (q *shardQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.cond.Broadcast()
-	q.mu.Unlock()
-}
-
-// abort closes the queue and discards its backlog — the crash path.
-func (q *shardQueue) abort() {
-	q.mu.Lock()
-	q.jobs = nil
-	q.head = 0
-	q.closed = true
-	q.cond.Broadcast()
-	q.mu.Unlock()
+	ack chan struct{}
 }
 
 // Pipeline is the streaming coalescer; see the package comment for the
@@ -258,83 +182,58 @@ type Pipeline struct {
 	target Target
 	opts   Options
 	rec    *Recorder
+	shards int
 
 	mu      sync.Mutex
 	notFull sync.Cond
 	buf     []Update
 	pending int // admitted but unapplied updates
-	pushed  uint64
 	closed  bool
+	tot     Totals // Pushed, Inserted, Deleted, Dropped and Panics
 
-	// flushLocked's partition scratch, reused across flushes (guarded by
-	// mu): per-shard counts, the cached shard index of every buffered
-	// update (each source id is hashed exactly once per flush), and the
-	// header slice the sub-batches are staged into.
-	counts   []int
-	shardIdx []int32
-	parts    [][]Update
+	// queue is the FIFO of sealed flushes and barriers the applier drains,
+	// head-indexed so its backing array is reused once it empties.
+	queue []job
+	head  int
+	// free recycles applied flush buffers as the next coalescing buffer,
+	// so steady-state coalescing allocates nothing. A buffer never holds
+	// more than MaxBatch updates, and the list keeps at most what the
+	// admission budget can have in flight, MaxPending/MaxBatch + 1.
+	free    [][]Update
+	maxFree int
 
-	// freeParts recycles flushed sub-batch buffers: workers return them
-	// after apply, flushLocked reuses them, so steady-state coalescing
-	// allocates nothing. Bounded to maxFree — the whole admission budget
-	// staged as sub-batches plus one flush in hand — so a full backlog
-	// circulates without allocating while burst memory stays proportional
-	// to MaxPending.
-	freeMu    sync.Mutex
-	freeParts [][]Update
-	maxFree   int
+	// wake carries one pending wake-up to the applier (a flush was sealed
+	// or the pipeline shut down).
+	wake        chan struct{}
+	applierDone chan struct{}
 
-	queues  []*shardQueue
-	workers sync.WaitGroup
-
-	// degraded[i] marks shard i as dropping (contained panic or exhausted
-	// apply retries); degradedShards is the count, walDegraded the
-	// pipeline-wide durability loss flag.
-	degraded       []atomic.Bool
-	degradedShards atomic.Int32
-	closeDone      chan struct{} // closed once shutdown (Close/Abort) finishes
-	closeTotals    Totals
-	walDegraded    atomic.Bool
-
-	timerStop chan struct{}
-	timerDone chan struct{}
-
-	totals struct {
-		mu                sync.Mutex
-		inserted, deleted uint64
-		dropped, panics   uint64
-	}
+	// degraded marks the pipeline as dropping (contained panic or
+	// exhausted apply retries); walDegraded is the durability-loss flag.
+	degraded    atomic.Bool
+	walDegraded atomic.Bool
+	closeDone   chan struct{} // closed once shutdown (Close/Abort) finishes
+	closeTotals Totals
 }
 
-// New starts a pipeline over the target: one worker goroutine per shard
-// plus (unless disabled) the flush timer. The caller must Close it.
+// New starts a pipeline over the target and its one applier goroutine,
+// which also runs the flush timer. The caller must Close it.
 func New(target Target, opts Options) (*Pipeline, error) {
 	n := target.NumShards()
 	if n <= 0 {
 		return nil, fmt.Errorf("ingest: target reports %d shards", n)
 	}
 	p := &Pipeline{
-		target:    target,
-		opts:      opts.withDefaults(),
-		rec:       opts.Recorder,
-		queues:    make([]*shardQueue, n),
-		degraded:  make([]atomic.Bool, n),
-		closeDone: make(chan struct{}),
+		target:      target,
+		opts:        opts.withDefaults(),
+		rec:         opts.Recorder,
+		shards:      n,
+		wake:        make(chan struct{}, 1),
+		applierDone: make(chan struct{}),
+		closeDone:   make(chan struct{}),
 	}
 	p.notFull.L = &p.mu
-	p.maxFree = n * (p.opts.MaxPending/p.opts.MaxBatch + 1)
-	for i := range p.queues {
-		p.queues[i] = newShardQueue()
-	}
-	p.workers.Add(n)
-	for i := 0; i < n; i++ {
-		go p.runWorker(i)
-	}
-	if p.opts.FlushInterval > 0 {
-		p.timerStop = make(chan struct{})
-		p.timerDone = make(chan struct{})
-		go p.runTimer()
-	}
+	p.maxFree = p.opts.MaxPending/p.opts.MaxBatch + 1
+	go p.runApplier()
 	return p, nil
 }
 
@@ -356,8 +255,8 @@ func (p *Pipeline) Push(u Update) error {
 
 // PushBatch admits a sequence of updates in order, amortizing one lock
 // acquisition across the slice. Under Block a batch larger than the free
-// budget is admitted in chunks as workers drain; under Reject the push
-// fails without admitting anything unless the whole batch fits.
+// budget is admitted in chunks as the applier drains; under Reject the
+// push fails without admitting anything unless the whole batch fits.
 func (p *Pipeline) PushBatch(ops []Update) error {
 	if len(ops) == 0 {
 		return nil
@@ -374,7 +273,7 @@ func (p *Pipeline) PushBatch(ops []Update) error {
 		return ErrDegraded
 	}
 	if p.opts.Policy == Reject && p.opts.MaxPending-p.pending < len(ops) {
-		// Hand whatever is buffered to the workers so the backlog drains
+		// Hand whatever is buffered to the applier so the backlog drains
 		// even if the caller never pushes again, then fail fast.
 		//gtlint:ignore lockhold WAL retry backoff under p.mu is deliberate: producers must stall while durability recovers (see Options.RetryBase)
 		p.flushLocked()
@@ -384,7 +283,7 @@ func (p *Pipeline) PushBatch(ops []Update) error {
 	for len(ops) > 0 {
 		for p.pending >= p.opts.MaxPending && !p.closed {
 			// The budget may be held entirely by the unflushed buffer; flush
-			// it so the workers can free budget while we wait.
+			// it so the applier can free budget while we wait.
 			//gtlint:ignore lockhold WAL retry backoff under p.mu is deliberate: producers must stall while durability recovers (see Options.RetryBase)
 			p.flushLocked()
 			p.notFull.Wait()
@@ -392,13 +291,11 @@ func (p *Pipeline) PushBatch(ops []Update) error {
 		if p.closed {
 			return ErrClosed
 		}
-		n := p.opts.MaxPending - p.pending
-		if n > len(ops) {
-			n = len(ops)
-		}
+		n := min(len(ops), p.opts.MaxPending-p.pending, p.opts.MaxBatch-len(p.buf))
+		p.growLocked(n)
 		p.buf = append(p.buf, ops[:n]...)
 		p.pending += n
-		p.pushed += uint64(n)
+		p.tot.Pushed += uint64(n)
 		ops = ops[n:]
 		if p.rec != nil {
 			p.rec.QueueDepth.Set(int64(p.pending))
@@ -411,6 +308,18 @@ func (p *Pipeline) PushBatch(ops []Update) error {
 	return nil
 }
 
+// growLocked makes room for n more updates in the coalescing buffer,
+// doubling its capacity up to MaxBatch, so a buffer is never larger than
+// one flush. Caller holds p.mu.
+func (p *Pipeline) growLocked(n int) {
+	if len(p.buf)+n <= cap(p.buf) {
+		return
+	}
+	b := make([]Update, len(p.buf), min(max(2*cap(p.buf), len(p.buf)+n), p.opts.MaxBatch))
+	copy(b, p.buf)
+	p.buf = b
+}
+
 // rejected is a nil-safe reject-counter bump.
 func (r *Recorder) rejected() {
 	if r != nil {
@@ -418,9 +327,9 @@ func (r *Recorder) rejected() {
 	}
 }
 
-// flushLocked appends the buffer to the WAL (if any), then partitions it
-// into per-shard ordered sub-batches and hands them to the shard queues.
-// Caller holds p.mu — which is what makes the WAL an exact prefix of the
+// flushLocked appends the buffer to the WAL (if any), then seals it onto
+// the applier's FIFO and takes a recycled buffer in its place. Caller
+// holds p.mu — which is what makes the WAL an exact prefix of the
 // admitted stream: appends happen in push order with no interleaving.
 func (p *Pipeline) flushLocked() {
 	if len(p.buf) == 0 {
@@ -439,88 +348,79 @@ func (p *Pipeline) flushLocked() {
 			}
 		}
 	}
-	now := time.Now()
-	n := len(p.queues)
-	if p.counts == nil {
-		p.counts = make([]int, n)
-		p.parts = make([][]Update, n)
+	p.enqueueLocked(job{ops: p.buf, at: time.Now()})
+	p.buf = nil
+	if last := len(p.free) - 1; last >= 0 {
+		p.buf = p.free[last]
+		p.free[last] = nil
+		p.free = p.free[:last]
 	}
-	for s := range p.counts {
-		p.counts[s] = 0
-	}
-	if cap(p.shardIdx) < len(p.buf) {
-		p.shardIdx = make([]int32, len(p.buf))
-	}
-	idx := p.shardIdx[:len(p.buf)]
-	for i := range p.buf {
-		s := p.target.ShardOf(p.buf[i].Src)
-		idx[i] = int32(s)
-		p.counts[s]++
-	}
-	for s, c := range p.counts {
-		if c > 0 {
-			p.parts[s] = p.getPart(c)
-		}
-	}
-	for i, u := range p.buf {
-		s := idx[i]
-		p.parts[s] = append(p.parts[s], u)
-	}
-	p.buf = p.buf[:0]
 	if p.rec != nil {
 		p.rec.Flushes.Inc()
 	}
-	for s, part := range p.parts {
-		if len(part) > 0 {
-			p.queues[s].push(job{ops: part, at: now})
-		}
-		p.parts[s] = nil // ownership moved to the queue/worker
+}
+
+// enqueueLocked appends a job to the applier's FIFO and wakes the
+// applier. Caller holds p.mu.
+func (p *Pipeline) enqueueLocked(j job) {
+	p.queue = append(p.queue, j)
+	p.signal()
+}
+
+// signal leaves the applier one wake-up; a pending one already covers it.
+func (p *Pipeline) signal() {
+	select {
+	case p.wake <- struct{}{}:
+	default:
 	}
 }
 
-// getPart returns a recycled sub-batch buffer (empty, capacity ≥ n when
-// one of that size has circulated before) or a fresh one. Fresh buffers
-// get 25% headroom so the per-flush jitter in shard sizes doesn't keep
-// invalidating recycled capacities.
-func (p *Pipeline) getPart(n int) []Update {
-	p.freeMu.Lock()
-	if last := len(p.freeParts) - 1; last >= 0 {
-		s := p.freeParts[last]
-		p.freeParts[last] = nil
-		p.freeParts = p.freeParts[:last]
-		p.freeMu.Unlock()
-		if cap(s) >= n {
-			return s[:0]
-		}
-	} else {
-		p.freeMu.Unlock()
+// runApplier is the pipeline's one goroutine: it applies sealed flushes
+// and acks barriers in FIFO order, and fires the time-triggered flushes,
+// until the pipeline is shut down and the FIFO is empty.
+func (p *Pipeline) runApplier() {
+	defer close(p.applierDone)
+	var tick <-chan time.Time
+	if p.opts.FlushInterval > 0 {
+		t := time.NewTicker(p.opts.FlushInterval)
+		defer t.Stop()
+		tick = t.C
 	}
-	return make([]Update, 0, n+n/4)
-}
-
-// putPart returns a drained sub-batch buffer to the free list. The list is
-// bounded so a burst's buffers don't pin memory forever.
-func (p *Pipeline) putPart(s []Update) {
-	if s == nil {
-		return
-	}
-	p.freeMu.Lock()
-	if len(p.freeParts) < p.maxFree {
-		p.freeParts = append(p.freeParts, s[:0])
-	}
-	p.freeMu.Unlock()
-}
-
-// runTimer fires time-triggered flushes until Close.
-func (p *Pipeline) runTimer() {
-	defer close(p.timerDone)
-	t := time.NewTicker(p.opts.FlushInterval)
-	defer t.Stop()
 	for {
-		select {
-		case <-p.timerStop:
+		j, ok := p.next(tick)
+		if !ok {
 			return
-		case <-t.C:
+		}
+		if j.ack != nil {
+			close(j.ack)
+			continue
+		}
+		p.applyJob(j)
+	}
+}
+
+// next pops the FIFO's head, waiting for a job and running the timer's
+// flushes meanwhile; ok=false means shut down and drained.
+func (p *Pipeline) next(tick <-chan time.Time) (j job, ok bool) {
+	for {
+		p.mu.Lock()
+		if p.head < len(p.queue) {
+			j = p.queue[p.head]
+			p.queue[p.head] = job{} // the FIFO must not pin a recycled buffer
+			if p.head++; p.head == len(p.queue) {
+				p.queue, p.head = p.queue[:0], 0
+			}
+			p.mu.Unlock()
+			return j, true
+		}
+		closed := p.closed
+		p.mu.Unlock()
+		if closed {
+			return job{}, false
+		}
+		select {
+		case <-p.wake:
+		case <-tick:
 			p.mu.Lock()
 			if !p.closed {
 				//gtlint:ignore lockhold WAL retry backoff under p.mu is deliberate: producers must stall while durability recovers (see Options.RetryBase)
@@ -531,89 +431,82 @@ func (p *Pipeline) runTimer() {
 	}
 }
 
-// runWorker drains one shard's queue until it is closed and empty. A
-// worker never dies: panics are contained per job, so a poisoned shard
-// degrades (drops its ops) while the worker keeps acking barriers — Flush
-// and Close complete, and every other shard stays live.
-func (p *Pipeline) runWorker(shard int) {
-	defer p.workers.Done()
-	q := p.queues[shard]
-	for {
-		j, ok := q.pop()
-		if !ok {
-			return
-		}
-		if j.ack != nil {
-			j.ack <- struct{}{}
-			continue
-		}
-		if p.degraded[shard].Load() {
-			p.dropJob(j)
-		} else {
-			p.applyJob(shard, j)
-		}
-		// The sub-batch is fully applied or dropped either way; recycle
-		// its buffer for a later flush.
-		p.putPart(j.ops)
+// applyJob applies one sealed flush, or drops it whole once the pipeline
+// has degraded, then returns its admission budget and recycles its
+// buffer. Dropped ops are already in the WAL when one is attached, so
+// recovery repairs the loss.
+func (p *Pipeline) applyJob(j job) {
+	ins, del, err := 0, 0, ErrDegraded
+	if !p.degraded.Load() {
+		ins, del, err = p.applyOps(j)
 	}
+	if err != nil && p.degraded.CompareAndSwap(false, true) && p.rec != nil {
+		p.rec.DegradedShards.Set(int64(p.shards))
+		p.rec.DegradedMode.Set(1)
+	}
+	n := len(j.ops)
+	if err != nil && p.rec != nil {
+		p.rec.Dropped.Add(uint64(n))
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err != nil {
+		p.tot.Dropped += uint64(n)
+	} else {
+		p.tot.Inserted += uint64(ins)
+		p.tot.Deleted += uint64(del)
+	}
+	if errors.Is(err, errPanicked) {
+		p.tot.Panics++
+	}
+	p.pending -= n
+	if len(p.free) < p.maxFree {
+		p.free = append(p.free, j.ops[:0])
+	}
+	if p.rec != nil {
+		p.rec.QueueDepth.Set(int64(p.pending))
+	}
+	p.notFull.Broadcast()
 }
 
-// applyJob applies one sub-batch, containing panics: a panicking shard is
-// marked degraded and the job's ops counted dropped (pending is still
-// released, so barriers and blocked pushers never hang on a dead shard).
-// When a WAL is attached the dropped ops are already logged, so recovery
-// repairs the loss.
-func (p *Pipeline) applyJob(shard int, j job) {
+// errPanicked marks an apply that panicked and was contained.
+var errPanicked = errors.New("ingest: apply panicked")
+
+// applyOps runs the target apply with bounded retries against the
+// "ingest/apply" failpoint (the injection hook for transient apply
+// failures). A panic is contained; it and exhausted retries are errors,
+// which degrade the pipeline.
+func (p *Pipeline) applyOps(j job) (ins, del int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			p.markDegraded(shard)
-			p.totals.mu.Lock()
-			p.totals.panics++
-			p.totals.mu.Unlock()
 			if p.rec != nil {
 				p.rec.WorkerPanics.Inc()
 			}
-			p.dropJob(j)
+			err = fmt.Errorf("%w: %v", errPanicked, r)
 		}
 	}()
-	start := time.Now()
-	ins, del, err := p.applyShard(shard, j.ops)
-	if err != nil {
-		p.markDegraded(shard)
-		p.dropJob(j)
-		return
+	for attempt := 0; ; attempt++ {
+		ferr := faultinject.Inject("ingest/apply")
+		if ferr == nil {
+			break
+		}
+		if attempt >= p.opts.MaxRetries {
+			return 0, 0, fmt.Errorf("ingest: apply failed after %d attempts: %w", attempt+1, ferr)
+		}
+		if p.rec != nil {
+			p.rec.Retries.Inc()
+		}
+		p.backoff(attempt)
 	}
+	start := time.Now()
+	ins, del = p.target.ApplyOps(j.ops)
 	if p.rec != nil {
 		done := time.Now()
 		p.rec.ApplyLatency.ObserveDuration(done.Sub(start))
 		p.rec.FlushLatency.ObserveDuration(done.Sub(j.at))
 		p.rec.BatchSize.Observe(uint64(len(j.ops)))
 	}
-	p.totals.mu.Lock()
-	p.totals.inserted += uint64(ins)
-	p.totals.deleted += uint64(del)
-	p.totals.mu.Unlock()
-	p.release(len(j.ops))
-}
-
-// applyShard runs the target apply with bounded retries against the
-// "ingest/apply" failpoint (the injection hook for transient shard
-// failures); exhausted retries degrade the shard via applyJob's error path.
-func (p *Pipeline) applyShard(shard int, ops []Update) (int, int, error) {
-	for attempt := 0; ; attempt++ {
-		if err := faultinject.Inject("ingest/apply"); err != nil {
-			if attempt >= p.opts.MaxRetries {
-				return 0, 0, fmt.Errorf("ingest: shard %d apply failed after %d attempts: %w", shard, attempt+1, err)
-			}
-			if p.rec != nil {
-				p.rec.Retries.Inc()
-			}
-			p.backoff(attempt)
-			continue
-		}
-		ins, del := p.target.ApplyShard(shard, ops)
-		return ins, del, nil
-	}
+	return ins, del, nil
 }
 
 // appendWAL appends one coalesced flush with bounded retries. Sticky log
@@ -646,96 +539,60 @@ func (p *Pipeline) backoff(attempt int) {
 	time.Sleep(d/2 + time.Duration(rand.Int63n(int64(d/2)+1)))
 }
 
-// markDegraded flips shard into the dropping state (idempotently).
-func (p *Pipeline) markDegraded(shard int) {
-	if p.degraded[shard].CompareAndSwap(false, true) {
-		n := p.degradedShards.Add(1)
-		if p.rec != nil {
-			p.rec.DegradedShards.Set(int64(n))
-			p.rec.DegradedMode.Set(1)
-		}
-	}
-}
-
-// dropJob discards a job's ops (degraded shard) while still releasing
-// their admission budget.
-func (p *Pipeline) dropJob(j job) {
-	p.totals.mu.Lock()
-	p.totals.dropped += uint64(len(j.ops))
-	p.totals.mu.Unlock()
-	if p.rec != nil {
-		p.rec.Dropped.Add(uint64(len(j.ops)))
-	}
-	p.release(len(j.ops))
-}
-
-// release returns n updates' worth of admission budget.
-func (p *Pipeline) release(n int) {
-	p.mu.Lock()
-	p.pending -= n
-	if p.rec != nil {
-		p.rec.QueueDepth.Set(int64(p.pending))
-	}
-	p.notFull.Broadcast()
-	p.mu.Unlock()
-}
-
 // Flush is the read-your-writes barrier: it flushes the buffer and returns
-// once every update admitted before the call has been applied to its
-// shard. Concurrent pushes may land behind the barrier; they are not
-// waited for. Calling Flush on a closed pipeline returns immediately.
-// Flush ignores failures; durability-sensitive callers use FlushSync.
+// once every update admitted before the call has been applied.
+// Concurrent pushes may land behind the barrier; they are not waited
+// for. Calling Flush on a closed pipeline returns immediately. Flush
+// ignores failures; durability-sensitive callers use FlushSync.
 func (p *Pipeline) Flush() { _ = p.FlushSync() }
 
 // FlushSync is Flush with the failure surface exposed: it additionally
 // fsyncs the WAL (if attached) once the barrier completes — the
 // acknowledged-means-durable point — and reports ErrTimeout when the
-// barrier misses FlushTimeout, the WAL sync error, or ErrDegraded when a
-// shard or the WAL has degraded (the applied state is partial / the log
-// has stopped).
+// barrier misses FlushTimeout, the WAL sync error, or ErrDegraded when
+// the pipeline or the WAL has degraded (the applied state is partial /
+// the log has stopped).
 func (p *Pipeline) FlushSync() error {
+	var ack chan struct{}
 	p.mu.Lock()
 	//gtlint:ignore lockhold WAL retry backoff under p.mu is deliberate: producers must stall while durability recovers (see Options.RetryBase)
 	p.flushLocked()
+	if !p.closed {
+		ack = make(chan struct{})
+		p.enqueueLocked(job{ack: ack})
+	}
 	p.mu.Unlock()
-	if err := p.barrier(p.opts.FlushTimeout); err != nil {
-		return err
+	if ack != nil {
+		if err := wait(ack, p.opts.FlushTimeout); err != nil {
+			return fmt.Errorf("ingest: flush barrier: %w", err)
+		}
 	}
 	if p.opts.WAL != nil && !p.walDegraded.Load() {
 		if err := p.opts.WAL.Sync(); err != nil && !errors.Is(err, wal.ErrClosed) {
 			return fmt.Errorf("ingest: flush: wal sync: %w", err)
 		}
 	}
-	if p.walDegraded.Load() || p.degradedShards.Load() > 0 {
+	if p.walDegraded.Load() || p.degraded.Load() {
 		return ErrDegraded
 	}
 	return nil
 }
 
-// barrier pushes an ack job down every live queue and waits for the acks,
-// bounded by timeout when positive.
-func (p *Pipeline) barrier(timeout time.Duration) error {
-	ack := make(chan struct{}, len(p.queues))
-	sent := 0
-	for _, q := range p.queues {
-		if q.push(job{ack: ack}) {
-			sent++
-		}
+// wait blocks until done is closed, or returns ErrTimeout once a positive
+// timeout has passed.
+func wait(done <-chan struct{}, timeout time.Duration) error {
+	if timeout <= 0 {
+		<-done
+		return nil
 	}
-	var deadline <-chan time.Time
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		deadline = t.C
+	t := time.NewTimer(timeout)
+	defer t.Stop()
+	select {
+	case <-done:
+		return nil
+	case <-t.C:
+		return ErrTimeout
 	}
-	for i := 0; i < sent; i++ {
-		select {
-		case <-ack:
-		case <-deadline:
-			return fmt.Errorf("ingest: flush barrier (%d/%d shards): %w", i, sent, ErrTimeout)
-		}
-	}
-	return nil
 }
 
 // Pending reports updates admitted but not yet applied.
@@ -749,29 +606,23 @@ func (p *Pipeline) Pending() int {
 // inserted/deleted counts trail pushes by whatever is still in flight.
 func (p *Pipeline) Totals() Totals {
 	p.mu.Lock()
-	pushed := p.pushed
+	t := p.tot
 	p.mu.Unlock()
-	p.totals.mu.Lock()
-	defer p.totals.mu.Unlock()
-	return Totals{
-		Pushed:         pushed,
-		Inserted:       p.totals.inserted,
-		Deleted:        p.totals.deleted,
-		Dropped:        p.totals.dropped,
-		Panics:         p.totals.panics,
-		DegradedShards: int(p.degradedShards.Load()),
-		WALDegraded:    p.walDegraded.Load(),
+	if p.degraded.Load() {
+		t.DegradedShards = p.shards
 	}
+	t.WALDegraded = p.walDegraded.Load()
+	return t
 }
 
-// Close drains everything admitted so far, stops the timer and the
-// workers, fsyncs the WAL (if attached), and returns the final totals.
-// Blocked pushers are released with ErrClosed. Close is idempotent and
-// safe under concurrency: the first caller performs the shutdown, every
-// later (or concurrent) caller blocks until that shutdown finishes and
-// then gets the same final totals plus ErrClosed. A positive FlushTimeout
-// bounds the drain; on ErrTimeout the workers are left to finish in the
-// background and the totals are a snapshot.
+// Close drains everything admitted so far, stops the applier, fsyncs the
+// WAL (if attached), and returns the final totals. Blocked pushers are
+// released with ErrClosed. Close is idempotent and safe under
+// concurrency: the first caller performs the shutdown, every later (or
+// concurrent) caller blocks until that shutdown finishes and then gets the
+// same final totals plus ErrClosed. A positive FlushTimeout bounds the
+// drain; on ErrTimeout the applier is left to finish in the background
+// and the totals are a snapshot.
 func (p *Pipeline) Close() (Totals, error) {
 	p.mu.Lock()
 	if p.closed {
@@ -782,28 +633,12 @@ func (p *Pipeline) Close() (Totals, error) {
 	p.closed = true
 	//gtlint:ignore lockhold WAL retry backoff under p.mu is deliberate: producers must stall while durability recovers (see Options.RetryBase)
 	p.flushLocked()
+	p.signal()
 	p.notFull.Broadcast()
 	p.mu.Unlock()
-	if p.timerStop != nil {
-		close(p.timerStop)
-		<-p.timerDone
-	}
-	for _, q := range p.queues {
-		q.close()
-	}
 	var err error
-	if p.opts.FlushTimeout > 0 {
-		drained := make(chan struct{})
-		go func() { p.workers.Wait(); close(drained) }()
-		t := time.NewTimer(p.opts.FlushTimeout)
-		defer t.Stop()
-		select {
-		case <-drained:
-		case <-t.C:
-			err = fmt.Errorf("ingest: close drain: %w", ErrTimeout)
-		}
-	} else {
-		p.workers.Wait()
+	if werr := wait(p.applierDone, p.opts.FlushTimeout); werr != nil {
+		err = fmt.Errorf("ingest: close drain: %w", werr)
 	}
 	if err == nil && p.opts.WAL != nil && !p.walDegraded.Load() {
 		if serr := p.opts.WAL.Sync(); serr != nil && !errors.Is(serr, wal.ErrClosed) {
@@ -816,10 +651,11 @@ func (p *Pipeline) Close() (Totals, error) {
 }
 
 // Abort shuts the pipeline down without draining: the coalescing buffer
-// and every queued sub-batch are discarded, workers exit after at most one
-// in-flight job, and blocked pushers are released with ErrClosed. The WAL,
-// if any, is left exactly as-is — not flushed, not synced — so Abort plus
-// wal.Log.Crash models a process killed mid-stream for the chaos suite.
+// and every queued flush are discarded, the applier exits after at most
+// one in-flight flush, and blocked pushers and waiting barriers are
+// released. The WAL, if any, is left exactly as-is — not flushed, not
+// synced — so Abort plus wal.Log.Crash models a process killed mid-stream
+// for the chaos suite.
 func (p *Pipeline) Abort() {
 	p.mu.Lock()
 	if p.closed {
@@ -829,16 +665,16 @@ func (p *Pipeline) Abort() {
 	}
 	p.closed = true
 	p.buf = p.buf[:0]
+	for _, j := range p.queue[p.head:] {
+		if j.ack != nil {
+			close(j.ack)
+		}
+	}
+	p.queue, p.head = nil, 0
+	p.signal()
 	p.notFull.Broadcast()
 	p.mu.Unlock()
-	if p.timerStop != nil {
-		close(p.timerStop)
-		<-p.timerDone
-	}
-	for _, q := range p.queues {
-		q.abort()
-	}
-	p.workers.Wait()
+	<-p.applierDone
 	p.closeTotals = p.Totals()
 	close(p.closeDone)
 }

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -109,9 +110,8 @@ type slowTarget struct {
 	applied int
 }
 
-func (s *slowTarget) NumShards() int       { return 1 }
-func (s *slowTarget) ShardOf(_ uint64) int { return 0 }
-func (s *slowTarget) ApplyShard(_ int, ops []Update) (int, int) {
+func (s *slowTarget) NumShards() int { return 1 }
+func (s *slowTarget) ApplyOps(ops []Update) (int, int) {
 	<-s.gate
 	s.mu.Lock()
 	s.applied += len(ops)
@@ -229,13 +229,55 @@ func TestPipelineRejectsZeroShardTarget(t *testing.T) {
 
 type badTarget struct{}
 
-func (badTarget) NumShards() int                      { return 0 }
-func (badTarget) ShardOf(uint64) int                  { return 0 }
-func (badTarget) ApplyShard(int, []Update) (int, int) { return 0, 0 }
+func (badTarget) NumShards() int               { return 0 }
+func (badTarget) ApplyOps([]Update) (int, int) { return 0, 0 }
 
 func mustPush(t *testing.T, pl *Pipeline, u Update) {
 	t.Helper()
 	if err := pl.Push(u); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPipelineOwnsOneApplier pins the pipeline's fan-out: whatever the
+// shard count, New starts one goroutine, the applier, which also runs the
+// flush timer; a flush's shards run on the process's apply helper pool.
+// Close and Abort both return the count to the baseline.
+func TestPipelineOwnsOneApplier(t *testing.T) {
+	const procs = 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	settle := func(want int) int {
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() != want && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		return runtime.NumGoroutine()
+	}
+	ops := genUpdates(4096)
+	for _, shards := range []int{1, 4, 8} {
+		for _, abort := range []bool{false, true} {
+			par := newParallel(t, shards)
+			par.ApplyOps(ops) // the helper pool is the process's: start it first
+			before := runtime.NumGoroutine()
+			pl := MustNew(par, Options{MaxBatch: 512})
+			if g := settle(before + 1); g != before+1 {
+				t.Fatalf("%d shards: New started %d goroutines, want the applier alone", shards, g-before)
+			}
+			if err := pl.PushBatch(ops); err != nil {
+				t.Fatal(err)
+			}
+			pl.Flush()
+			if g := settle(before + 1); g != before+1 {
+				t.Fatalf("%d shards: %d goroutines above the baseline after a flush, want 1", shards, g-before)
+			}
+			if abort {
+				pl.Abort()
+			} else if _, err := pl.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if g := settle(before); g != before {
+				t.Fatalf("%d shards (abort %v): %d goroutines above the baseline after shutdown, want 0", shards, abort, g-before)
+			}
+		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // TestSharedPoolNoDeadlock drives every user of the process's apply helper
-// pool at once on one Parallel: a pipeline's shard workers, concurrent
+// pool at once on one Parallel: a pipeline's flushes, concurrent
 // InsertBatch and ApplyOps calls (shard rounds whose shard applies nest a
 // batch-apply round), and split engine runs reading the store mid-write.
 // A round's owner waiting on its helpers runs only other rounds' leaf

@@ -14,16 +14,19 @@ package wal
 
 import "graphtinker/internal/core"
 
-// ReplayTarget is the state a log tail replays into. core.Parallel and a
-// lone core.GraphTinker wrapped with a shard count both satisfy it.
+// ReplayTarget is the state a log tail replays into, and the target an
+// ingest pipeline drains into (ingest.Target is this interface).
+// core.Parallel and a lone core.GraphTinker wrapped with a shard count
+// both satisfy it.
 type ReplayTarget interface {
 	// NumShards reports the target's shard width, which OpenDir records
 	// in the manifest.
 	NumShards() int
 	// ApplyOps applies an ordered op sequence, returning how many inserts
 	// were new and how many deletes hit a live edge. The ops slice is the
-	// replay's recycled buffer, valid only for the duration of the call,
-	// so implementations must copy anything they keep.
+	// caller's recycled buffer (replay's, or a pipeline's flush), valid
+	// only for the duration of the call, so implementations must copy
+	// anything they keep.
 	//
 	//gtlint:noretain ops
 	ApplyOps(ops []core.EdgeOp) (inserted, deleted int)

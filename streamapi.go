@@ -3,9 +3,9 @@ package graphtinker
 // Facade over internal/ingest: the sharded streaming pipeline for raw
 // update throughput on a Parallel store. Producers push unbounded
 // insert/delete streams; the pipeline coalesces them into batches, flushes
-// on size or time, partitions each flush by the store's shard hash, and
-// applies shards on a fixed pool of per-shard workers, each shard's apply
-// splitting further on the process's apply helpers. Concurrent readers
+// on size or time, and one applier goroutine hands each flush to the
+// store's ApplyOps, which splits it over the shards, and each shard's
+// apply further, on the process's apply helpers. Concurrent readers
 // stay safe throughout: reads take no lock, and each runs on a
 // version-pinned replica that no writer is changing. Flush gives
 // read-your-writes. For per-batch analytics instead of raw
