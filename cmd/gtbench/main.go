@@ -47,7 +47,7 @@ func main() {
 	var (
 		expFlag    = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
 		listFlag   = flag.Bool("list", false, "list available experiments and exit")
-		scale      = flag.Int("scale", 256, "dataset scale divisor (1 = full paper size)")
+		scale      = flag.Int("scale", 256, "dataset scale divisor, rounded up to a power of two (1 = full paper size, 100 runs at 1/128)")
 		batches    = flag.Int("batches", 10, "update batches per workload")
 		threshold  = flag.Float64("threshold", 0, "hybrid inference-box threshold (0 = paper's 0.02)")
 		cores      = flag.String("cores", "1,2,4,8", "core counts for fig10")

@@ -38,7 +38,7 @@ func main() {
 	var (
 		dataset    = flag.String("dataset", "", "Table-1 dataset name (see -list)")
 		list       = flag.Bool("list", false, "list datasets and exit")
-		scale      = flag.Int("scale", 256, "dataset scale divisor")
+		scale      = flag.Int("scale", 256, "dataset scale divisor, rounded up to a power of two (100 runs at 1/128)")
 		rmatScale  = flag.Int("rmat-scale", 0, "custom RMAT: log2 vertices (overrides -dataset)")
 		edgeFactor = flag.Uint64("edge-factor", 16, "custom RMAT: edges per vertex")
 		seed       = flag.Uint64("seed", 1, "custom RMAT seed")

@@ -23,16 +23,12 @@ func randomEdges(n, m int, seed uint64, symmetric bool) []engine.Edge {
 		Seed:      seed,
 		MaxWeight: 9,
 	}
-	gen, err := rmat.NewGenerator(p)
+	es, err := rmat.Generate(p)
 	if err != nil {
 		panic(err)
 	}
 	var out []engine.Edge
-	for {
-		e, ok := gen.Next()
-		if !ok {
-			break
-		}
+	for _, e := range es {
 		// Weight is a pure function of the endpoints so that duplicate
 		// tuples in the stream never change a stored weight: monotone
 		// incremental programs (like the paper's) cannot repair weight

@@ -16,8 +16,9 @@ import (
 // Options scales the experiments. The defaults keep every driver a few
 // seconds on a laptop; divisor 1 reproduces the paper's full dataset sizes.
 type Options struct {
-	// ScaleDivisor divides every dataset's vertex and edge counts
-	// (preserving average degree). 1 = full paper scale.
+	// ScaleDivisor divides every dataset's vertex and edge counts by the
+	// power of two at or above it, preserving average degree (100 runs at
+	// 1/128; see datasets.ScaledParams). 1 = full paper scale.
 	ScaleDivisor int
 	// Batches is the number of update batches per workload (the paper uses
 	// 1M-edge batches; scaled runs keep the batch *count* comparable).

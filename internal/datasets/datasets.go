@@ -7,9 +7,9 @@
 // character; DESIGN.md records the substitution rationale.
 //
 // Every dataset can be materialized at a reduced scale (both the vertex and
-// edge counts divided by the same factor, preserving the average degree) so
-// experiments stay laptop-sized by default while full paper-sized runs
-// remain one flag away.
+// edge counts divided by the same power of two, preserving the average
+// degree; see ScaledParams) so experiments stay laptop-sized by default
+// while full paper-sized runs remain one flag away.
 package datasets
 
 import (
@@ -113,9 +113,11 @@ func Names() []string {
 	return names
 }
 
-// ScaledParams returns the generation parameters with vertex and edge
-// counts divided by divisor (rounded to the nearest power of two for the
-// vertex count), preserving the average degree. Divisor 1 is full scale.
+// ScaledParams returns the generation parameters at a scale divisor
+// rounded up to a power of two: with s = ⌈log2 divisor⌉, Scale falls by s
+// (floored at 4) and the edge count is divided by 2^s (floored at 1,000),
+// which preserves the average degree above the floors. So divisor 100
+// runs at 1/128. Divisor 1 is full scale.
 func (d Dataset) ScaledParams(divisor int) (rmat.Params, error) {
 	if divisor < 1 {
 		return rmat.Params{}, fmt.Errorf("datasets: scale divisor %d must be >= 1", divisor)
@@ -137,8 +139,8 @@ func (d Dataset) ScaledParams(divisor int) (rmat.Params, error) {
 
 // Materialize generates the dataset's edge stream at the given scale
 // divisor, split into batches of batchSize edges (the paper uses 1M-edge
-// batches). Symmetric datasets emit each generated edge in both directions,
-// within the same batch.
+// batches). Symmetric datasets emit each generated edge followed by its
+// reverse; an odd batchSize can split such a pair across two batches.
 func (d Dataset) Materialize(divisor, batchSize int) ([][]rmat.Edge, error) {
 	p, err := d.ScaledParams(divisor)
 	if err != nil {
@@ -147,33 +149,15 @@ func (d Dataset) Materialize(divisor, batchSize int) ([][]rmat.Edge, error) {
 	if batchSize <= 0 {
 		return nil, fmt.Errorf("datasets: batch size %d must be positive", batchSize)
 	}
-	gen, err := rmat.NewGenerator(p)
+	gen := rmat.Generate
+	if d.Symmetric {
+		gen = rmat.GenerateSymmetric
+	}
+	es, err := gen(p)
 	if err != nil {
 		return nil, err
 	}
-	var batches [][]rmat.Edge
-	cur := make([]rmat.Edge, 0, batchSize)
-	emit := func(e rmat.Edge) {
-		cur = append(cur, e)
-		if len(cur) == batchSize {
-			batches = append(batches, cur)
-			cur = make([]rmat.Edge, 0, batchSize)
-		}
-	}
-	for {
-		e, ok := gen.Next()
-		if !ok {
-			break
-		}
-		emit(e)
-		if d.Symmetric {
-			emit(rmat.Edge{Src: e.Dst, Dst: e.Src, Weight: e.Weight})
-		}
-	}
-	if len(cur) > 0 {
-		batches = append(batches, cur)
-	}
-	return batches, nil
+	return rmat.Batches(es, batchSize), nil
 }
 
 // Stats summarizes a materialized edge stream for the Table-1 report.

@@ -17,17 +17,13 @@ import (
 
 func rmatStream(t *testing.T, scale int, edgeFactor, seed uint64) []Update {
 	t.Helper()
-	g, err := rmat.NewGenerator(rmat.Graph500Params(scale, edgeFactor, seed))
+	es, err := rmat.Generate(rmat.Graph500Params(scale, edgeFactor, seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ops []Update
-	for {
-		e, ok := g.Next()
-		if !ok {
-			break
-		}
-		ops = append(ops, Insert(e.Src, e.Dst, e.Weight))
+	ops := make([]Update, len(es))
+	for i, e := range es {
+		ops[i] = Insert(e.Src, e.Dst, e.Weight)
 	}
 	return ops
 }

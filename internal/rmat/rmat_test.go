@@ -12,14 +12,32 @@ func TestParamsValidation(t *testing.T) {
 		{Scale: 10, NumEdges: 10, A: 0, B: 0.19, C: 0.19},
 		{Scale: 10, NumEdges: 10, A: 0.6, B: 0.3, C: 0.3},
 		{Scale: 10, NumEdges: 10, A: 0.57, B: 0.19, C: 0.19, Noise: 0.9},
+		// 2^44 edges: no []Edge can hold them.
+		Graph500Params(40, 16, 1),
 	}
 	for i, p := range cases {
 		if err := p.Validate(); err == nil {
 			t.Fatalf("case %d accepted: %+v", i, p)
 		}
+		if _, err := Generate(p); err == nil {
+			t.Fatalf("case %d generated: %+v", i, p)
+		}
+		if _, err := GenerateBatches(p, 1000); err == nil {
+			t.Fatalf("case %d generated in batches: %+v", i, p)
+		}
 	}
 	if err := Graph500Params(10, 16, 1).Validate(); err != nil {
 		t.Fatalf("Graph500 params rejected: %v", err)
+	}
+	// A symmetric stream holds two entries per edge, so half the largest
+	// slice is its limit.
+	half := Graph500Params(10, 16, 1)
+	half.NumEdges = maxEdges/2 + 1
+	if err := half.Validate(); err != nil {
+		t.Fatalf("%d edges rejected: %v", half.NumEdges, err)
+	}
+	if _, err := GenerateSymmetric(half); err == nil {
+		t.Fatalf("%d edges accepted for a symmetric stream", half.NumEdges)
 	}
 }
 
@@ -150,6 +168,13 @@ func TestGenerateBatches(t *testing.T) {
 	}
 	if uint64(total) != p.NumEdges {
 		t.Fatalf("batches hold %d edges, want %d", total, p.NumEdges)
+	}
+	// The batches share one array; appending to one must not write into
+	// the next.
+	next := batches[1][0]
+	_ = append(batches[0], Edge{Src: 1 << 40})
+	if batches[1][0] != next {
+		t.Fatalf("appending to batch 0 overwrote batch 1")
 	}
 	if _, err := GenerateBatches(p, 0); err == nil {
 		t.Fatalf("zero batch size accepted")
