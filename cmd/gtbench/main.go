@@ -41,6 +41,7 @@ import (
 
 	"graphtinker/internal/bench"
 	"graphtinker/internal/core"
+	"graphtinker/internal/datasets"
 )
 
 func main() {
@@ -180,7 +181,7 @@ func main() {
 	}
 
 	if *format == "table" {
-		fmt.Printf("gtbench: scale 1/%d, %d batches per workload\n\n", opts.ScaleDivisor, opts.Batches)
+		fmt.Printf("gtbench: scale 1/%d, %d batches per workload\n\n", datasets.RoundDivisor(opts.ScaleDivisor), opts.Batches)
 	}
 	for _, e := range selected {
 		start := time.Now()

@@ -172,3 +172,15 @@ func TestProgramLookup(t *testing.T) {
 		t.Fatalf("unknown algorithm accepted")
 	}
 }
+
+// TestTable1TitlesRoundedDivisor: a divisor that is not a power of two is
+// titled with the power of two the inputs are generated at.
+func TestTable1TitlesRoundedDivisor(t *testing.T) {
+	tb, err := Table1(Options{ScaleDivisor: 100, Batches: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(tb.Title, "generated at 1/128 scale") {
+		t.Fatalf("Table1 at divisor 100 is titled %q, want the 1/128 it generates", tb.Title)
+	}
+}

@@ -12,7 +12,7 @@ import (
 func Table1(opts Options) (Table, error) {
 	t := Table{
 		ID:    "table1",
-		Title: "Graph datasets under evaluation (paper counts vs generated at 1/" + fmt.Sprint(opts.ScaleDivisor) + " scale)",
+		Title: "Graph datasets under evaluation (paper counts vs generated at 1/" + fmt.Sprint(datasets.RoundDivisor(opts.ScaleDivisor)) + " scale)",
 		Columns: []string{
 			"dataset", "type", "paper #V", "paper #E",
 			"gen #V", "gen tuples", "gen unique", "avg deg", "max deg",

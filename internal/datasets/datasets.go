@@ -113,18 +113,26 @@ func Names() []string {
 	return names
 }
 
-// ScaledParams returns the generation parameters at a scale divisor
-// rounded up to a power of two: with s = ⌈log2 divisor⌉, Scale falls by s
-// (floored at 4) and the edge count is divided by 2^s (floored at 1,000),
-// which preserves the average degree above the floors. So divisor 100
-// runs at 1/128. Divisor 1 is full scale.
+// RoundDivisor returns the scale divisor the inputs are generated at: a
+// divisor of at least 1 rounded up to a power of two, so 100 gives 128.
+func RoundDivisor(divisor int) int {
+	if divisor <= 1 {
+		return divisor
+	}
+	return 1 << bits.Len(uint(divisor)-1)
+}
+
+// ScaledParams returns the generation parameters at RoundDivisor(divisor)
+// = 2^s: Scale falls by s (floored at 4) and the edge count is divided by
+// 2^s (floored at 1,000), which preserves the average degree above the
+// floors. Divisor 1 is full scale.
 func (d Dataset) ScaledParams(divisor int) (rmat.Params, error) {
 	if divisor < 1 {
 		return rmat.Params{}, fmt.Errorf("datasets: scale divisor %d must be >= 1", divisor)
 	}
 	p := d.params
 	if divisor > 1 {
-		shift := bits.Len(uint(divisor) - 1) // ceil(log2(divisor))
+		shift := bits.TrailingZeros(uint(RoundDivisor(divisor)))
 		p.Scale -= shift
 		if p.Scale < 4 {
 			p.Scale = 4

@@ -174,3 +174,11 @@ func TestDeterministicMaterialization(t *testing.T) {
 		}
 	}
 }
+
+func TestRoundDivisor(t *testing.T) {
+	for _, c := range [][2]int{{1, 1}, {2, 2}, {3, 4}, {64, 64}, {100, 128}, {129, 256}} {
+		if got := RoundDivisor(c[0]); got != c[1] {
+			t.Fatalf("RoundDivisor(%d) = %d, want %d", c[0], got, c[1])
+		}
+	}
+}

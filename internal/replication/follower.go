@@ -22,6 +22,7 @@ package replication
 // directory as a primary; the bumped epoch fences the old one off.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -300,6 +301,7 @@ func (f *Follower) runStream(fc *frameConn) error {
 		return err
 	}
 	started := false
+	var ops []core.EdgeOp // every record decodes into this one buffer
 	for {
 		ft, payload, err := fc.recv()
 		if err != nil {
@@ -339,13 +341,9 @@ func (f *Follower) runStream(fc *frameConn) error {
 			if !started {
 				return fmt.Errorf("%w: records before start", ErrBadFrame)
 			}
-			if len(payload) < 8 {
-				return fmt.Errorf("%w: records frame is %d bytes, want >=8", ErrBadFrame, len(payload))
-			}
-			durable := leUint64(payload)
-			firstLSN, ops, err := wal.DecodeOps(payload[8:])
-			if err != nil {
-				return fmt.Errorf("%w: %v", ErrBadFrame, err)
+			var durable, firstLSN uint64
+			if durable, firstLSN, ops, err = decodeRecordsFrame(payload, ops); err != nil {
+				return err
 			}
 			if err := f.applyRecord(firstLSN, ops); err != nil {
 				return err
@@ -355,7 +353,7 @@ func (f *Follower) runStream(fc *frameConn) error {
 			if len(payload) != 8 {
 				return fmt.Errorf("%w: heartbeat is %d bytes, want 8", ErrBadFrame, len(payload))
 			}
-			f.observePrimary(leUint64(payload))
+			f.observePrimary(binary.LittleEndian.Uint64(payload))
 		case frameError:
 			return peerError(payload)
 		default:
@@ -636,9 +634,4 @@ func (f *Follower) Crash() {
 	f.runWG.Wait()
 	f.state.Store(int32(StateSealed))
 	f.dir.Crash()
-}
-
-func leUint64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }

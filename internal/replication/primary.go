@@ -157,23 +157,20 @@ func (p *Primary) serveStream(fc *frameConn) error {
 	stopHB := p.startHeartbeats(fc)
 	defer stopHB()
 
-	recBuf := make([]byte, 8)
 	for {
-		lsn, ops, err := tl.Next(p.closed)
+		_, count, record, err := tl.Next(p.closed)
 		if err != nil {
 			if errors.Is(err, wal.ErrTailerStopped) || errors.Is(err, wal.ErrClosed) {
 				return ErrPrimaryClosed
 			}
 			return err
 		}
-		recBuf = appendUint64(recBuf[:0], p.log.DurableLSN())
-		recBuf = append(recBuf, wal.EncodeOps(lsn, ops)...)
-		if err := fc.send(frameRecords, recBuf); err != nil {
+		if err := fc.sendFrontier(frameRecords, p.log.DurableLSN(), record); err != nil {
 			return err
 		}
 		if p.opts.Recorder != nil {
 			p.opts.Recorder.RecordsShipped.Inc()
-			p.opts.Recorder.OpsShipped.Add(uint64(len(ops)))
+			p.opts.Recorder.OpsShipped.Add(uint64(count))
 		}
 	}
 }
@@ -274,8 +271,7 @@ func (p *Primary) startHeartbeats(fc *frameConn) func() {
 		for {
 			select {
 			case <-t.C:
-				hb := appendUint64(nil, p.log.DurableLSN())
-				if err := fc.send(frameHeartbeat, hb); err != nil {
+				if err := fc.sendFrontier(frameHeartbeat, p.log.DurableLSN(), nil); err != nil {
 					return // the record stream will surface the connection error
 				}
 			case <-done:
@@ -306,10 +302,4 @@ func (p *Primary) Close() error {
 	}
 	p.wg.Wait()
 	return nil
-}
-
-func appendUint64(b []byte, v uint64) []byte {
-	return append(b,
-		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
 }

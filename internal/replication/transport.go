@@ -25,7 +25,9 @@ import (
 	"slices"
 	"sync"
 
+	"graphtinker/internal/core"
 	"graphtinker/internal/faultinject"
+	"graphtinker/internal/wal"
 )
 
 // protocolVersion is bumped on any incompatible frame-format change; a
@@ -85,7 +87,8 @@ type frameConn struct {
 	rec    *Recorder
 	rhdr   [frameHeaderSize]byte
 	whdr   [frameHeaderSize]byte
-	rbuf   []byte // reused receive payload buffer
+	wlsn   [8]byte // durable frontier of the frame being sent
+	rbuf   []byte  // reused receive payload buffer
 }
 
 func newFrameConn(c net.Conn, rec *Recorder) *frameConn {
@@ -101,7 +104,7 @@ func newFrameConn(c net.Conn, rec *Recorder) *frameConn {
 func (fc *frameConn) send(ft byte, payload []byte) error {
 	fc.sendMu.Lock()
 	defer fc.sendMu.Unlock()
-	return fc.sendLocked(ft, payload, true)
+	return fc.sendLocked(ft, nil, payload, true)
 }
 
 // sendBuffered writes one frame into the write buffer without flushing —
@@ -110,24 +113,40 @@ func (fc *frameConn) send(ft byte, payload []byte) error {
 func (fc *frameConn) sendBuffered(ft byte, payload []byte) error {
 	fc.sendMu.Lock()
 	defer fc.sendMu.Unlock()
-	return fc.sendLocked(ft, payload, false)
+	return fc.sendLocked(ft, nil, payload, false)
 }
 
-func (fc *frameConn) sendLocked(ft byte, payload []byte, flush bool) error {
-	if len(payload) > maxFramePayload {
-		return fmt.Errorf("%w: oversized send (%d bytes)", ErrBadFrame, len(payload))
+// sendFrontier sends a frame whose payload is the durable frontier
+// followed by record: a records frame, or with no record a heartbeat. The
+// record goes to the connection's writer as it is, never copied into a
+// frame buffer.
+func (fc *frameConn) sendFrontier(ft byte, durable uint64, record []byte) error {
+	fc.sendMu.Lock()
+	defer fc.sendMu.Unlock()
+	binary.LittleEndian.PutUint64(fc.wlsn[:], durable)
+	return fc.sendLocked(ft, fc.wlsn[:], record, true)
+}
+
+// sendLocked sends one frame whose payload is head followed by body.
+func (fc *frameConn) sendLocked(ft byte, head, body []byte, flush bool) error {
+	n := len(head) + len(body)
+	if n > maxFramePayload {
+		return fmt.Errorf("%w: oversized send (%d bytes)", ErrBadFrame, n)
 	}
 	if err := faultinject.Inject("repl/frame-send"); err != nil {
 		return fmt.Errorf("replication: send: %w", err)
 	}
 	le := binary.LittleEndian
-	le.PutUint32(fc.whdr[0:], uint32(len(payload)))
+	le.PutUint32(fc.whdr[0:], uint32(n))
 	fc.whdr[4] = ft
-	le.PutUint32(fc.whdr[5:], crc32.Checksum(payload, castagnoli))
+	le.PutUint32(fc.whdr[5:], crc32.Update(crc32.Checksum(head, castagnoli), castagnoli, body))
 	if _, err := fc.bw.Write(fc.whdr[:]); err != nil {
 		return fmt.Errorf("replication: send: %w", err)
 	}
-	if _, err := fc.bw.Write(payload); err != nil {
+	if _, err := fc.bw.Write(head); err != nil {
+		return fmt.Errorf("replication: send: %w", err)
+	}
+	if _, err := fc.bw.Write(body); err != nil {
 		return fmt.Errorf("replication: send: %w", err)
 	}
 	if flush {
@@ -137,7 +156,7 @@ func (fc *frameConn) sendLocked(ft byte, payload []byte, flush bool) error {
 	}
 	if fc.rec != nil {
 		fc.rec.FramesSent.Inc()
-		fc.rec.BytesShipped.Add(uint64(len(payload)))
+		fc.rec.BytesShipped.Add(uint64(n))
 	}
 	return nil
 }
@@ -291,8 +310,23 @@ func decodeStart(p []byte) (startMsg, error) {
 	}, nil
 }
 
-// A frameRecords payload is u64 durable-frontier followed by a WAL record
-// payload (wal.EncodeOps form); a frameHeartbeat payload is the u64 alone.
+// A frameRecords payload is u64 durable-frontier followed by one WAL
+// record payload exactly as the primary's log wrote it (a Tailer returns
+// it, wal.DecodeOps parses it); a frameHeartbeat payload is the u64 alone.
+// The primary sends both with sendFrontier.
+
+// decodeRecordsFrame parses a records frame, decoding its ops into ops'
+// capacity.
+func decodeRecordsFrame(p []byte, ops []core.EdgeOp) (durable, firstLSN uint64, out []core.EdgeOp, err error) {
+	if len(p) < 8 {
+		return 0, 0, ops, fmt.Errorf("%w: records frame is %d bytes, want >=8", ErrBadFrame, len(p))
+	}
+	firstLSN, out, err = wal.DecodeOps(p[8:], ops)
+	if err != nil {
+		return 0, 0, out, fmt.Errorf("%w: %v", ErrBadFrame, err)
+	}
+	return binary.LittleEndian.Uint64(p), firstLSN, out, nil
+}
 
 func encodeErrorFrame(code uint32, msg string) []byte {
 	b := make([]byte, 4+len(msg))

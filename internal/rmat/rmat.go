@@ -9,6 +9,7 @@ package rmat
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 	"unsafe"
@@ -36,11 +37,16 @@ type Params struct {
 }
 
 // Graph500Params returns the standard Graph500 parameters at the given
-// scale with edgeFactor edges per vertex.
+// scale with edgeFactor edges per vertex. An edge count past 2^64 - 1
+// saturates there, which Validate rejects.
 func Graph500Params(scale int, edgeFactor uint64, seed uint64) Params {
+	hi, edges := bits.Mul64(uint64(1)<<uint(scale), edgeFactor)
+	if hi != 0 {
+		edges = math.MaxUint64
+	}
 	return Params{
 		Scale:     scale,
-		NumEdges:  (uint64(1) << uint(scale)) * edgeFactor,
+		NumEdges:  edges,
 		A:         0.57,
 		B:         0.19,
 		C:         0.19,

@@ -14,6 +14,8 @@ func TestParamsValidation(t *testing.T) {
 		{Scale: 10, NumEdges: 10, A: 0.57, B: 0.19, C: 0.19, Noise: 0.9},
 		// 2^44 edges: no []Edge can hold them.
 		Graph500Params(40, 16, 1),
+		// 2^64 edges: the count saturates rather than wrapping to 0.
+		Graph500Params(40, 1<<24, 1),
 	}
 	for i, p := range cases {
 		if err := p.Validate(); err == nil {

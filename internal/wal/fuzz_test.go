@@ -23,7 +23,8 @@ func buildSegment(firstLSN uint64, recs ...[]core.EdgeOp) []byte {
 	buf.Write(head[:])
 	lsn := firstLSN
 	for _, ops := range recs {
-		payload := encodePayload(lsn, ops)
+		payload := make([]byte, recordMetaSize+opSize*len(ops))
+		encodePayloadInto(payload, lsn, ops)
 		var rh [recordHeaderSize]byte
 		le.PutUint32(rh[0:], uint32(len(payload)))
 		le.PutUint32(rh[4:], crc32.Checksum(payload, castagnoli))

@@ -18,7 +18,6 @@ import (
 type tailError struct {
 	path    string
 	goodEnd int64  // byte offset of the last whole valid record's end
-	size    int64  // file size when scanned
 	nextLSN uint64 // LSN after the last valid record
 	reason  string
 }
@@ -29,110 +28,140 @@ func (e *tailError) Error() string {
 
 func (e *tailError) Unwrap() error { return ErrCorrupt }
 
+// segReader reads one segment's records in order. It is the one record
+// reader: Open's integrity scan, Replay and the Tailer all check a record
+// through it, one header read and one payload read per record, and each
+// caller decides what a failure means (a truncatable tail on the last
+// segment at Open, corruption below the durable frontier for a tailer).
+type segReader struct {
+	f       *os.File // nil when no segment is open
+	path    string
+	off     int64  // byte offset of the next record
+	next    uint64 // LSN the next record must start at
+	hdr     [recordHeaderSize]byte
+	payload []byte // reused across records and segments
+}
+
+// open points r at the segment file path, whose header must name
+// firstLSN, positioned at its first record. A header cut short is a
+// *tailError at offset 0; any other bad header wraps ErrCorrupt.
+func (r *segReader) open(path string, firstLSN uint64) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return fmt.Errorf("wal: open segment: %w", err)
+	}
+	r.f, r.path, r.off, r.next = f, path, 0, firstLSN
+	var head [headerSize]byte
+	if _, rerr := f.ReadAt(head[:], 0); rerr != nil {
+		err = r.bad("torn segment header")
+	} else if le := binary.LittleEndian; le.Uint32(head[0:]) != segMagic {
+		err = fmt.Errorf("wal: %s: bad magic: %w", path, ErrCorrupt)
+	} else if v := le.Uint16(head[4:]); v != segVersion {
+		err = fmt.Errorf("wal: %s: unsupported version %d: %w", path, v, ErrCorrupt)
+	} else if got := le.Uint64(head[8:]); got != firstLSN {
+		err = fmt.Errorf("wal: %s: header LSN %d does not match name LSN %d: %w", path, got, firstLSN, ErrCorrupt)
+	}
+	if err != nil {
+		_ = r.close() // abandoning the segment; the header error is the signal
+		return err
+	}
+	r.off = headerSize
+	return nil
+}
+
+// close releases the open segment, if any.
+func (r *segReader) close() error {
+	if r.f == nil {
+		return nil
+	}
+	err := r.f.Close()
+	r.f = nil
+	return err
+}
+
+// read checks the record at r's offset — length bound, CRC-32C, payload
+// structure, LSN continuity — and returns its payload (valid until the
+// next read), first LSN and op count. With out non-nil it also decodes
+// the ops into *out, reusing its capacity. io.EOF means the segment ends
+// at a record boundary; any bad record is a *tailError at r's offset.
+func (r *segReader) read(out *[]core.EdgeOp) (payload []byte, firstLSN uint64, count int, err error) {
+	if n, rerr := r.f.ReadAt(r.hdr[:], r.off); rerr != nil {
+		if n == 0 && rerr == io.EOF {
+			return nil, 0, 0, io.EOF
+		}
+		return nil, 0, 0, r.bad("torn record header")
+	}
+	le := binary.LittleEndian
+	plen := le.Uint32(r.hdr[0:])
+	if plen < recordMetaSize || plen > recordMetaSize+opSize*MaxRecordOps {
+		return nil, 0, 0, r.bad(fmt.Sprintf("implausible record length %d", plen))
+	}
+	if cap(r.payload) < int(plen) {
+		r.payload = make([]byte, plen)
+	}
+	payload = r.payload[:plen]
+	if _, rerr := r.f.ReadAt(payload, r.off+recordHeaderSize); rerr != nil {
+		return nil, 0, 0, r.bad("torn record payload")
+	}
+	if crc32.Checksum(payload, castagnoli) != le.Uint32(r.hdr[4:]) {
+		return nil, 0, 0, r.bad("record checksum mismatch")
+	}
+	firstLSN, count, derr := decodePayloadInto(payload, out)
+	if derr != nil {
+		return nil, 0, 0, r.bad(derr.Error())
+	}
+	if firstLSN != r.next {
+		return nil, 0, 0, r.bad(fmt.Sprintf("record LSN %d, want %d", firstLSN, r.next))
+	}
+	r.off += recordHeaderSize + int64(plen)
+	r.next += uint64(count)
+	return payload, firstLSN, count, nil
+}
+
+func (r *segReader) bad(reason string) error {
+	return &tailError{path: r.path, goodEnd: r.off, nextLSN: r.next, reason: reason}
+}
+
 // scanSegment validates one segment file, optionally streaming each
 // record's decoded ops to fn. It returns the byte offset after the last
 // valid record and the next LSN. A torn/corrupt tail is reported as a
 // *tailError carrying how much of the file is good.
 //
-// The payload and ops buffers are reused across records, so fn must not
-// retain the slice past its return (every caller partitions or applies in
-// place). With fn nil the records are validated without materialising ops
-// at all — the allocation-free path Open's integrity scan takes.
-func scanSegment(path string, wantFirstLSN uint64, fn func(firstLSN uint64, ops []core.EdgeOp) error) (end int64, nextLSN uint64, records int, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, 0, fmt.Errorf("wal: open segment: %w", err)
+// The ops buffer is reused across records, so fn must not retain the
+// slice past its return (every caller partitions or applies in place).
+// With fn nil the records are validated without materialising ops at all
+// — the allocation-free path Open's integrity scan takes.
+func scanSegment(path string, wantFirstLSN uint64, fn func(firstLSN uint64, ops []core.EdgeOp) error) (end int64, nextLSN uint64, err error) {
+	var r segReader
+	if err := r.open(path, wantFirstLSN); err != nil {
+		return 0, 0, err
 	}
-	defer func() { _ = f.Close() }() // read-only scan; corruption detection is the signal
-	st, err := f.Stat()
-	if err != nil {
-		return 0, 0, 0, fmt.Errorf("wal: stat segment: %w", err)
-	}
-	size := st.Size()
-	le := binary.LittleEndian
-
-	var head [headerSize]byte
-	if _, rerr := io.ReadFull(f, head[:]); rerr != nil {
-		return 0, 0, 0, &tailError{path: path, goodEnd: 0, size: size, nextLSN: wantFirstLSN, reason: "torn segment header"}
-	}
-	if le.Uint32(head[0:]) != segMagic {
-		return 0, 0, 0, fmt.Errorf("wal: %s: bad magic: %w", path, ErrCorrupt)
-	}
-	if v := le.Uint16(head[4:]); v != segVersion {
-		return 0, 0, 0, fmt.Errorf("wal: %s: unsupported version %d: %w", path, v, ErrCorrupt)
-	}
-	if got := le.Uint64(head[8:]); got != wantFirstLSN {
-		return 0, 0, 0, fmt.Errorf("wal: %s: header LSN %d does not match name LSN %d: %w", path, got, wantFirstLSN, ErrCorrupt)
-	}
-
-	end = headerSize
-	nextLSN = wantFirstLSN
-	var rh [recordHeaderSize]byte
-	var payload []byte
+	defer func() { _ = r.close() }() // read-only scan; corruption detection is the signal
 	var ops []core.EdgeOp
 	var opsOut *[]core.EdgeOp
 	if fn != nil {
 		opsOut = &ops
 	}
 	for {
-		if _, rerr := io.ReadFull(f, rh[:]); rerr != nil {
-			if rerr == io.EOF {
-				return end, nextLSN, records, nil
-			}
-			return 0, 0, 0, &tailError{path: path, goodEnd: end, size: size, nextLSN: nextLSN, reason: "torn record header"}
+		_, firstLSN, _, err := r.read(opsOut)
+		if err == io.EOF {
+			return r.off, r.next, nil
 		}
-		plen := le.Uint32(rh[0:])
-		crc := le.Uint32(rh[4:])
-		if plen < recordMetaSize || plen > recordMetaSize+opSize*MaxRecordOps {
-			return 0, 0, 0, &tailError{path: path, goodEnd: end, size: size, nextLSN: nextLSN, reason: fmt.Sprintf("implausible record length %d", plen)}
-		}
-		if cap(payload) < int(plen) {
-			payload = make([]byte, plen)
-		} else {
-			payload = payload[:plen]
-		}
-		if _, rerr := io.ReadFull(f, payload); rerr != nil {
-			return 0, 0, 0, &tailError{path: path, goodEnd: end, size: size, nextLSN: nextLSN, reason: "torn record payload"}
-		}
-		if crc32.Checksum(payload, castagnoli) != crc {
-			return 0, 0, 0, &tailError{path: path, goodEnd: end, size: size, nextLSN: nextLSN, reason: "record checksum mismatch"}
-		}
-		firstLSN, count, derr := decodePayloadInto(payload, opsOut)
-		if derr != nil {
-			return 0, 0, 0, &tailError{path: path, goodEnd: end, size: size, nextLSN: nextLSN, reason: derr.Error()}
-		}
-		if firstLSN != nextLSN {
-			return 0, 0, 0, &tailError{path: path, goodEnd: end, size: size, nextLSN: nextLSN, reason: fmt.Sprintf("record LSN %d, want %d", firstLSN, nextLSN)}
+		if err != nil {
+			return 0, 0, err
 		}
 		if fn != nil {
 			if err := fn(firstLSN, ops); err != nil {
-				return 0, 0, 0, err
+				return 0, 0, err
 			}
 		}
-		end += recordHeaderSize + int64(plen)
-		nextLSN += uint64(count)
-		records++
 	}
 }
 
-// EncodeOps serialises a batch of ops into the WAL record payload format
-// (first LSN + count + fixed-width ops). Replication reuses it as the
-// wire form for shipped records, so followers decode with the same code
-// that validates their own log.
-func EncodeOps(firstLSN uint64, ops []core.EdgeOp) []byte {
-	return encodePayload(firstLSN, ops)
-}
-
-// DecodeOps parses a payload produced by EncodeOps.
-func DecodeOps(payload []byte) (firstLSN uint64, ops []core.EdgeOp, err error) {
-	return decodePayload(payload)
-}
-
-// decodePayload parses a record payload back into its first LSN and
-// freshly allocated ops — the public DecodeOps form replication's wire
-// path relies on (its callers may retain the slice).
-func decodePayload(payload []byte) (uint64, []core.EdgeOp, error) {
-	var ops []core.EdgeOp
+// DecodeOps parses a record payload — the bytes Log.Append wrote and a
+// Tailer returns — into ops, reusing the capacity of the ops passed in.
+// Replication's follower decodes every shipped record into one buffer.
+func DecodeOps(payload []byte, ops []core.EdgeOp) (uint64, []core.EdgeOp, error) {
 	firstLSN, _, err := decodePayloadInto(payload, &ops)
 	return firstLSN, ops, err
 }
@@ -224,7 +253,7 @@ func Replay(dir string, fromLSN uint64, rec *Recorder, fn func(lsn uint64, ops [
 			prevEnd = segs[i+1].firstLSN
 			continue
 		}
-		_, segNext, _, err := scanSegment(seg.path, seg.firstLSN, func(firstLSN uint64, ops []core.EdgeOp) error {
+		_, segNext, err := scanSegment(seg.path, seg.firstLSN, func(firstLSN uint64, ops []core.EdgeOp) error {
 			opsEnd := firstLSN + uint64(len(ops))
 			if opsEnd <= fromLSN {
 				return nil // wholly before the checkpoint: skip, never re-apply

@@ -1,10 +1,11 @@
 package wal
 
 // Tailer: a blocking reader over the live log, the shipping side of
-// WAL-based replication. A tailer streams whole records from a given LSN
-// — slicing a record that straddles its start position, exactly like
-// Replay — and, once it reaches the durable frontier, blocks until the
-// next fsync publishes more. It never reads past DurableLSN, so a
+// WAL-based replication. A tailer streams whole records, as the log wrote
+// them, from the record holding a given LSN — a record that straddles the
+// start position is returned whole, and the reader drops the prefix it
+// already holds — and, once it reaches the durable frontier, blocks until
+// the next fsync publishes more. It never reads past DurableLSN, so a
 // follower can only ever learn state the primary would itself recover
 // after a crash; flushed-but-unsynced bytes sitting in the segment file
 // are invisible to it.
@@ -18,14 +19,9 @@ package wal
 // growth until the tailer advances or closes).
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"os"
-
-	"graphtinker/internal/core"
 )
 
 // ErrTailerStopped is returned by Next when the caller's stop channel
@@ -41,14 +37,9 @@ var ErrTailPruned = errors.New("wal: requested LSN already pruned")
 type Tailer struct {
 	l        *Log
 	readerID uint64
-	next     uint64 // LSN of the next op to deliver
-	f        *os.File
-	off      int64  // read offset in f
-	segFirst uint64 // first LSN of the open segment
-	segNext  uint64 // LSN after the last record read (or skipped) in f
+	next     uint64 // LSN after the last record delivered (the start position before any)
+	seg      segReader
 	closed   bool
-	hdr      [recordHeaderSize]byte
-	payload  []byte // reused payload buffer
 }
 
 // NewTailer opens a tailer positioned at fromLSN. It fails with
@@ -81,7 +72,8 @@ func (l *Log) NewTailer(fromLSN uint64) (*Tailer, error) {
 	return &Tailer{l: l, readerID: id, next: fromLSN}, nil
 }
 
-// Position returns the LSN of the next op the tailer will deliver.
+// Position returns the LSN after the last record delivered, or the start
+// position before the first.
 func (t *Tailer) Position() uint64 { return t.next }
 
 // Close releases the tailer's retention pin and file handle. Idempotent.
@@ -93,41 +85,41 @@ func (t *Tailer) Close() error {
 	t.l.mu.Lock()
 	delete(t.l.readers, t.readerID)
 	t.l.mu.Unlock()
-	if t.f != nil {
-		err := t.f.Close()
-		t.f = nil
-		return err
-	}
-	return nil
+	return t.seg.close()
 }
 
-// Next returns the next durable record at or past the tailer's position,
-// sliced so no op below it is re-delivered. It blocks until the log's
-// durable frontier moves past the position, the stop channel closes
-// (ErrTailerStopped), or the log closes with nothing left to drain
-// (ErrClosed). The returned ops share an internal buffer valid until the
-// following Next call.
-func (t *Tailer) Next(stop <-chan struct{}) (firstLSN uint64, ops []core.EdgeOp, err error) {
+// Next returns the next durable record that ends past the tailer's
+// position: its first LSN, its op count and its checked payload, the bytes
+// Log.Append wrote (DecodeOps parses them). The first record may start
+// below the position the tailer was opened at; it is returned whole. Next
+// blocks until the log's durable frontier moves past the position, the
+// stop channel closes (ErrTailerStopped), or the log closes with nothing
+// left to drain (ErrClosed). A bad record below the frontier wraps
+// ErrCorrupt. The payload is an internal buffer valid until the following
+// Next call.
+func (t *Tailer) Next(stop <-chan struct{}) (firstLSN uint64, count int, payload []byte, err error) {
 	if t.closed {
-		return 0, nil, ErrTailerStopped
+		return 0, 0, nil, ErrTailerStopped
 	}
 	for {
 		// Wait for the durable frontier to pass our position. A closed log
 		// still drains: records below the frontier stay readable.
 		if err := t.waitDurable(stop); err != nil {
-			return 0, nil, err
+			return 0, 0, nil, err
 		}
-		lsn, rec, err := t.readRecord()
+		payload, firstLSN, count, err := t.read()
 		if err != nil {
-			return 0, nil, err
+			return 0, 0, nil, err
 		}
-		if rec == nil {
-			continue // skipped a record wholly below the start position
+		end := firstLSN + uint64(count)
+		if end <= t.next {
+			continue // wholly below the start position: skip
 		}
+		t.next = end
 		t.l.mu.Lock()
-		t.l.readers[t.readerID] = t.next
+		t.l.readers[t.readerID] = end
 		t.l.mu.Unlock()
-		return lsn, rec, nil
+		return firstLSN, count, payload, nil
 	}
 }
 
@@ -155,77 +147,36 @@ func (t *Tailer) waitDurable(stop <-chan struct{}) error {
 	}
 }
 
-// readRecord reads the record at the current offset, handling initial
-// positioning, skip-past records below the start position, and segment
-// rotation. It returns (0, nil, nil) when it consumed a record wholly
-// below the tailer's position. Only called when durable > t.next, so the
-// record containing t.next is fully flushed somewhere on disk.
-func (t *Tailer) readRecord() (uint64, []core.EdgeOp, error) {
-	if t.f == nil {
-		if err := t.openSegmentFor(t.next); err != nil {
-			return 0, nil, err
-		}
-	}
-	if _, err := t.f.ReadAt(t.hdr[:], t.off); err != nil {
-		if err == io.EOF {
-			// Record boundary EOF with durable ahead: the next record lives
-			// in the segment named after our next LSN (rotation handoff).
-			if cerr := t.f.Close(); cerr != nil {
-				return 0, nil, fmt.Errorf("wal: tailer rotate: %w", cerr)
-			}
-			t.f = nil
+// read reads the record at the tailer's offset, first opening the segment
+// that holds t.next. Only called when durable > t.next, so that record is
+// wholly on disk: a segment that ends at a record boundary hands off to
+// the segment named after t.next (rotation), and anything else that fails
+// the checks is corruption.
+func (t *Tailer) read() (payload []byte, firstLSN uint64, count int, err error) {
+	for rotated := false; ; rotated = true {
+		if t.seg.f == nil {
 			if err := t.openSegmentFor(t.next); err != nil {
-				return 0, nil, err
+				return nil, 0, 0, err
 			}
-			if _, err := t.f.ReadAt(t.hdr[:], t.off); err != nil {
-				return 0, nil, fmt.Errorf("wal: tailer: read header after rotation: %w", err)
-			}
-		} else {
-			return 0, nil, fmt.Errorf("wal: tailer: read header: %w", err)
+		}
+		payload, firstLSN, count, err = t.seg.read(nil)
+		switch {
+		case err == nil:
+			return payload, firstLSN, count, nil
+		case err != io.EOF:
+			return nil, 0, 0, fmt.Errorf("wal: tailer: %w", err)
+		case rotated:
+			return nil, 0, 0, fmt.Errorf("wal: tailer: %s ends at LSN %d below the durable frontier: %w", t.seg.path, t.next, ErrCorrupt)
+		}
+		if err := t.seg.close(); err != nil {
+			return nil, 0, 0, fmt.Errorf("wal: tailer rotate: %w", err)
 		}
 	}
-	le := binary.LittleEndian
-	plen := le.Uint32(t.hdr[0:])
-	crc := le.Uint32(t.hdr[4:])
-	if plen < recordMetaSize || plen > recordMetaSize+opSize*MaxRecordOps {
-		return 0, nil, fmt.Errorf("wal: tailer: implausible record length %d at %s offset %d: %w",
-			plen, t.f.Name(), t.off, ErrCorrupt)
-	}
-	if cap(t.payload) < int(plen) {
-		t.payload = make([]byte, plen)
-	}
-	payload := t.payload[:plen]
-	if _, err := t.f.ReadAt(payload, t.off+recordHeaderSize); err != nil {
-		return 0, nil, fmt.Errorf("wal: tailer: read payload below durable frontier: %w", err)
-	}
-	if crc32.Checksum(payload, castagnoli) != crc {
-		return 0, nil, fmt.Errorf("wal: tailer: record checksum mismatch at %s offset %d: %w",
-			t.f.Name(), t.off, ErrCorrupt)
-	}
-	firstLSN, ops, derr := decodePayload(payload)
-	if derr != nil {
-		return 0, nil, fmt.Errorf("wal: tailer: %v: %w", derr, ErrCorrupt)
-	}
-	if firstLSN != t.segNext {
-		return 0, nil, fmt.Errorf("wal: tailer: record LSN %d, want %d: %w", firstLSN, t.segNext, ErrCorrupt)
-	}
-	t.off += recordHeaderSize + int64(plen)
-	end := firstLSN + uint64(len(ops))
-	t.segNext = end
-	if end <= t.next {
-		return 0, nil, nil // wholly before the start position: skip
-	}
-	if firstLSN < t.next {
-		ops = ops[t.next-firstLSN:] // straddling record: deliver the tail only
-		firstLSN = t.next
-	}
-	t.next = end
-	return firstLSN, ops, nil
 }
 
-// openSegmentFor opens the segment holding lsn and positions the read
-// offset at its first record (skipping happens record-by-record in
-// readRecord, which validates LSN continuity as it goes).
+// openSegmentFor opens the segment holding lsn at its first record;
+// records below lsn are read and skipped one by one, which checks LSN
+// continuity as it goes.
 func (t *Tailer) openSegmentFor(lsn uint64) error {
 	segs, err := listSegments(t.l.dir)
 	if err != nil {
@@ -233,37 +184,16 @@ func (t *Tailer) openSegmentFor(lsn uint64) error {
 	}
 	var seg *segInfo
 	for i := range segs {
-		if segs[i].firstLSN <= lsn {
-			seg = &segs[i]
-		} else {
+		if segs[i].firstLSN > lsn {
 			break
 		}
+		seg = &segs[i]
 	}
 	if seg == nil {
 		return fmt.Errorf("wal: tailer at LSN %d: %w", lsn, ErrTailPruned)
 	}
-	f, err := os.Open(seg.path)
-	if err != nil {
+	if err := t.seg.open(seg.path, seg.firstLSN); err != nil {
 		return fmt.Errorf("wal: tailer: %w", err)
 	}
-	var head [headerSize]byte
-	if _, err := io.ReadFull(f, head[:]); err != nil {
-		_ = f.Close() // abandoning the segment; the header error is the signal
-		return fmt.Errorf("wal: tailer: %s: torn segment header below durable frontier: %w", seg.path, ErrCorrupt)
-	}
-	le := binary.LittleEndian
-	if le.Uint32(head[0:]) != segMagic || le.Uint16(head[4:]) != segVersion {
-		_ = f.Close()
-		return fmt.Errorf("wal: tailer: %s: bad segment header: %w", seg.path, ErrCorrupt)
-	}
-	if got := le.Uint64(head[8:]); got != seg.firstLSN {
-		_ = f.Close()
-		return fmt.Errorf("wal: tailer: %s: header LSN %d does not match name LSN %d: %w",
-			seg.path, got, seg.firstLSN, ErrCorrupt)
-	}
-	t.f = f
-	t.off = headerSize
-	t.segFirst = seg.firstLSN
-	t.segNext = seg.firstLSN
 	return nil
 }

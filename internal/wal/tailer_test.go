@@ -2,14 +2,16 @@ package wal
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"graphtinker/internal/core"
 )
 
-// collectTailer drains n ops from a tailer, copying out of its reused
-// buffer, failing the test if Next errors or stalls past the deadline.
+// collectTailer drains n ops from a tailer, decoding each record, failing
+// the test if Next errors or stalls past the deadline.
 func collectTailer(t *testing.T, tl *Tailer, n int, stop <-chan struct{}) []core.EdgeOp {
 	t.Helper()
 	type result struct {
@@ -18,14 +20,17 @@ func collectTailer(t *testing.T, tl *Tailer, n int, stop <-chan struct{}) []core
 	}
 	done := make(chan result, 1)
 	go func() {
-		var got []core.EdgeOp
+		var got, ops []core.EdgeOp
 		for len(got) < n {
-			_, ops, err := tl.Next(stop)
+			_, _, payload, err := tl.Next(stop)
+			if err == nil {
+				_, ops, err = DecodeOps(payload, ops)
+			}
 			if err != nil {
 				done <- result{got, err}
 				return
 			}
-			got = append(got, append([]core.EdgeOp(nil), ops...)...)
+			got = append(got, ops...)
 		}
 		done <- result{got, nil}
 	}()
@@ -105,15 +110,20 @@ func TestTailerStartMidRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = tl.Close() }()
-	lsn, rec, err := tl.Next(nil)
+	// The straddling record comes back whole, as the log wrote it: the
+	// reader drops the prefix it holds.
+	lsn, count, payload, err := tl.Next(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lsn != from {
-		t.Fatalf("first delivery at LSN %d, want %d", lsn, from)
+	if lsn != 0 || count != len(ops) {
+		t.Fatalf("first delivery at LSN %d with %d ops, want LSN 0 with %d", lsn, count, len(ops))
 	}
-	if !opsEqual(rec, ops[from:]) {
-		t.Fatal("straddling record not sliced to the tailer position")
+	if _, rec, err := DecodeOps(payload, nil); err != nil || !opsEqual(rec, ops) {
+		t.Fatalf("straddling record not delivered whole (decode error %v)", err)
+	}
+	if tl.Position() != uint64(len(ops)) {
+		t.Fatalf("Position() = %d, want %d", tl.Position(), len(ops))
 	}
 }
 
@@ -138,12 +148,13 @@ func TestTailerBlocksUntilDurable(t *testing.T) {
 
 	delivered := make(chan []core.EdgeOp, 1)
 	go func() {
-		_, rec, err := tl.Next(nil)
+		_, _, payload, err := tl.Next(nil)
 		if err != nil {
 			delivered <- nil
 			return
 		}
-		delivered <- append([]core.EdgeOp(nil), rec...)
+		_, rec, _ := DecodeOps(payload, nil)
+		delivered <- rec
 	}()
 	select {
 	case <-delivered:
@@ -176,19 +187,19 @@ func TestTailerStopAndLogClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := tl.Next(nil); err != nil {
+	if _, _, _, err := tl.Next(nil); err != nil {
 		t.Fatal(err)
 	}
 	// At the tail now: a closed stop channel unblocks with ErrTailerStopped.
 	stop := make(chan struct{})
 	close(stop)
-	if _, _, err := tl.Next(stop); !errors.Is(err, ErrTailerStopped) {
+	if _, _, _, err := tl.Next(stop); !errors.Is(err, ErrTailerStopped) {
 		t.Fatalf("Next with closed stop = %v, want ErrTailerStopped", err)
 	}
 	// Closing the log unblocks a parked tailer with ErrClosed.
 	errCh := make(chan error, 1)
 	go func() {
-		_, _, err := tl.Next(nil)
+		_, _, _, err := tl.Next(nil)
 		errCh <- err
 	}()
 	time.Sleep(50 * time.Millisecond)
@@ -404,15 +415,95 @@ func TestReplayResumeMidSegment(t *testing.T) {
 
 func TestEncodeDecodeOpsRoundTrip(t *testing.T) {
 	ops := genOps(97, 29)
-	payload := EncodeOps(4242, ops)
-	first, got, err := DecodeOps(payload)
+	payload := make([]byte, recordMetaSize+opSize*len(ops))
+	encodePayloadInto(payload, 4242, ops)
+	buf := make([]core.EdgeOp, 0, len(ops))
+	first, got, err := DecodeOps(payload, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first != 4242 || !opsEqual(got, ops) {
 		t.Fatalf("round trip: first=%d", first)
 	}
-	if _, _, err := DecodeOps(payload[:len(payload)-1]); err == nil {
+	if &got[0] != &buf[:1][0] {
+		t.Fatal("DecodeOps did not decode into the buffer it was given")
+	}
+	if _, _, err := DecodeOps(payload[:len(payload)-1], buf); err == nil {
 		t.Fatal("truncated payload must fail to decode")
+	}
+}
+
+// TestTailerNextAllocFree pins the ship path's read side: once warm, Next
+// over a synced log of equal-size records allocates nothing per record.
+func TestTailerNextAllocFree(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{SyncInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Crash()
+	const records, perRecord = 300, 64
+	ops := genOps(records*perRecord, 30)
+	for i := 0; i < len(ops); i += perRecord {
+		if _, err := l.Append(ops[i : i+perRecord]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	tl, err := l.NewTailer(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = tl.Close() }()
+	var want uint64
+	next := func() {
+		lsn, count, _, err := tl.Next(nil)
+		if err != nil || lsn != want || count != perRecord {
+			t.Fatalf("Next = LSN %d, %d ops, %v; want LSN %d, %d ops", lsn, count, err, want, perRecord)
+		}
+		want += perRecord
+	}
+	next() // opens the segment and sizes the payload buffer
+	if allocs := testing.AllocsPerRun(records-2, next); allocs != 0 {
+		t.Fatalf("Tailer.Next allocates %.1f times per record, want 0", allocs)
+	}
+}
+
+// TestTailerCorruptBelowFrontier: a record below the durable frontier that
+// fails its checksum is corruption for a tailer, never a tail to skip.
+func TestTailerCorruptBelowFrontier(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{SyncInterval: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Crash()
+	for i := 0; i < 3; i++ {
+		if _, err := l.Append(genOps(20, uint64(31+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(dir, segName(0))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Flip a byte inside the second record's payload.
+	recLen := recordHeaderSize + recordMetaSize + 20*opSize
+	data[headerSize+recLen+recordHeaderSize+recordMetaSize+3] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tl, err := l.NewTailer(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = tl.Close() }()
+	if _, _, _, err := tl.Next(nil); err != nil {
+		t.Fatalf("first record: %v", err)
+	}
+	if _, _, _, err := tl.Next(nil); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Next over a corrupt record = %v, want ErrCorrupt", err)
 	}
 }

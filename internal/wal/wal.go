@@ -174,7 +174,7 @@ func Open(dir string, opts Options) (*Log, error) {
 			return nil, fmt.Errorf("wal: %s: segment starts at LSN %d but previous segment ends at LSN %d (missing segment?): %w",
 				seg.path, seg.firstLSN, l.nextLSN, ErrCorrupt)
 		}
-		end, next, _, err := scanSegment(seg.path, seg.firstLSN, nil)
+		end, next, err := scanSegment(seg.path, seg.firstLSN, nil)
 		if err != nil {
 			if !last {
 				return nil, err
@@ -182,6 +182,13 @@ func Open(dir string, opts Options) (*Log, error) {
 			var serr *tailError
 			if !errors.As(err, &serr) {
 				return nil, err
+			}
+			st, err := os.Stat(seg.path)
+			if err != nil {
+				return nil, fmt.Errorf("wal: stat segment: %w", err)
+			}
+			if l.rec != nil {
+				l.rec.TruncatedBytes.Add(uint64(st.Size() - serr.goodEnd))
 			}
 			if serr.goodEnd < headerSize {
 				// The segment header itself is torn (crash between segment
@@ -192,9 +199,6 @@ func Open(dir string, opts Options) (*Log, error) {
 				if err := l.openSegmentLocked(seg.firstLSN); err != nil {
 					return nil, err
 				}
-				if l.rec != nil {
-					l.rec.TruncatedBytes.Add(uint64(serr.size))
-				}
 				l.nextLSN = seg.firstLSN
 				recreated = true
 				break
@@ -202,9 +206,6 @@ func Open(dir string, opts Options) (*Log, error) {
 			// Torn tail: truncate back to the last whole record.
 			if terr := os.Truncate(seg.path, serr.goodEnd); terr != nil {
 				return nil, fmt.Errorf("wal: truncating torn tail of %s: %w", seg.path, terr)
-			}
-			if l.rec != nil {
-				l.rec.TruncatedBytes.Add(uint64(serr.size - serr.goodEnd))
 			}
 			end, next = serr.goodEnd, serr.nextLSN
 		}
@@ -606,11 +607,4 @@ func encodePayloadInto(payload []byte, firstLSN uint64, ops []core.EdgeOp) {
 		le.PutUint32(payload[off+17:], floatBits(op.Weight))
 		off += opSize
 	}
-}
-
-// encodePayload is encodePayloadInto with a fresh buffer (tests and tools).
-func encodePayload(firstLSN uint64, ops []core.EdgeOp) []byte {
-	payload := make([]byte, recordMetaSize+opSize*len(ops))
-	encodePayloadInto(payload, firstLSN, ops)
-	return payload
 }

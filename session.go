@@ -56,6 +56,7 @@ type Session struct {
 
 	stream *SessionStream
 	dur    *sessionDurability
+	ops    []Update // the batch being applied, inserts then deletes (reused)
 }
 
 type sessionAttachment struct {
@@ -182,16 +183,24 @@ func (s *Session) ApplyBatch(b Batch) BatchOutcome {
 
 func (s *Session) applyBatchLocked(b Batch) BatchOutcome {
 	out := BatchOutcome{Runs: make(map[string]RunResult, len(s.engines))}
+	// One op slice is both what a durable session logs and what the graph
+	// applies.
+	s.ops = s.ops[:0]
+	for _, e := range b.Insert {
+		s.ops = append(s.ops, InsertUpdate(e.Src, e.Dst, e.Weight))
+	}
+	for _, e := range b.Delete {
+		s.ops = append(s.ops, DeleteUpdate(e.Src, e.Dst))
+	}
 	if s.dur != nil {
 		// Log before apply: a batch is acknowledged only once the WAL
 		// covers it, so recovery can never miss an acknowledged batch.
-		if err := s.dur.appendBatch(b); err != nil {
+		if err := s.dur.appendOps(s.ops); err != nil {
 			out.DurabilityErr = err
 			return out
 		}
 	}
-	out.Inserted = s.graph.InsertBatch(b.Insert)
-	out.Deleted = s.graph.DeleteBatch(b.Delete)
+	out.Inserted, out.Deleted = s.graph.ApplyOps(s.ops)
 	s.batches++
 	s.inserted += out.Inserted
 	s.deleted += out.Deleted
@@ -211,7 +220,7 @@ func (s *Session) applyBatchLocked(b Batch) BatchOutcome {
 		out.Runs[name] = res
 	}
 	if s.dur != nil {
-		s.dur.sinceCkpt += uint64(len(b.Insert) + len(b.Delete))
+		s.dur.sinceCkpt += uint64(len(s.ops))
 		if every := s.dur.opts.SnapshotEvery; every > 0 && s.dur.sinceCkpt >= every {
 			// The batch is already logged and applied; a checkpoint failure
 			// must not masquerade as a refused batch (callers honoring the
@@ -263,8 +272,10 @@ type ProgramMetrics struct {
 	Aggregate RunResult `json:"aggregate"`
 }
 
-// SessionMetrics is the session-wide observability snapshot —
-// the JSON document cmd/gtload writes for -metrics-out.
+// SessionMetrics is a session's observability snapshot, as
+// MetricsSnapshot returns it: ApplyBatch totals, the store's counters,
+// the update histograms once EnableMetrics is on, and each attached
+// program's aggregated runs. It marshals to JSON.
 type SessionMetrics struct {
 	// Batches / Inserted / Deleted count ApplyBatch work so far.
 	Batches  int `json:"batches"`

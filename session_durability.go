@@ -1,8 +1,8 @@
 package graphtinker
 
 // Durable sessions: the batch-analytics path's crash safety. A durable
-// session logs every batch's ops (inserts, then deletes — the exact order
-// applyBatchLocked applies them) to a WAL before touching the graph, so a
+// session logs every batch's ops (inserts, then deletes — the one slice
+// applyBatchLocked then applies) to a WAL before touching the graph, so a
 // batch is acknowledged only once the log covers it. Recover rebuilds a
 // session from the directory: manifest-validated snapshot, then an
 // idempotent replay of the WAL tail. The directory itself is a wal.Dir,
@@ -59,24 +59,18 @@ func (s *Session) openSessionDir(dir string, opts DurabilityOptions) (*sessionDu
 	return &sessionDurability{dir: d, opts: opts, info: RecoveryInfo(info)}, g, nil
 }
 
-// appendBatch logs one batch's ops in application order. The first append
-// failure degrades the session: later batches must not be acknowledged
-// past an unlogged one, or the WAL would stop being a prefix of the
-// acknowledged stream and recovery would resurrect the refused batch.
-func (d *sessionDurability) appendBatch(b Batch) error {
+// appendOps logs one batch's ops. The first append failure degrades the
+// session: later batches must not be acknowledged past an unlogged one, or
+// the WAL would stop being a prefix of the acknowledged stream and
+// recovery would resurrect the refused batch.
+//
+//gtlint:noretain ops
+func (d *sessionDurability) appendOps(ops []Update) error {
 	if d.failed {
 		return ErrDurabilityDegraded
 	}
-	n := len(b.Insert) + len(b.Delete)
-	if n == 0 {
+	if len(ops) == 0 {
 		return nil
-	}
-	ops := make([]Update, 0, n)
-	for _, e := range b.Insert {
-		ops = append(ops, core.InsertOp(e.Src, e.Dst, e.Weight))
-	}
-	for _, e := range b.Delete {
-		ops = append(ops, core.DeleteOp(e.Src, e.Dst))
 	}
 	if _, err := d.dir.Log().Append(ops); err != nil {
 		d.failed = true
